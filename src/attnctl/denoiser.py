@@ -8,9 +8,12 @@ embeddings (cross attention) or itself (self attention):
     X = blockmean(z) @ Wq ...    A = softmax(Q K^T / sqrt(d)),   O = A V
 
 The noise prediction is the mean over layers of each layer's output replicated
-back to the full grid. Keys and values of cross-attention layers depend only
-on the token embeddings, never on the timestep; the whole forward pass is in
-fact timestep-independent, which keeps hand-written gradients tractable.
+back to the full grid. ``forward_cache`` keeps the attention maps and values;
+the prediction itself (``ForwardCache.eps_hat``) is computed on first read,
+because synthesis reads out masked maps instead and never needs it. Keys and
+values of cross-attention layers depend only on the token embeddings, never on
+the timestep; the whole forward pass is in fact timestep-independent, which
+keeps hand-written gradients tractable.
 """
 from __future__ import annotations
 
@@ -235,17 +238,26 @@ class LayerCache:
     k: np.ndarray
     v: np.ndarray
     attn: np.ndarray   # raw softmax output, (n_l, targets)
-    out: np.ndarray    # attn @ v
 
 
 @dataclass
 class ForwardCache:
-    """Everything the hand-written backward pass needs."""
+    """Everything the hand-written backward pass needs.
+
+    ``eps_hat``, the noise prediction from the unmodified maps, is computed
+    by ``readout_eps`` on first read and kept.
+    """
 
     z: np.ndarray          # (H, W, d)
     emb: np.ndarray        # (n_tokens, d)
     layers: "list[LayerCache]" = field(default_factory=list)
-    eps_hat: np.ndarray | None = None
+    _eps_hat: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def eps_hat(self) -> np.ndarray:
+        if self._eps_hat is None:
+            self._eps_hat = readout_eps(self, [lc.attn for lc in self.layers])
+        return self._eps_hat
 
 
 def _blockmean(z: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -284,9 +296,8 @@ def _replicate_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
 def forward_cache(z: np.ndarray, emb: np.ndarray,
                   layers: "list[_LayerWork]") -> ForwardCache:
     """Raw-array forward pass retaining per-layer intermediates."""
-    H, W, d = z.shape
+    d = z.shape[2]
     cache = ForwardCache(z=z, emb=emb)
-    acc = np.zeros_like(z)
     scale = 1.0 / np.sqrt(d)
     for work in layers:
         x = _blockmean(z, work.height, work.width)
@@ -297,20 +308,19 @@ def forward_cache(z: np.ndarray, emb: np.ndarray,
             src = x
         k = src @ work.wk
         v = src @ work.wv
-        logits = (q @ k.T) * scale
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=1, keepdims=True)
-        out = attn @ v
-        cache.layers.append(LayerCache(work, x, q, k, v, attn, out))
-        acc += _replicate(out, work.height, work.width, H, W)
-    cache.eps_hat = acc / len(layers)
+        # Row softmax of the scaled logits, in place in the logits buffer.
+        attn = q @ k.T
+        attn *= scale
+        attn -= attn.max(axis=1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=1, keepdims=True)
+        cache.layers.append(LayerCache(work, x, q, k, v, attn))
     return cache
 
 
 def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
-    """Recompute the noise prediction from (possibly modified) attention maps,
-    reusing the cached values. Used after attention masking."""
+    """The noise prediction from (possibly modified) attention maps, reusing
+    the cached values: the mean over layers of replicate(maps[l] @ V_l)."""
     H, W, _ = cache.z.shape
     acc = np.zeros_like(cache.z)
     for lc, attn in zip(cache.layers, maps):
@@ -379,18 +389,50 @@ def _matrix_lines(name: str, m: np.ndarray) -> "list[str]":
     return lines
 
 
-def _read_matrix(lines: "list[str]", pos: int, name: str):
-    head = lines[pos].split()
+def _content_lines(text: str) -> "list[tuple[int, str]]":
+    """Non-blank lines with their 1-based line numbers."""
+    return [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+
+
+def _fields(lines: "list[tuple[int, str]]", pos: int, expected: str):
+    """Line number and whitespace-split fields of content line ``pos``; a
+    file that ends before it raises ValueError."""
+    if pos >= len(lines):
+        last = lines[-1][0] if lines else 0
+        raise ValueError(f"file ends after line {last}, expected {expected}")
+    lineno, text = lines[pos]
+    return lineno, text.split()
+
+
+def _numbers(cells: "list[str]", kind, lineno: int) -> list:
+    try:
+        return [kind(c) for c in cells]
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected numbers, got {' '.join(cells)!r}") from None
+
+
+def _count_line(lines, pos: int, key: str) -> int:
+    """The N of a '<key> N' line."""
+    lineno, cells = _fields(lines, pos, f"'{key} N'")
+    if len(cells) != 2 or cells[0] != key:
+        raise ValueError(f"line {lineno}: expected '{key} N', got {lines[pos][1]!r}")
+    return _numbers(cells[1:], int, lineno)[0]
+
+
+def _read_matrix(lines: "list[tuple[int, str]]", pos: int, name: str):
+    lineno, head = _fields(lines, pos, f"'{name} R C' header")
     if len(head) != 3 or head[0] != name:
-        raise ValueError(f"expected '{name} R C' header at line {pos + 1}, got {lines[pos]!r}")
-    r, c = int(head[1]), int(head[2])
+        raise ValueError(f"line {lineno}: expected '{name} R C' header, got {lines[pos][1]!r}")
+    r, c = _numbers(head[1:], int, lineno)
     rows = []
     for i in range(r):
-        cells = lines[pos + 1 + i].split()
+        lineno, cells = _fields(lines, pos + 1 + i, f"row {i} of matrix {name}")
         if len(cells) != c:
-            raise ValueError(f"matrix {name}: row {i} has {len(cells)} values, expected {c}")
-        rows.append([float(x) for x in cells])
-    return np.array(rows, dtype=np.float64), pos + 1 + r
+            raise ValueError(
+                f"line {lineno}: matrix {name} row {i} has {len(cells)} values, expected {c}"
+            )
+        rows.append(_numbers(cells, float, lineno))
+    return np.array(rows, dtype=np.float64).reshape(r, c), pos + 1 + r
 
 
 def params_to_text(params: DenoiserParams) -> str:
@@ -404,19 +446,21 @@ def params_to_text(params: DenoiserParams) -> str:
 
 
 def params_from_text(text: str) -> DenoiserParams:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "denoiser-params v1":
+    lines = _content_lines(text)
+    if not lines or lines[0][1] != "denoiser-params v1":
         raise ValueError("not a denoiser-params v1 file")
-    dim = int(lines[1].split()[1])
-    n_layers = int(lines[2].split()[1])
+    dim = _count_line(lines, 1, "dim")
+    n_layers = _count_line(lines, 2, "layers")
     pos = 3
     specs = []
     for i in range(n_layers):
-        head = lines[pos].split()
-        if head[:2] != ["layer", str(i)]:
-            raise ValueError(f"expected 'layer {i}' header, got {lines[pos]!r}")
+        lineno, head = _fields(lines, pos, f"'layer {i}' header")
+        if len(head) != 6 or head[:2] != ["layer", str(i)]:
+            raise ValueError(
+                f"line {lineno}: expected 'layer {i} KIND TYPE H W', got {lines[pos][1]!r}"
+            )
         kind, attn_type = head[2], head[3]
-        h, w = int(head[4]), int(head[5])
+        h, w = _numbers(head[4:], int, lineno)
         pos += 1
         wq, pos = _read_matrix(lines, pos, "wq")
         wk, pos = _read_matrix(lines, pos, "wk")
@@ -429,9 +473,18 @@ def save_params(params: DenoiserParams, path: str) -> None:
     atomic_write_text(path, params_to_text(params))
 
 
-def load_params(path: str) -> DenoiserParams:
+def _load(path: str, parse):
+    """Parse a text file, naming the path in any ValueError raised."""
     with open(path) as fh:
-        return params_from_text(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def load_params(path: str) -> DenoiserParams:
+    return _load(path, params_from_text)
 
 
 def tokens_to_text(tokens: "list[TokenEmbedding]") -> str:
@@ -447,21 +500,25 @@ def tokens_to_text(tokens: "list[TokenEmbedding]") -> str:
 
 
 def tokens_from_text(text: str) -> "list[TokenEmbedding]":
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "token-embeddings v1":
+    lines = _content_lines(text)
+    if not lines or lines[0][1] != "token-embeddings v1":
         raise ValueError("not a token-embeddings v1 file")
-    dim = int(lines[1].split()[1])
-    count = int(lines[2].split()[1])
+    dim = _count_line(lines, 1, "dim")
+    count = _count_line(lines, 2, "count")
     tokens = []
     pos = 3
-    for _ in range(count):
-        head = lines[pos].split()
-        if head[0] != "token" or head[2] not in ("learnable", "fixed"):
-            raise ValueError(f"bad token header {lines[pos]!r}")
-        vec = np.array([float(x) for x in lines[pos + 1].split()], dtype=np.float64)
+    for i in range(count):
+        lineno, head = _fields(lines, pos, f"header of token {i}")
+        if len(head) != 3 or head[0] != "token" or head[2] not in ("learnable", "fixed"):
+            raise ValueError(f"line {lineno}: bad token header {lines[pos][1]!r}")
+        token_id = _numbers(head[1:2], int, lineno)[0]
+        lineno, cells = _fields(lines, pos + 1, f"vector of token {token_id}")
+        vec = np.array(_numbers(cells, float, lineno), dtype=np.float64)
         if vec.size != dim:
-            raise ValueError(f"token {head[1]}: expected {dim} values, got {vec.size}")
-        tokens.append(TokenEmbedding(int(head[1]), vec, head[2] == "learnable"))
+            raise ValueError(
+                f"line {lineno}: token {token_id}: expected {dim} values, got {vec.size}"
+            )
+        tokens.append(TokenEmbedding(token_id, vec, head[2] == "learnable"))
         pos += 2
     return tokens
 
@@ -471,5 +528,4 @@ def save_tokens(tokens: "list[TokenEmbedding]", path: str) -> None:
 
 
 def load_tokens(path: str) -> "list[TokenEmbedding]":
-    with open(path) as fh:
-        return tokens_from_text(fh.read())
+    return _load(path, tokens_from_text)

@@ -44,8 +44,11 @@ class BackpropResult:
 
 def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
     """Gradient through a row softmax: maps dL/dA to dL/dlogits."""
-    inner = (d_attn * attn).sum(axis=1, keepdims=True)
-    return attn * (d_attn - inner)
+    out = d_attn * attn
+    inner = out.sum(axis=1, keepdims=True)
+    np.subtract(d_attn, inner, out=out)
+    out *= attn
+    return out
 
 
 def backprop(cache: ForwardCache,
@@ -72,24 +75,34 @@ def backprop(cache: ForwardCache,
 
         if d_eps is not None:
             d_out = _replicate_adjoint(d_eps, work.height, work.width) / n_layers
+            da = d_out @ lc.v.T
+            if upstream is not None:
+                da = da + upstream
         else:
-            d_out = np.zeros_like(lc.out)
-
-        da = d_out @ lc.v.T
-        if upstream is not None:
-            da = da + upstream
+            # No readout gradient: dO = 0, so dA is the upstream alone and
+            # dV, dWv are zero.
+            da = upstream
         dz_logits = softmax_rows_backward(lc.attn, da)
         dq = scale * (dz_logits @ lc.k)
         dk = scale * (dz_logits.T @ lc.q)
-        dv = lc.attn.T @ d_out
-
         dx = dq @ work.wq.T
-        if work.attn_type == CROSS:
-            d_emb += dk @ work.wk.T + dv @ work.wv.T
-            d_wv.append(cache.emb.T @ dv)
+        # Gradient on the rows that keys and values are projected from: the
+        # embeddings (cross attention) or X itself (self attention).
+        d_src = dk @ work.wk.T
+        if work.attn_type != CROSS:
+            d_src = dx + d_src
+        if d_eps is not None:
+            dv = lc.attn.T @ d_out
+            d_src = d_src + dv @ work.wv.T
+            src = cache.emb if work.attn_type == CROSS else lc.x
+            d_wv.append(src.T @ dv)
         else:
-            dx = dx + dk @ work.wk.T + dv @ work.wv.T
-            d_wv.append(lc.x.T @ dv)
+            d_wv.append(np.zeros((d, d)))
+
+        if work.attn_type == CROSS:
+            d_emb += d_src
+        else:
+            dx = d_src
         d_z += _blockmean_adjoint(dx, work.height, work.width, H, W)
 
     return BackpropResult(d_emb=d_emb, d_z=d_z, d_wv=d_wv)

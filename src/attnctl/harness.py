@@ -330,10 +330,22 @@ def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
 
 
 def _read_csv(path: str) -> "tuple[list[str], list[list[str]]]":
+    """Header and rows of a run-directory CSV; an empty file or a row whose
+    width differs from the header's raises ValueError naming the file."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+        lines = [(i + 1, ln.rstrip("\n")) for i, ln in enumerate(fh) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a CSV header line")
+    header = lines[0][1].split(",")
+    rows = []
+    for lineno, ln in lines[1:]:
+        row = ln.split(",")
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {lineno} has {len(row)} fields, the header {len(header)}"
+            )
+        rows.append(row)
+    return header, rows
 
 
 def report(run_dir: str) -> str:

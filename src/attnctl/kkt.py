@@ -20,6 +20,7 @@ Two reward variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,13 +86,30 @@ def _project_rows(v: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     classic sort/cumulative-sum construction.
     """
     n, d = v.shape
-    u = -np.sort(-v, axis=1)  # descending
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, d + 1)
-    cond = u - (css - 1.0) / j > 0.0
-    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)  # last True index
-    theta = (css[np.arange(n), rho] - 1.0) / (rho + 1)
+    u = np.sort(v, axis=1)[:, ::-1]  # descending
+    shifts = (u.cumsum(axis=1) - 1.0) / _ranks(d)  # candidate theta per rank
+    # theta is the shift at the last rank where u > shift; searching the
+    # reversed rows finds it as the first
+    last = (u > shifts)[:, ::-1].argmax(axis=1)
+    theta = shifts[:, ::-1][_row_index(n), last]
     return np.maximum(v - theta[:, None], 0.0), theta
+
+
+@lru_cache(maxsize=64)
+def _ranks(d: int) -> np.ndarray:
+    """1..d as floats. Cached, with _row_index, because projected descent
+    projects thousands of times at one shape and a small projection is
+    bound by per-call overhead, not arithmetic."""
+    r = np.arange(1.0, d + 1.0)
+    r.setflags(write=False)
+    return r
+
+
+@lru_cache(maxsize=64)
+def _row_index(n: int) -> np.ndarray:
+    r = np.arange(n)
+    r.setflags(write=False)
+    return r
 
 
 def simplex_project(v) -> np.ndarray:
@@ -221,7 +239,8 @@ def projected_descent(problem: PixelAttentionProblem, objective: str,
             raise ConfigurationError(f"variant must be one of {REWARD_VARIANTS}")
     else:
         pen = _penalized_selector(problem)
-        grad = lambda x: 2.0 * pen * x
+        pen2 = 2.0 * pen
+        grad = lambda x: pen2 * x
         value = lambda x: float(((x * pen) ** 2).sum())
 
     losses = [value(a)]
@@ -240,7 +259,7 @@ def projected_descent(problem: PixelAttentionProblem, objective: str,
                 )
         else:
             rising = 0
-        delta = float(np.max(np.abs(new - a)))
+        delta = float(np.abs(new - a).max())
         a = new
         losses.append(loss)
         if delta <= tol:

@@ -46,6 +46,9 @@ class InstanceSet:
 
     masks: "tuple[BinaryMask, ...]"
     placeholder_ids: "tuple[int, ...]"
+    # joint_sample's draws by subset code, each built on first use.
+    _draws: "dict[int, SampleDraw]" = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masks = tuple(self.masks)
@@ -102,15 +105,19 @@ def joint_sample(instances: InstanceSet, rng: np.random.Generator) -> SampleDraw
     """Draw a uniformly random nonempty subset of instances.
 
     All 2^N - 1 subsets are equally likely; the reconstruction mask is the
-    union of the drawn instances' masks.
+    union of the drawn instances' masks. Each subset's draw is built once per
+    instance set and returned again when the subset recurs.
     """
     n = instances.count
     if n > 62:
         raise ConfigurationError("joint_sample: more than 62 instances unsupported")
     code = int(rng.integers(1, (1 << n)))
-    chosen = tuple(i for i in range(n) if code >> i & 1)
-    m_rec = BinaryMask.union([instances.masks[i] for i in chosen])
-    return SampleDraw(chosen, m_rec)
+    draw = instances._draws.get(code)
+    if draw is None:
+        chosen = tuple(i for i in range(n) if code >> i & 1)
+        m_rec = BinaryMask.union([instances.masks[i] for i in chosen])
+        draw = instances._draws[code] = SampleDraw(chosen, m_rec)
+    return draw
 
 
 @dataclass

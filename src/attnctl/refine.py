@@ -43,13 +43,17 @@ def box_blur(grid: np.ndarray, radius: int) -> np.ndarray:
     if radius == 0:
         return grid.copy()
     h, w = grid.shape
-    out = np.empty_like(grid, dtype=np.float64)
-    for r in range(h):
-        r0, r1 = max(0, r - radius), min(h, r + radius + 1)
-        for c in range(w):
-            c0, c1 = max(0, c - radius), min(w, c + radius + 1)
-            out[r, c] = grid[r0:r1, c0:c1].mean()
-    return out
+    # Summed-area table with a zero first row and column: the sum over
+    # rows [r0, r1) and columns [c0, c1) is S[r1,c1] - S[r0,c1] - S[r1,c0] + S[r0,c0].
+    sat = np.zeros((h + 1, w + 1))
+    np.cumsum(np.cumsum(grid, axis=0, dtype=np.float64), axis=1, out=sat[1:, 1:])
+    r0 = np.maximum(np.arange(h) - radius, 0)
+    r1 = np.minimum(np.arange(h) + radius + 1, h)
+    c0 = np.maximum(np.arange(w) - radius, 0)
+    c1 = np.minimum(np.arange(w) + radius + 1, w)
+    sums = (sat[np.ix_(r1, c1)] - sat[np.ix_(r0, c1)]
+            - sat[np.ix_(r1, c0)] + sat[np.ix_(r0, c0)])
+    return sums / np.outer(r1 - r0, c1 - c0)
 
 
 def compute_ca_masks(record: AttentionRecord, groups, smoothing: int,
@@ -123,6 +127,17 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
+def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (n, k) from the rows of x to the centers, expanded
+    as ||x||^2 - 2 x.c + ||c||^2 (x_sq holds ||x||^2) so that the only large
+    operand is x itself, and clipped at 0 against rounding."""
+    d2 = x @ centers.T
+    d2 *= -2.0
+    d2 += x_sq[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def kmeans_self_attention(features, k: int,
                           prev_centers: np.ndarray | None = None,
                           seed: int = 0, max_iter: int = 100,
@@ -152,11 +167,12 @@ def kmeans_self_attention(features, k: int,
     else:
         centers = _plusplus_init(x, k, np.random.default_rng(seed))
 
+    x_sq = np.einsum("ij,ij->i", x, x)
     assignments = np.zeros(n, dtype=np.int64)
     history: "list[float]" = []
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(x, x_sq, centers)
         assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assignments].sum()))
         new_centers = centers.copy()
@@ -168,7 +184,7 @@ def kmeans_self_attention(features, k: int,
         centers = new_centers
         if shift <= tol:
             break
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(x, x_sq, centers)
     assignments = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusterState(centers=centers, assignments=assignments,

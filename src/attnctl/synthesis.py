@@ -171,10 +171,13 @@ def _ca_energies(attn: np.ndarray, m_flat: np.ndarray, group) -> "tuple[float, f
 
 
 def _sa_energies(attn: np.ndarray, m_flat: np.ndarray) -> "tuple[float, float]":
-    rows = m_flat > 0.5
-    sub = attn[rows, :]
-    fg = float(((sub * m_flat[None, :]) ** 2).sum())
-    bg = float(((sub * (1.0 - m_flat)[None, :]) ** 2).sum())
+    # The in-box rows are squared once: (a m)^2 = a^2 m for m in {0, 1}.
+    sq = attn[m_flat > 0.5, :]
+    np.square(sq, out=sq)
+    part = sq * m_flat[None, :]
+    fg = float(part.sum())
+    np.multiply(sq, (1.0 - m_flat)[None, :], out=part)
+    bg = float(part.sum())
     return fg, bg
 
 
@@ -303,11 +306,10 @@ def _box_loss_grads(descs, maps, masks, groups, alpha_t: float,
     sa_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == SELF]
     d_attn: "list[np.ndarray | None]" = [None] * len(descs)
 
-    def _acc(li, grad):
+    def _grad(li):  # layer li's gradient, accumulated over instances
         if d_attn[li] is None:
-            d_attn[li] = grad
-        else:
-            d_attn[li] += grad
+            d_attn[li] = np.zeros_like(maps[li])
+        return d_attn[li]
 
     for i, group in enumerate(groups):
         terms = per_instance[i]
@@ -321,12 +323,10 @@ def _box_loss_grads(descs, maps, masks, groups, alpha_t: float,
         for li in ca_idx:
             _, _, h, w = descs[li]
             m = masks[i][(h, w)].flat()
-            attn = maps[li]
-            grad = np.zeros_like(attn)
+            grad = _grad(li)
             for token in group:
-                col = attn[:, token]
+                col = maps[li][:, token]
                 grad[:, token] += cf * 2.0 * m * col + cb * 2.0 * (1.0 - m) * col
-            _acc(li, grad)
 
         if sa_idx:
             fg_s, bg_s = mean_energies(terms.fg_sa, terms.bg_sa)
@@ -337,12 +337,10 @@ def _box_loss_grads(descs, maps, masks, groups, alpha_t: float,
             for li in sa_idx:
                 _, _, h, w = descs[li]
                 m = masks[i][(h, w)].flat()
-                attn = maps[li]
                 rows = m > 0.5
-                grad = np.zeros_like(attn)
-                grad[rows, :] = (cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]) \
-                    * attn[rows, :]
-                _acc(li, grad)
+                block = maps[li][rows, :]
+                block *= cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]
+                _grad(li)[rows, :] += block
     return d_attn
 
 
@@ -403,19 +401,14 @@ def _mask_maps(descs, maps, masks, groups) -> "list[np.ndarray]":
                         )
                     attn[outside, token] = 0.0
         else:
-            n = attn.shape[1]
-            allowed = np.ones((attn.shape[0], n), dtype=bool)
-            covered = np.zeros(attn.shape[0], dtype=bool)
-            for i in range(len(groups)):
-                m = masks[i][(h, w)].flat() > 0.5
-                inside = m
-                # in-box rows of instance i may reach the union of boxes
-                # containing them; start restrictive, then OR in each box.
-                newly = inside & ~covered
-                allowed[newly, :] = False
-                allowed[inside, :] |= m[None, :]
-                covered |= inside
-            attn[covered] = np.where(allowed[covered], attn[covered], 0.0)
+            # In-box rows may reach the union of the boxes containing them.
+            inside = np.array([masks[i][(h, w)].flat() > 0.5
+                               for i in range(len(groups))],
+                              dtype=bool).reshape(len(groups), attn.shape[0])
+            for rows, boxes_in in _rows_by_boxes(inside):
+                block = attn[rows]
+                np.copyto(block, 0.0, where=~inside[boxes_in].any(axis=0))
+                attn[rows] = block
         sums = attn.sum(axis=1, keepdims=True)
         dead = sums[:, 0] <= 0.0
         if np.any(dead):
@@ -427,11 +420,28 @@ def _mask_maps(descs, maps, masks, groups) -> "list[np.ndarray]":
                 attn[dead, :] = 1.0 / attn.shape[1]
             else:
                 for r in np.nonzero(dead)[0]:
-                    ok = allowed[r]
+                    boxes_in = inside[:, r]
+                    ok = (inside[boxes_in].any(axis=0) if boxes_in.any()
+                          else np.ones(attn.shape[1], dtype=bool))
                     attn[r, ok] = 1.0 / ok.sum()
             sums = attn.sum(axis=1, keepdims=True)
-        out.append(attn / sums)
+        attn /= sums
+        out.append(attn)
     return out
+
+
+def _rows_by_boxes(inside: np.ndarray):
+    """Group the pixels that lie in at least one box by the set of boxes
+    containing them; ``inside`` is (boxes, pixels). Yields each group's pixel
+    indices and its boolean box selector, one group per distinct set."""
+    if inside.shape[0] == 0:
+        return
+    keys = np.ascontiguousarray(inside.T).view(np.dtype((np.void, inside.shape[0])))
+    _, first, group_of = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    for g, pixel in enumerate(first):
+        boxes_in = inside[:, pixel]
+        if boxes_in.any():
+            yield np.nonzero(group_of.ravel() == g)[0], boxes_in
 
 
 def apply_attention_masking(record: AttentionRecord, masks, groups) -> AttentionRecord:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, output text, artifacts."""
 import json
+import shutil
 
 import pytest
 
@@ -108,6 +109,23 @@ def test_synthesize_from_learned_artifacts(capsys, workspace):
     assert (out / "final_mask_1.txt").exists()
 
 
+def test_synthesize_with_truncated_params_exits_one(capsys, workspace, tmp_path):
+    learn_out = workspace / "learn_run"
+    if not learn_out.exists():  # ordering safety: rebuild the inputs
+        assert main(["learn", str(workspace / "run.ini"),
+                     "--out", str(learn_out)]) == 0
+    capsys.readouterr()
+    truncated = tmp_path / "denoiser.txt"
+    truncated.write_bytes((learn_out / "denoiser.txt").read_bytes()[:300])
+    code = main(["synthesize", str(workspace / "run.ini"),
+                 "--out", str(tmp_path / "out"), "--params", str(truncated)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(truncated) in err and "line" in err
+    assert "Traceback" not in err
+
+
 def test_synthesize_standalone(capsys, workspace, tmp_path):
     out = tmp_path / "synth"
     assert main(["synthesize", str(workspace / "run.ini"),
@@ -131,3 +149,23 @@ def test_experiment_and_report(capsys, workspace):
 def test_report_on_empty_dir_exits_one(capsys, tmp_path):
     assert main(["report", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("learn_trace.csv", ""),
+    ("synth_steps.csv", "step,t,alpha,total\n1,49\n"),
+])
+def test_report_on_malformed_csv_exits_one(capsys, workspace, tmp_path, name, text):
+    exp_out = workspace / "exp_run"
+    if not exp_out.exists():  # ordering safety: rebuild the run
+        assert main(["experiment", str(workspace / "run.ini"),
+                     "--out", str(exp_out)]) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    shutil.copytree(exp_out, run_dir)
+    (run_dir / name).write_text(text)
+    assert main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert name in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Noise schedule, DDIM arithmetic, the toy forward pass, and serialization."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from attnctl.denoiser import (
     ddim_step,
     default_params,
     forward_denoise,
+    load_params,
     params_from_text,
     params_to_text,
     predict_clean,
@@ -251,6 +253,38 @@ def test_params_from_text_rejects_garbage():
     good = params_to_text(default_params(2, 2, 2, seed=0))
     with pytest.raises(ValueError):
         params_from_text(good.replace("wk", "wx", 1))
+
+
+@pytest.mark.parametrize("kind", ["params", "tokens"])
+def test_truncated_text_raises_value_error_naming_the_line(kind):
+    if kind == "params":
+        text, parse = params_to_text(default_params(2, 2, 2, seed=0)), params_from_text
+    else:
+        text, parse = tokens_to_text(_tokens(2, seed=1)), tokens_from_text
+    first_line = len(text.splitlines()[0]) + 1
+    for cut in range(first_line, len(text)):
+        # A cut inside the last number may still parse; any other cut must
+        # raise ValueError with a line number, never an IndexError.
+        try:
+            parse(text[:cut])
+        except ValueError as exc:
+            assert "line" in str(exc), (cut, str(exc))
+
+
+def test_parse_errors_name_the_line():
+    params_text = params_to_text(default_params(2, 2, 2, seed=0))
+    with pytest.raises(ValueError, match=r"file ends after line 5"):
+        params_from_text("\n".join(params_text.splitlines()[:5]))
+    tokens_text = tokens_to_text(_tokens(2, seed=1))
+    with pytest.raises(ValueError, match=r"line 4: bad token header"):
+        tokens_from_text(tokens_text.replace("token 0 fixed", "token 0", 1))
+
+
+def test_load_params_names_the_path(tmp_path):
+    path = tmp_path / "denoiser.txt"
+    path.write_text(params_to_text(default_params(2, 2, 2, seed=0))[:120])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_params(str(path))
 
 
 def test_tokens_text_round_trip():
