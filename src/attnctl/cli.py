@@ -1,43 +1,40 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on validation/configuration errors, 2 on numeric
-divergence (including a failed gradient check).
+divergence (a non-finite learning loss or synthesis latent, named by its
+iteration or step, or a failed gradient check).
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .denoiser import (
     default_params,
-    forward_denoise,
     load_params,
     load_tokens,
-    save_params,
-    save_tokens,
     toy_schedule,
 )
 from .errors import ConfigurationError, DivergenceError
-from .fileio import atomic_write_text, write_csv, write_json
+from .fileio import atomic_write_text, write_csv
 from .gradcheck import REL_TOL, format_results, run_gradcheck
 from .harness import (
     METRICS_HEADER,
-    _config_dict,
+    RunDir,
     _scenario_from_config,
     parse_config,
     report,
     run_experiment,
+    write_learning,
+    write_manifest,
+    write_synthesis,
 )
 from .kkt import REWARD_VARIANTS, oracle_report
-from .learning import run_semantic_learning, write_trace_csv
-from .scenario import argmax_iou_single, leakage_mass, synthesis_tokens
-from .synthesis import run_synthesis, write_steps_csv
+from .learning import run_semantic_learning
+from .scenario import synthesis_tokens
+from .synthesis import run_synthesis
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,51 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_run_manifest(out_dir: str, cfg, config_bytes: bytes,
-                        files: "list[str]") -> None:
-    import platform
-
-    write_json(os.path.join(out_dir, "manifest.json"), {
-        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
-        "config": _config_dict(cfg),
-        "versions": {
-            "attnctl": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "outputs": sorted(set(files)),
-    })
-
-
 def _cmd_learn(args) -> int:
-    with open(args.config, "rb") as fh:
-        config_bytes = fh.read()
-    cfg = parse_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    cfg, config_bytes = parse_config(args.config)
+    run = RunDir(args.out)
     scenario = _scenario_from_config(cfg.scenario)
     result = run_semantic_learning(scenario, cfg.learning)
+    rows = write_learning(run, scenario, result)
+    write_csv(run.file("metrics.csv"), METRICS_HEADER, rows)
+    write_manifest(run, cfg, config_bytes)
 
-    files = ["learn_trace.csv", "embeddings.txt", "denoiser.txt",
-             "metrics.csv", "config.ini"]
-    write_trace_csv(result.trace, os.path.join(args.out, "learn_trace.csv"))
-    save_tokens(result.tokens, os.path.join(args.out, "embeddings.txt"))
-    save_params(result.params, os.path.join(args.out, "denoiser.txt"))
-
-    instances = scenario.instance_set()
-    _, record = forward_denoise(scenario.z0, 0, result.tokens, result.params,
-                                result.schedule)
-    rows = []
-    for i, token in enumerate(instances.placeholder_ids):
-        mask = instances.masks[i]
-        rows.append(("learning", i,
-                     leakage_mass(record, token, mask),
-                     argmax_iou_single(record, token, mask),
-                     result.trace[-1].rec_loss, result.trace[-1].total))
-    write_csv(os.path.join(args.out, "metrics.csv"), METRICS_HEADER, rows)
-    atomic_write_text(os.path.join(args.out, "config.ini"), config_bytes.decode())
-    _write_run_manifest(args.out, cfg, config_bytes, files + ["manifest.json"])
-
-    print(f"learned {len(instances.placeholder_ids)} instance embeddings "
+    print(f"learned {len(rows)} instance embeddings "
           f"in {cfg.learning.total_iters} iterations")
     for row in rows:
         print(f"instance {row[1]}: leakage {row[2]:.4f}, argmax IoU {row[3]:.4f}")
@@ -131,10 +93,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    with open(args.config, "rb") as fh:
-        config_bytes = fh.read()
-    cfg = parse_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    cfg, config_bytes = parse_config(args.config)
+    run = RunDir(args.out)
     scenario = _scenario_from_config(cfg.scenario)
 
     if args.embeddings:
@@ -149,22 +109,13 @@ def _cmd_synthesize(args) -> int:
                                 seed=cfg.learning.seed)
 
     boxes = cfg.boxes if cfg.boxes is not None else scenario.boxes()
-    groups = cfg.groups
     result = run_synthesis(
         tokens, params, boxes, cfg.synthesis, sched=cfg.schedule,
-        schedule=toy_schedule(cfg.synthesis.total_steps), groups=groups,
+        schedule=toy_schedule(cfg.synthesis.total_steps), groups=cfg.groups,
         refinement=cfg.refinement,
     )
-
-    files = ["synth_steps.csv", "config.ini"]
-    write_steps_csv(result.steps, os.path.join(args.out, "synth_steps.csv"))
-    latent_res = (cfg.scenario.height, cfg.scenario.width)
-    for i, mset in enumerate(result.masks):
-        name = f"final_mask_{i}.txt"
-        atomic_write_text(os.path.join(args.out, name), mset[latent_res].to_text())
-        files.append(name)
-    atomic_write_text(os.path.join(args.out, "config.ini"), config_bytes.decode())
-    _write_run_manifest(args.out, cfg, config_bytes, files + ["manifest.json"])
+    write_synthesis(run, result, (cfg.scenario.height, cfg.scenario.width))
+    write_manifest(run, cfg, config_bytes)
 
     last = result.steps[-1]
     print(f"synthesis finished: control loss {result.steps[0].total:.6g} -> "

@@ -210,6 +210,14 @@ def downsample_mask(mask: BinaryMask, height: int, width: int) -> BinaryMask:
     return BinaryMask((means >= 0.5).astype(np.uint8))
 
 
+def mask_at(mask: BinaryMask, height: int, width: int) -> BinaryMask:
+    """An instance mask carried to a layer's resolution: the mask itself when
+    the extents match, its block-mean downsample otherwise."""
+    if (mask.height, mask.width) == (height, width):
+        return mask
+    return downsample_mask(mask, height, width)
+
+
 def resample_mask_nearest(mask: BinaryMask, height: int, width: int) -> BinaryMask:
     """Nearest-neighbor resample to arbitrary extents (used to carry refined
     masks across layer resolutions; block-mean downsample_mask is the rule for
@@ -244,6 +252,14 @@ class LayerAttention:
             raise ShapeError("self-attention map must be square")
 
 
+def gated_layers(layers, attn_type: str) -> "list[int]":
+    """Indices of the decoder layers of one attention type (CROSS or SELF),
+    the layers that losses and metrics gate on. Any layer objects carrying
+    ``kind`` and ``attn_type`` will do."""
+    return [i for i, l in enumerate(layers)
+            if l.kind == DECODER and l.attn_type == attn_type]
+
+
 @dataclass(frozen=True)
 class AttentionRecord:
     """All attention maps from one forward pass, in layer order."""
@@ -257,7 +273,12 @@ class AttentionRecord:
 
     def gated_cross(self) -> "list[LayerAttention]":
         """Decoder cross-attention layers — the ones losses/metrics gate on."""
-        return [l for l in self.layers if l.kind == DECODER and l.attn_type == CROSS]
+        return [self.layers[i] for i in gated_layers(self.layers, CROSS)]
 
     def gated_self(self) -> "list[LayerAttention]":
-        return [l for l in self.layers if l.kind == DECODER and l.attn_type == SELF]
+        return [self.layers[i] for i in gated_layers(self.layers, SELF)]
+
+    def maps(self) -> "list[np.ndarray]":
+        """Every layer's weights, in layer order: the raw-array form the
+        loop kernels take."""
+        return [l.amap.weights for l in self.layers]

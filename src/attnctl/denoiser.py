@@ -329,8 +329,9 @@ def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
     return acc / len(cache.layers)
 
 
-def record_from_maps(layers: "list[_LayerWork]",
-                     maps: "list[np.ndarray]") -> AttentionRecord:
+def record_from_maps(layers, maps: "list[np.ndarray]") -> AttentionRecord:
+    """Validate raw maps into a record; ``layers`` are any layer objects
+    carrying ``kind``, ``attn_type``, ``height`` and ``width``."""
     return AttentionRecord(tuple(
         LayerAttention(w.kind, w.attn_type, w.height, w.width, AttentionMap(m))
         for w, m in zip(layers, maps)

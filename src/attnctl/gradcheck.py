@@ -20,6 +20,9 @@ from .learning import (
     LearningConfig,
     SampleDraw,
     _attn_loss_and_grad,
+    _gated_masks,
+    _rec_loss_and_grad,
+    total_learning_loss,
 )
 from .synthesis import (
     BoxSpec,
@@ -27,7 +30,6 @@ from .synthesis import (
     SynthesisConfig,
     _box_loss_grads,
     _box_loss_terms,
-    _layer_descs,
     alpha_decay,
     instance_masks_from_boxes,
 )
@@ -123,28 +125,24 @@ def build_fixture(seed: int = 0) -> _Fixture:
     )
 
 
-def _gated_masks(fx: _Fixture) -> dict:
-    from .learning import _layer_mask
-
-    gated = {}
-    for li, lw in enumerate(fx.layers):
-        if lw.kind == "decoder" and lw.attn_type == "CA":
-            gated[li] = [_layer_mask(m, lw.height, lw.width)
-                         for m in fx.instances.masks]
-    return gated
-
-
 def _learning_losses(fx: _Fixture, branch: str):
-    """(rec, attn) plus analytic embedding gradient of the weighted total."""
+    """The learning loop's kernels at the fixture's current values: the
+    forward cache, then (rec, d_eps) and (attn, d_attn)."""
     cache = forward_cache(fx.z, fx.emb, fx.layers)
-    m3 = fx.draw.m_rec.bits.astype(np.float64)[:, :, None]
-    rec = float(((m3 * (fx.eps - cache.eps_hat)) ** 2).sum())
-    d_eps = 2.0 * m3 * (cache.eps_hat - fx.eps)
+    rec, d_eps = _rec_loss_and_grad(fx.eps, cache.eps_hat, fx.draw.m_rec)
     attn, d_attn = _attn_loss_and_grad(
-        cache, _gated_masks(fx), fx.instances, fx.draw, branch,
-        fx.config.alpha, fx.config.pixel_norm,
+        [lc.attn for lc in cache.layers], _gated_masks(fx.layers, fx.instances.masks),
+        fx.instances, fx.draw, branch, fx.config.alpha, fx.config.pixel_norm,
     )
     return cache, rec, d_eps, attn, d_attn
+
+
+def _rec_value(fx: _Fixture) -> float:
+    return _learning_losses(fx, "reward")[1]
+
+
+def _attn_value(fx: _Fixture, branch: str) -> float:
+    return _learning_losses(fx, branch)[3]
 
 
 def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
@@ -156,37 +154,22 @@ def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
     cache, _, _, attn, d_attn = _learning_losses(fx, "reward")
     analytic = backprop(cache, d_attn=d_attn, d_eps=None).d_emb
 
-    def reward_value():
-        c = forward_cache(fx.z, fx.emb, fx.layers)
-        return _attn_loss_and_grad(c, _gated_masks(fx), fx.instances, fx.draw,
-                                   "reward", cfg.alpha, cfg.pixel_norm)[0]
-
     results.append(compare("reward_attn_wrt_embeddings", analytic,
-                           central_diff(reward_value, fx.emb)))
+                           central_diff(lambda: _attn_value(fx, "reward"), fx.emb)))
 
     # --- penalty attention loss wrt embeddings ----------------------------
     cache, _, _, attn, d_attn = _learning_losses(fx, "penalty")
     analytic = backprop(cache, d_attn=d_attn, d_eps=None).d_emb
 
-    def penalty_value():
-        c = forward_cache(fx.z, fx.emb, fx.layers)
-        return _attn_loss_and_grad(c, _gated_masks(fx), fx.instances, fx.draw,
-                                   "penalty", cfg.alpha, cfg.pixel_norm)[0]
-
     results.append(compare("penalty_attn_wrt_embeddings", analytic,
-                           central_diff(penalty_value, fx.emb)))
+                           central_diff(lambda: _attn_value(fx, "penalty"), fx.emb)))
 
     # --- masked reconstruction wrt embeddings -----------------------------
     cache, rec, d_eps, _, _ = _learning_losses(fx, "reward")
     analytic = backprop(cache, d_attn=None, d_eps=d_eps).d_emb
 
-    def rec_value():
-        c = forward_cache(fx.z, fx.emb, fx.layers)
-        m3 = fx.draw.m_rec.bits.astype(np.float64)[:, :, None]
-        return float(((m3 * (fx.eps - c.eps_hat)) ** 2).sum())
-
     results.append(compare("masked_rec_wrt_embeddings", analytic,
-                           central_diff(rec_value, fx.emb)))
+                           central_diff(lambda: _rec_value(fx), fx.emb)))
 
     # --- weighted stage-one total wrt embeddings --------------------------
     cache, rec, d_eps, attn, d_attn = _learning_losses(fx, "penalty")
@@ -195,30 +178,24 @@ def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
                         d_eps=cfg.lambda_rec * d_eps).d_emb
 
     def total_value():
-        c = forward_cache(fx.z, fx.emb, fx.layers)
-        m3 = fx.draw.m_rec.bits.astype(np.float64)[:, :, None]
-        rec_v = float(((m3 * (fx.eps - c.eps_hat)) ** 2).sum())
-        attn_v = _attn_loss_and_grad(c, _gated_masks(fx), fx.instances, fx.draw,
-                                     "penalty", cfg.alpha, cfg.pixel_norm)[0]
-        return cfg.lambda_rec * rec_v + cfg.lambda_attn * attn_v
+        return total_learning_loss(_rec_value(fx), _attn_value(fx, "penalty"), cfg)
 
     results.append(compare("stage1_total_wrt_embeddings", analytic,
                            central_diff(total_value, fx.emb)))
 
     # --- combined box-control loss wrt latent ------------------------------
     alpha_t = alpha_decay(fx.decay_step, fx.sched)
-    descs = _layer_descs(fx.layers)
     cache = forward_cache(fx.z, fx.emb, fx.layers)
     maps = [lc.attn for lc in cache.layers]
-    per_terms, _ = _box_loss_terms(descs, maps, fx.masks, fx.groups, alpha_t, fx.syn)
-    d_attn = _box_loss_grads(descs, maps, fx.masks, fx.groups, alpha_t, fx.syn,
+    per_terms, _ = _box_loss_terms(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn)
+    d_attn = _box_loss_grads(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn,
                              per_terms)
     analytic = backprop(cache, d_attn=d_attn, d_eps=None).d_z
 
     def combined_value():
         c = forward_cache(fx.z, fx.emb, fx.layers)
         m = [lc.attn for lc in c.layers]
-        return _box_loss_terms(descs, m, fx.masks, fx.groups, alpha_t, fx.syn)[1]
+        return _box_loss_terms(fx.layers, m, fx.masks, fx.groups, alpha_t, fx.syn)[1]
 
     results.append(compare("combined_box_wrt_latent", analytic,
                            central_diff(combined_value, fx.z)))
@@ -232,7 +209,7 @@ def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
     cache, rec, d_eps, _, _ = _learning_losses(fx, "reward")
     res = backprop(cache, d_attn=None, d_eps=d_eps)
     for li in range(len(fx.layers)):
-        numeric = central_diff(rec_value, fx.layers[li].wv)
+        numeric = central_diff(lambda: _rec_value(fx), fx.layers[li].wv)
         results.append(compare(f"masked_rec_wrt_value_proj_{li}",
                                res.d_wv[li], numeric))
 

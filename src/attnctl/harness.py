@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .core import BinaryMask
 from .denoiser import (
     forward_denoise,
     save_params,
@@ -175,9 +176,15 @@ def _parse_boxes_section(items: "dict[str, str]"):
 
 
 def config_from_text(text: str) -> ControlConfig:
+    """Parse config text that was not read from a file."""
+    return _config_from_ini(text, "<string>")
+
+
+def _config_from_ini(text: str, source: str) -> ControlConfig:
+    """Parse INI text; syntax errors name ``source`` (a path or "<string>")."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(text)
+        cp.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigurationError(f"config syntax error: {exc}") from exc
     cfg = ControlConfig()
@@ -198,12 +205,15 @@ def config_from_text(text: str) -> ControlConfig:
     return cfg
 
 
-def parse_config(path: str) -> ControlConfig:
+def parse_config(path: str) -> "tuple[ControlConfig, bytes]":
+    """The config at ``path`` and the file's bytes, which a run directory
+    copies and whose hash its manifest records."""
     try:
-        with open(path) as fh:
-            return config_from_text(fh.read())
+        with open(path, "rb") as fh:
+            config_bytes = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    return _config_from_ini(config_bytes.decode(), path), config_bytes
 
 
 def _config_dict(cfg: ControlConfig) -> dict:
@@ -234,38 +244,74 @@ def _scenario_from_config(sc: ScenarioConfig) -> Scenario:
     )
 
 
+class RunDir:
+    """An output directory and the names of the artifacts written to it."""
+
+    def __init__(self, path: str):
+        os.makedirs(path, exist_ok=True)
+        self.path = path
+        self.files: "list[str]" = []
+
+    def file(self, name: str) -> str:
+        """Path of artifact ``name``, which is listed in the manifest."""
+        self.files.append(name)
+        return os.path.join(self.path, name)
+
+
+def write_learning(run: RunDir, scenario: Scenario, learn: LearningResult) -> list:
+    """Write the learning artifacts and return the learning rows of
+    metrics.csv: each instance token's leakage and argmax IoU on the clean
+    latent."""
+    write_trace_csv(learn.trace, run.file("learn_trace.csv"))
+    save_tokens(learn.tokens, run.file("embeddings.txt"))
+    save_params(learn.params, run.file("denoiser.txt"))
+    instances = scenario.instance_set()
+    _, record = forward_denoise(scenario.z0, 0, learn.tokens, learn.params,
+                                learn.schedule)
+    return [("learning", i,
+             leakage_mass(record, token, instances.masks[i]),
+             argmax_iou_single(record, token, instances.masks[i]),
+             learn.trace[-1].rec_loss, learn.trace[-1].total)
+            for i, token in enumerate(instances.placeholder_ids)]
+
+
+def write_synthesis(run: RunDir, synth: SynthesisResult,
+                    latent_res: "tuple[int, int]") -> "list[BinaryMask]":
+    """Write synth_steps.csv and each instance's final control mask at the
+    latent resolution; returns those masks."""
+    write_steps_csv(synth.steps, run.file("synth_steps.csv"))
+    finals = [mset[latent_res] for mset in synth.masks]
+    for i, mask in enumerate(finals):
+        atomic_write_text(run.file(f"final_mask_{i}.txt"), mask.to_text())
+    return finals
+
+
+def write_manifest(run: RunDir, cfg: ControlConfig, config_bytes: bytes) -> None:
+    """Copy the config into the run and write manifest.json: the config hash,
+    the parsed config, library versions and every artifact but itself."""
+    atomic_write_text(run.file("config.ini"), config_bytes.decode())
+    write_json(os.path.join(run.path, "manifest.json"), {
+        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+        "config": _config_dict(cfg),
+        "versions": {
+            "attnctl": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "outputs": sorted(set(run.files)),
+    })
+
+
 def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
     """Learning followed by synthesis on the configured scenario; writes all
     artifacts plus a manifest with the config hash and library versions."""
-    with open(config_path, "rb") as fh:
-        config_bytes = fh.read()
-    cfg = config_from_text(config_bytes.decode())
-    os.makedirs(out_dir, exist_ok=True)
-    files: "list[str]" = []
-
-    def _path(name: str) -> str:
-        files.append(name)
-        return os.path.join(out_dir, name)
-
+    cfg, config_bytes = parse_config(config_path)
+    run = RunDir(out_dir)
     scenario = _scenario_from_config(cfg.scenario)
     instances = scenario.instance_set()
 
     learn = run_semantic_learning(scenario, cfg.learning)
-    write_trace_csv(learn.trace, _path("learn_trace.csv"))
-    save_tokens(learn.tokens, _path("embeddings.txt"))
-    save_params(learn.params, _path("denoiser.txt"))
-
-    _, record = forward_denoise(scenario.z0, 0, learn.tokens, learn.params,
-                                learn.schedule)
-    metrics_rows = []
-    for i, token in enumerate(instances.placeholder_ids):
-        mask = instances.masks[i]
-        metrics_rows.append((
-            "learning", i,
-            leakage_mass(record, token, mask),
-            argmax_iou_single(record, token, mask),
-            learn.trace[-1].rec_loss, learn.trace[-1].total,
-        ))
+    metrics_rows = write_learning(run, scenario, learn)
 
     boxes = cfg.boxes if cfg.boxes is not None else scenario.boxes()
     groups = cfg.groups if cfg.groups is not None else \
@@ -279,22 +325,19 @@ def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
         sched=cfg.schedule, schedule=toy_schedule(cfg.synthesis.total_steps),
         groups=groups, refinement=cfg.refinement,
     )
-    write_steps_csv(synth.steps, _path("synth_steps.csv"))
+    finals = write_synthesis(run, synth, (scenario.height, scenario.width))
 
     _, synth_record = forward_denoise(synth.z_final, 0, learn.tokens,
                                       learn.params, learn.schedule)
-    latent_res = (scenario.height, scenario.width)
+    last = synth.steps[-1]
     for i, group in enumerate(groups):
-        final_mask = synth.masks[i][latent_res]
-        atomic_write_text(_path(f"final_mask_{i}.txt"), final_mask.to_text())
-        last = synth.steps[-1]
         metrics_rows.append((
             "synthesis", i,
-            leakage_mass(synth_record, group[0], final_mask),
-            argmax_iou_single(synth_record, group[0], final_mask),
+            leakage_mass(synth_record, group[0], finals[i]),
+            argmax_iou_single(synth_record, group[0], finals[i]),
             last.per_instance[i], last.total,
         ))
-    write_csv(_path("metrics.csv"), METRICS_HEADER, metrics_rows)
+    write_csv(run.file("metrics.csv"), METRICS_HEADER, metrics_rows)
 
     # Disentanglement diagnostic: 2-D projection of the clean latent's pixel
     # features, labeled by instance membership (-1 = background).
@@ -307,26 +350,15 @@ def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
         for c in range(scenario.width):
             p = proj[r * scenario.width + c]
             pca_rows.append((r, c, int(labels[r, c]), float(p[0]), float(p[1])))
-    write_csv(_path("pca.csv"), ("row", "col", "label", "pc1", "pc2"), pca_rows)
+    write_csv(run.file("pca.csv"), ("row", "col", "label", "pc1", "pc2"), pca_rows)
 
-    write_json(_path("oracle.json"),
+    write_json(run.file("oracle.json"),
                oracle_report(scenario.n_instances, cfg.learning.alpha))
 
-    atomic_write_text(_path("config.ini"), config_bytes.decode())
-    manifest = {
-        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
-        "config": _config_dict(cfg),
-        "versions": {
-            "attnctl": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "outputs": sorted(set(files)),
-    }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    files.append("manifest.json")
+    write_manifest(run, cfg, config_bytes)
     return ExperimentResult(out_dir=out_dir, scenario=scenario, learning=learn,
-                            synthesis=synth, files=sorted(set(files)))
+                            synthesis=synth,
+                            files=sorted(set(run.files) | {"manifest.json"}))
 
 
 def _read_csv(path: str) -> "tuple[list[str], list[list[str]]]":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryMask, AttentionRecord, downsample_mask
+from .core import CROSS, AttentionRecord, BinaryMask, gated_layers, mask_at
 from .denoiser import (
     DenoiserParams,
     NoiseSchedule,
@@ -156,18 +156,34 @@ class LearningConfig:
             raise ConfigurationError("seed: must be >= 0")
 
 
-def _layer_mask(mask: BinaryMask, height: int, width: int) -> np.ndarray:
-    """Flat float mask at a layer's resolution (identity when it matches)."""
-    if (mask.height, mask.width) == (height, width):
-        return mask.flat()
-    return downsample_mask(mask, height, width).flat()
+def _gated_masks(layers, masks) -> "dict[int, list[np.ndarray]]":
+    """Per decoder cross-attention layer index: the flat instance masks at
+    that layer's resolution."""
+    return {li: [mask_at(m, layers[li].height, layers[li].width).flat()
+                 for m in masks]
+            for li in gated_layers(layers, CROSS)}
 
 
-def _check_token_column(record_cols: int, token_id: int) -> None:
-    if token_id >= record_cols:
-        raise ConfigurationError(
-            f"token id {token_id} absent from record (only {record_cols} columns)"
-        )
+def _attn_branch(iteration: int, config: LearningConfig) -> str:
+    """Reward while iteration < coarse_iters, penalty afterwards."""
+    return BRANCH_REWARD if iteration < config.coarse_iters else BRANCH_PENALTY
+
+
+def _record_ca_loss(instances: InstanceSet, draw: SampleDraw,
+                    record: AttentionRecord, branch: str, alpha: float,
+                    pixel_norm: bool) -> float:
+    """The loop's attention loss on a record's maps, after checking that
+    every sampled token has a column in each gated layer."""
+    for layer in record.gated_cross():
+        for i in draw.instance_indices:
+            token = instances.placeholder_ids[i]
+            if token >= layer.amap.cols:
+                raise ConfigurationError(
+                    f"token id {token} absent from record (only {layer.amap.cols} columns)"
+                )
+    gated_masks = _gated_masks(record.layers, instances.masks)
+    return _attn_loss_and_grad(record.maps(), gated_masks, instances, draw,
+                               branch, alpha, pixel_norm)[0]
 
 
 def reward_ca_loss(instances: InstanceSet, draw: SampleDraw,
@@ -175,32 +191,14 @@ def reward_ca_loss(instances: InstanceSet, draw: SampleDraw,
                    pixel_norm: bool = False) -> float:
     """Sum over sampled instances and gated cross-attention layers of
     ||alpha * M_i - A_i||^2, where A_i is the instance token's column."""
-    total = 0.0
-    for layer in record.gated_cross():
-        norm = layer.height * layer.width if pixel_norm else 1
-        for i in draw.instance_indices:
-            token = instances.placeholder_ids[i]
-            _check_token_column(layer.amap.cols, token)
-            m = _layer_mask(instances.masks[i], layer.height, layer.width)
-            col = layer.amap.column(token)
-            total += float(((alpha * m - col) ** 2).sum()) / norm
-    return total
+    return _record_ca_loss(instances, draw, record, BRANCH_REWARD, alpha, pixel_norm)
 
 
 def penalty_ca_loss(instances: InstanceSet, draw: SampleDraw,
                     record: AttentionRecord, pixel_norm: bool = False) -> float:
     """Sum over sampled instances and gated cross-attention layers of
     ||(1 - M_i) * A_i||^2: squared attention mass leaking off each mask."""
-    total = 0.0
-    for layer in record.gated_cross():
-        norm = layer.height * layer.width if pixel_norm else 1
-        for i in draw.instance_indices:
-            token = instances.placeholder_ids[i]
-            _check_token_column(layer.amap.cols, token)
-            m = _layer_mask(instances.masks[i], layer.height, layer.width)
-            col = layer.amap.column(token)
-            total += float((((1.0 - m) * col) ** 2).sum()) / norm
-    return total
+    return _record_ca_loss(instances, draw, record, BRANCH_PENALTY, 0.0, pixel_norm)
 
 
 def staged_attn_loss(instances: InstanceSet, draw: SampleDraw,
@@ -209,9 +207,15 @@ def staged_attn_loss(instances: InstanceSet, draw: SampleDraw,
     """Reward loss while iteration < coarse_iters, penalty loss afterwards."""
     if iteration < 0:
         raise ConfigurationError("iteration must be >= 0")
-    if iteration < config.coarse_iters:
-        return reward_ca_loss(instances, draw, record, config.alpha, config.pixel_norm)
-    return penalty_ca_loss(instances, draw, record, config.pixel_norm)
+    return _record_ca_loss(instances, draw, record, _attn_branch(iteration, config),
+                           config.alpha, config.pixel_norm)
+
+
+def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray,
+                       m_rec: BinaryMask) -> "tuple[float, np.ndarray]":
+    """||M * eps - M * eps_hat||^2 and its gradient with respect to eps_hat."""
+    m3 = m_rec.bits.astype(np.float64)[:, :, None]
+    return float(((m3 * (eps - eps_hat)) ** 2).sum()), 2.0 * m3 * (eps_hat - eps)
 
 
 def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
@@ -225,8 +229,7 @@ def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
         raise ShapeError(
             f"mask extent {m_rec.height}x{m_rec.width} does not match grid {eps.shape[:2]}"
         )
-    m = m_rec.bits.astype(np.float64)[:, :, None]
-    return float(((m * (eps - eps_hat)) ** 2).sum())
+    return _rec_loss_and_grad(eps, eps_hat, m_rec)[0]
 
 
 def total_learning_loss(rec_loss: float, attn_loss: float,
@@ -262,17 +265,18 @@ class LearningResult:
     emb_at_coarse_end: np.ndarray | None = None
 
 
-def _attn_loss_and_grad(cache, gated_masks, instances, draw, branch, alpha,
+def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha,
                         pixel_norm):
     """Loss value and per-layer dL/dA for the staged attention loss.
 
-    gated_masks maps layer index -> per-instance flat masks at that layer's
-    resolution (decoder cross-attention layers only).
+    maps holds every layer's attention weights in layer order; gated_masks
+    maps layer index -> per-instance flat masks at that layer's resolution
+    (decoder cross-attention layers only, see _gated_masks).
     """
     loss = 0.0
-    d_attn: "list[np.ndarray | None]" = [None] * len(cache.layers)
+    d_attn: "list[np.ndarray | None]" = [None] * len(maps)
     for li, flat_masks in gated_masks.items():
-        attn = cache.layers[li].attn
+        attn = maps[li]
         norm = attn.shape[0] if pixel_norm else 1
         grad = np.zeros_like(attn)
         for i in draw.instance_indices:
@@ -334,13 +338,7 @@ def run_semantic_learning(scenario, config: LearningConfig,
     for pid in learnable:
         emb[pid] = rng.normal(0.0, 0.02, size=dim)
 
-    # Per gated cross-attention layer: flat instance masks at layer resolution.
-    gated_masks: "dict[int, list[np.ndarray]]" = {}
-    for li, lw in enumerate(layers):
-        if lw.kind == "decoder" and lw.attn_type == "CA":
-            gated_masks[li] = [
-                _layer_mask(m, lw.height, lw.width) for m in instances.masks
-            ]
+    gated_masks = _gated_masks(layers, instances.masks)
 
     trace: "list[TraceRow]" = []
     emb_at_coarse_end: np.ndarray | None = None
@@ -356,23 +354,21 @@ def run_semantic_learning(scenario, config: LearningConfig,
         z_t = ddim_add_noise(z0, eps, t, schedule)
         cache = forward_cache(z_t, emb, layers)
 
-        m3 = draw.m_rec.bits.astype(np.float64)[:, :, None]
-        rec = float(((m3 * (eps - cache.eps_hat)) ** 2).sum())
-        d_eps = 2.0 * m3 * (cache.eps_hat - eps)
+        rec, d_eps = _rec_loss_and_grad(eps, cache.eps_hat, draw.m_rec)
 
         attn = 0.0
         d_attn: "list[np.ndarray | None] | None" = None
         if stage2:
             branch = BRANCH_STAGE2
         else:
-            branch = BRANCH_REWARD if e < config.coarse_iters else BRANCH_PENALTY
+            branch = _attn_branch(e, config)
             if config.t_min_attn <= t <= config.t_max_attn:
                 attn, d_attn = _attn_loss_and_grad(
-                    cache, gated_masks, instances, draw, branch,
-                    config.alpha, config.pixel_norm,
+                    [lc.attn for lc in cache.layers], gated_masks, instances,
+                    draw, branch, config.alpha, config.pixel_norm,
                 )
 
-        total = config.lambda_rec * rec + config.lambda_attn * attn
+        total = total_learning_loss(rec, attn, config)
         if not np.isfinite(total):
             raise DivergenceError(
                 f"loss became non-finite at iteration {e} (branch {branch})"

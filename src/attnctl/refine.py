@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttentionRecord, BinaryMask
+from .core import CROSS, BinaryMask, gated_layers
 from .errors import ConfigurationError, DegenerateInputWarning, ShapeError
 
 
@@ -56,18 +56,21 @@ def box_blur(grid: np.ndarray, radius: int) -> np.ndarray:
     return sums / np.outer(r1 - r0, c1 - c0)
 
 
-def compute_ca_masks(record: AttentionRecord, groups, smoothing: int,
+def compute_ca_masks(layers, maps, groups, smoothing: int,
                      sigma_noun: float) -> "list[BinaryMask]":
     """Coarse instance masks from the gated cross-attention maps.
 
-    Per instance: average the group's token columns over all decoder CA
-    layers, blur, min-max normalize, then keep cells >= sigma_noun. A constant
-    map cannot be normalized and yields an all-zero mask plus a diagnostic.
+    ``layers`` are the layer objects (tags and extents) and ``maps`` their
+    attention weights as raw arrays, in layer order; a record passes
+    ``record.layers`` and ``record.maps()``. Per instance: average the
+    group's token columns over all decoder CA layers, blur, min-max
+    normalize, then keep cells >= sigma_noun. A constant map cannot be
+    normalized and yields an all-zero mask plus a diagnostic.
     """
-    layers = record.gated_cross()
-    if not layers:
+    ca_idx = gated_layers(layers, CROSS)
+    if not ca_idx:
         raise ConfigurationError("record has no decoder cross-attention layer")
-    extents = {(l.height, l.width) for l in layers}
+    extents = {(layers[li].height, layers[li].width) for li in ca_idx}
     if len(extents) != 1:
         raise ConfigurationError(
             "gated cross-attention layers disagree on resolution"
@@ -78,12 +81,12 @@ def compute_ca_masks(record: AttentionRecord, groups, smoothing: int,
         if not group:
             raise ConfigurationError("token group must be nonempty")
         acc = np.zeros((h, w))
-        for layer in layers:
+        for li in ca_idx:
             for token in group:
-                if not 0 <= token < layer.amap.cols:
+                if not 0 <= token < maps[li].shape[1]:
                     raise ConfigurationError(f"token id {token} absent from record")
-                acc += layer.amap.column(token).reshape(h, w)
-        acc /= len(layers) * len(group)
+                acc += maps[li][:, token].reshape(h, w)
+        acc /= len(ca_idx) * len(group)
         acc = box_blur(acc, smoothing)
         lo, hi = float(acc.min()), float(acc.max())
         if hi - lo <= 0.0:

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttentionRecord, BinaryMask, downsample_mask
+from .core import AttentionRecord, BinaryMask, mask_at
 from .denoiser import TokenEmbedding
 from .errors import ConfigurationError, DegenerateInputWarning, ShapeError
 from .learning import InstanceSet
-from .synthesis import BoxSpec
+from .synthesis import BoxSpec, _leakage_from_maps
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,6 @@ def synthesis_tokens(scenario: Scenario, gain: float = 2.0) -> "list[TokenEmbedd
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _mask_at(mask: BinaryMask, height: int, width: int) -> np.ndarray:
-    if (mask.height, mask.width) == (height, width):
-        return mask.flat()
-    return downsample_mask(mask, height, width).flat()
-
-
 def leakage_mass(record: AttentionRecord, token_id: int, mask: BinaryMask) -> float:
     """Share of the token's attention mass that falls outside the mask,
     averaged over decoder cross-attention layers. Zero total mass reads as
@@ -166,20 +160,11 @@ def leakage_mass(record: AttentionRecord, token_id: int, mask: BinaryMask) -> fl
     layers = record.gated_cross()
     if not layers:
         raise ConfigurationError("record has no decoder cross-attention layer")
-    vals = []
     for layer in layers:
         if not 0 <= token_id < layer.amap.cols:
             raise ConfigurationError(f"token id {token_id} absent from record")
-        m = _mask_at(mask, layer.height, layer.width)
-        col = layer.amap.column(token_id)
-        total = float(col.sum())
-        if total <= 0.0:
-            warnings.warn("zero token attention mass; leakage defaults to 1",
-                          DegenerateInputWarning, stacklevel=2)
-            vals.append(1.0)
-        else:
-            vals.append(float((col * (1.0 - m)).sum()) / total)
-    return float(np.mean(vals))
+    at_res = {(l.height, l.width): mask_at(mask, l.height, l.width) for l in layers}
+    return _leakage_from_maps(record.layers, record.maps(), [at_res], [[token_id]])[0]
 
 
 def argmax_iou_single(record: AttentionRecord, token_id: int,
@@ -193,7 +178,7 @@ def argmax_iou_single(record: AttentionRecord, token_id: int,
     for layer in layers:
         if not 0 <= token_id < layer.amap.cols:
             raise ConfigurationError(f"token id {token_id} absent from record")
-        m = _mask_at(mask, layer.height, layer.width) > 0.5
+        m = mask_at(mask, layer.height, layer.width).flat() > 0.5
         region = np.argmax(layer.amap.weights, axis=1) == token_id
         union = np.logical_or(region, m).sum()
         inter = np.logical_and(region, m).sum()
@@ -210,12 +195,13 @@ def attention_argmax_iou(record: AttentionRecord,
     ]
 
 
-def pca_project(features, n_components: int = 2, tol: float = 1e-9,
-                max_iter: int = 10000) -> np.ndarray:
+def pca_project(features, n_components: int = 2) -> np.ndarray:
     """Project rows onto their top principal components.
 
-    Power iteration with deflation on the (d x d) scatter matrix; components
-    beyond the effective rank come back as zero columns with a diagnostic.
+    Eigenvectors of the (d x d) scatter matrix, largest eigenvalue first,
+    each signed so that its largest-magnitude entry is positive. Components
+    whose eigenvalue is at most 1e-12 of the trace lie beyond the effective
+    rank and come back as zero columns with a diagnostic.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -226,45 +212,17 @@ def pca_project(features, n_components: int = 2, tol: float = 1e-9,
         raise ConfigurationError("n_components: must lie in [1, feature dim]")
     xc = x - x.mean(axis=0, keepdims=True)
     cov = xc.T @ xc
-    d = cov.shape[0]
     scale = max(float(np.trace(cov)), 1.0)
-    comps = np.zeros((d, n_components))
-    for c in range(n_components):
-        # Start from a generic direction; fall back to basis vectors if the
-        # start happens to lie in the numerical null space.
-        starts = [np.ones(d) / np.sqrt(d)]
-        starts += [np.eye(d)[i] for i in range(d)]
-        v, norm = None, 0.0
-        for cand in starts:
-            norm = float(np.linalg.norm(cov @ cand))
-            if norm > 1e-14 * scale:
-                v = cand
-                break
-        if v is None:
-            warnings.warn(
-                f"rank-deficient features: components {c}.. are zero-filled",
-                DegenerateInputWarning, stacklevel=2,
-            )
-            break
-        for _ in range(max_iter):
-            new = cov @ v
-            norm = float(np.linalg.norm(new))
-            if norm <= 1e-14 * scale:
-                break
-            new = new / norm
-            if float(np.linalg.norm(new - v)) < tol:
-                v = new
-                break
-            v = new
-        lam = float(v @ cov @ v)
-        if lam <= 1e-12 * scale:
-            warnings.warn(
-                f"rank-deficient features: components {c}.. are zero-filled",
-                DegenerateInputWarning, stacklevel=2,
-            )
-            break
-        if v[int(np.argmax(np.abs(v)))] < 0:  # deterministic sign
-            v = -v
-        comps[:, c] = v
-        cov = cov - lam * np.outer(v, v)
+    lam, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    lam = lam[::-1][:n_components]
+    comps = vecs[:, ::-1][:, :n_components].copy()
+    cols = np.arange(n_components)
+    comps[:, comps[np.argmax(np.abs(comps), axis=0), cols] < 0] *= -1.0
+    rank = int(np.count_nonzero(lam > 1e-12 * scale))
+    if rank < n_components:
+        warnings.warn(
+            f"rank-deficient features: components {rank}.. are zero-filled",
+            DegenerateInputWarning, stacklevel=2,
+        )
+        comps[:, rank:] = 0.0
     return xc @ comps

@@ -24,6 +24,7 @@ from .core import (
     SELF,
     AttentionRecord,
     BinaryMask,
+    gated_layers,
     resample_mask_nearest,
 )
 from .denoiser import (
@@ -248,19 +249,14 @@ class _InstanceTerms:
     loss: float = 0.0
 
 
-def _layer_descs(layers) -> "list[tuple[str, str, int, int]]":
-    out = []
-    for l in layers:
-        kind = getattr(l, "kind")
-        attn_type = getattr(l, "attn_type")
-        out.append((kind, attn_type, getattr(l, "height"), getattr(l, "width")))
-    return out
-
-
-def _box_loss_terms(descs, maps, masks, groups, alpha_t: float,
+def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig) -> "tuple[list[_InstanceTerms], float]":
-    ca_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == CROSS]
-    sa_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == SELF]
+    """Per-instance energies and scores, and their squared sum. The kernels
+    here take the layer objects (``_LayerWork`` in the loops,
+    ``LayerAttention`` from a record) for their tags and extents, and the
+    maps as raw arrays in layer order."""
+    ca_idx = gated_layers(layers, CROSS)
+    sa_idx = gated_layers(layers, SELF)
     if not ca_idx:
         raise ConfigurationError("record has no decoder cross-attention layer")
     per_instance: "list[_InstanceTerms]" = []
@@ -268,14 +264,12 @@ def _box_loss_terms(descs, maps, masks, groups, alpha_t: float,
     for i, group in enumerate(groups):
         terms = _InstanceTerms()
         for li in ca_idx:
-            _, _, h, w = descs[li]
-            m = masks[i][(h, w)].flat()
+            m = masks[i][(layers[li].height, layers[li].width)].flat()
             fg, bg = _ca_energies(maps[li], m, list(group))
             terms.fg_ca.append(fg)
             terms.bg_ca.append(bg)
         for li in sa_idx:
-            _, _, h, w = descs[li]
-            m = masks[i][(h, w)].flat()
+            m = masks[i][(layers[li].height, layers[li].width)].flat()
             fg, bg = _sa_energies(maps[li], m)
             terms.fg_sa.append(fg)
             terms.bg_sa.append(bg)
@@ -298,13 +292,13 @@ def _box_loss_terms(descs, maps, masks, groups, alpha_t: float,
     return per_instance, total
 
 
-def _box_loss_grads(descs, maps, masks, groups, alpha_t: float,
+def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig,
                     per_instance: "list[_InstanceTerms]") -> "list[np.ndarray | None]":
     """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms."""
-    ca_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == CROSS]
-    sa_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == SELF]
-    d_attn: "list[np.ndarray | None]" = [None] * len(descs)
+    ca_idx = gated_layers(layers, CROSS)
+    sa_idx = gated_layers(layers, SELF)
+    d_attn: "list[np.ndarray | None]" = [None] * len(layers)
 
     def _grad(li):  # layer li's gradient, accumulated over instances
         if d_attn[li] is None:
@@ -321,8 +315,7 @@ def _box_loss_grads(descs, maps, masks, groups, alpha_t: float,
         cf = outer * config.lambda_ca * dr_fg / len(ca_idx)
         cb = outer * config.lambda_ca * db / len(ca_idx)
         for li in ca_idx:
-            _, _, h, w = descs[li]
-            m = masks[i][(h, w)].flat()
+            m = masks[i][(layers[li].height, layers[li].width)].flat()
             grad = _grad(li)
             for token in group:
                 col = maps[li][:, token]
@@ -335,8 +328,7 @@ def _box_loss_grads(descs, maps, masks, groups, alpha_t: float,
             cf = outer * config.lambda_sa * dr_fg / len(sa_idx)
             cb = outer * config.lambda_sa * db / len(sa_idx)
             for li in sa_idx:
-                _, _, h, w = descs[li]
-                m = masks[i][(h, w)].flat()
+                m = masks[i][(layers[li].height, layers[li].width)].flat()
                 rows = m > 0.5
                 block = maps[li][rows, :]
                 block *= cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]
@@ -356,9 +348,8 @@ def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
     if len(masks) != len(groups):
         raise ConfigurationError("need one mask set and one token group per instance")
     alpha_t = alpha_decay(t, sched)
-    descs = _layer_descs(record.layers)
-    maps = [l.amap.weights for l in record.layers]
-    per_instance, total = _box_loss_terms(descs, maps, masks, groups, alpha_t, config)
+    per_instance, total = _box_loss_terms(record.layers, record.maps(), masks,
+                                          groups, alpha_t, config)
     return [p.loss for p in per_instance], total
 
 
@@ -379,7 +370,7 @@ def latent_opt_step(z: np.ndarray, grad: np.ndarray, beta: float) -> np.ndarray:
 # Attention masking
 # ---------------------------------------------------------------------------
 
-def _mask_maps(descs, maps, masks, groups) -> "list[np.ndarray]":
+def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
     """Suppress out-of-box attention in every layer's map.
 
     Cross attention: zero each instance token's weight at pixels outside its
@@ -388,9 +379,10 @@ def _mask_maps(descs, maps, masks, groups) -> "list[np.ndarray]":
     uniform over its permitted targets (diagnostic warning).
     """
     out = []
-    for li, (kind, attn_type, h, w) in enumerate(descs):
-        attn = maps[li].copy()
-        if attn_type == CROSS:
+    for layer, attn in zip(layers, maps):
+        h, w = layer.height, layer.width
+        attn = attn.copy()
+        if layer.attn_type == CROSS:
             for i, group in enumerate(groups):
                 m = masks[i][(h, w)].flat()
                 outside = m < 0.5
@@ -416,7 +408,7 @@ def _mask_maps(descs, maps, masks, groups) -> "list[np.ndarray]":
                 "attention masking zeroed entire rows; using uniform fallback",
                 DegenerateInputWarning, stacklevel=2,
             )
-            if attn_type == CROSS:
+            if layer.attn_type == CROSS:
                 attn[dead, :] = 1.0 / attn.shape[1]
             else:
                 for r in np.nonzero(dead)[0]:
@@ -448,28 +440,19 @@ def apply_attention_masking(record: AttentionRecord, masks, groups) -> Attention
     """Masked copy of a record; idempotent for fixed masks and groups."""
     if len(masks) != len(groups):
         raise ConfigurationError("need one mask set and one token group per instance")
-    descs = _layer_descs(record.layers)
-    maps = [l.amap.weights for l in record.layers]
-    masked = _mask_maps(descs, maps, masks, groups)
-
-    class _D:  # adapter for record_from_maps
-        def __init__(self, kind, attn_type, height, width):
-            self.kind, self.attn_type, self.height, self.width = \
-                kind, attn_type, height, width
-
-    return record_from_maps([_D(*d) for d in descs], masked)
+    masked = _mask_maps(record.layers, record.maps(), masks, groups)
+    return record_from_maps(record.layers, masked)
 
 
-def _leakage_from_maps(descs, maps, masks, groups) -> "list[float]":
+def _leakage_from_maps(layers, maps, masks, groups) -> "list[float]":
     """Off-mask share of each instance's token attention, averaged over
     decoder cross-attention layers; 1.0 for zero total mass."""
-    ca_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == CROSS]
+    ca_idx = gated_layers(layers, CROSS)
     leaks = []
     for i, group in enumerate(groups):
         vals = []
         for li in ca_idx:
-            _, _, h, w = descs[li]
-            m = masks[i][(h, w)].flat()
+            m = masks[i][(layers[li].height, layers[li].width)].flat()
             col = maps[li][:, list(group)].sum(axis=1)
             tot = float(col.sum())
             if tot <= 0.0:
@@ -547,7 +530,9 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     Returns the predicted clean latent, per-step metrics, and the final
     control masks. Steps 1..bound_steps carry one latent-optimization
     iteration each (decay step = sampling step); later steps apply masking
-    only and refresh the masks every ``update_interval`` steps.
+    only and refresh the masks every ``update_interval`` steps. Raises
+    DivergenceError naming the step once the control loss or the latent
+    goes non-finite.
     """
     config.validate()
     if sched is None:
@@ -577,7 +562,6 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
                 raise ConfigurationError(f"token id {token} not among the embeddings")
 
     layers = workspace(params)
-    descs = _layer_descs(layers)
     resolutions = sorted({(l.height, l.width) for l in layers})
     gated_res = sorted({(l.height, l.width) for l in layers if l.kind == DECODER})
     masks = instance_masks_from_boxes(boxes, resolutions)
@@ -618,30 +602,30 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
 
         cache = forward_cache(z, emb, layers)
         maps = [lc.attn for lc in cache.layers]
-        per_terms, total = _box_loss_terms(descs, maps, masks, groups, alpha_t, config)
+        per_terms, total = _box_loss_terms(layers, maps, masks, groups, alpha_t, config)
         per_losses = [p.loss for p in per_terms]
         total_after = total
 
         if optimizing and config.beta > 0.0:
-            d_attn = _box_loss_grads(descs, maps, masks, groups, alpha_t,
+            d_attn = _box_loss_grads(layers, maps, masks, groups, alpha_t,
                                      config, per_terms)
             from .gradients import backprop  # local import avoids cycle at module load
             res = backprop(cache, d_attn=d_attn, d_eps=None)
             z = latent_opt_step(z, res.d_z, config.beta)
             cache = forward_cache(z, emb, layers)
             maps = [lc.attn for lc in cache.layers]
-            _, total_after = _box_loss_terms(descs, maps, masks, groups, alpha_t, config)
+            _, total_after = _box_loss_terms(layers, maps, masks, groups, alpha_t, config)
             if not np.isfinite(total_after):
                 raise DivergenceError(f"synthesis loss non-finite at step {step}")
 
-        leakage = _leakage_from_maps(descs, maps, masks, groups)
+        leakage = _leakage_from_maps(layers, maps, masks, groups)
         steps.append(StepMetrics(
             step=step, t=t, alpha_t=float(alpha_t),
             per_instance=tuple(per_losses), total=float(total),
             total_after=float(total_after), leakage=tuple(leakage),
         ))
 
-        masked = _mask_maps(descs, maps, masks, groups) if config.use_masking else maps
+        masked = _mask_maps(layers, maps, masks, groups) if config.use_masking else maps
         eps_hat = readout_eps(cache, masked)
 
         due = (
@@ -651,12 +635,10 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
             and (step - config.bound_steps) % config.update_interval == 0
         )
         if due:
-            masked_record = record_from_maps(layers, masked)
             ca_masks = refine.compute_ca_masks(
-                masked_record, groups, refinement.smoothing, refinement.sigma_noun
+                layers, masked, groups, refinement.smoothing, refinement.sigma_noun
             )
-            sa_layers = [i for i, (k, a, _, _) in enumerate(descs)
-                         if k == DECODER and a == SELF]
+            sa_layers = gated_layers(layers, SELF)
             if sa_layers:
                 features = masked[sa_layers[0]]
                 state = refine.kmeans_self_attention(
@@ -681,5 +663,7 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
             z = ddim_step(z, eps_hat, t, t - 1, schedule)
         else:
             z = predict_clean(z, eps_hat, 0, schedule)
+        if not np.all(np.isfinite(z)):
+            raise DivergenceError(f"synthesis latent non-finite after step {step}")
 
     return SynthesisResult(z_final=z, steps=steps, masks=masks, refined=refined_any)

@@ -2,9 +2,11 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from attnctl.cli import main
+from attnctl.denoiser import TokenEmbedding, save_tokens
 
 CONFIG = """\
 [scenario]
@@ -79,6 +81,57 @@ def test_divergence_exits_two(capsys, workspace, tmp_path):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "numeric divergence" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                            "ignore::attnctl.errors.DegenerateInputWarning")
+@pytest.mark.parametrize("refinement", ["false", "true"])
+def test_synthesis_divergence_exits_two_and_names_the_step(capsys, tmp_path, refinement):
+    # Instance embeddings of +-1e300 give value vectors near 1e300, so the
+    # first step's readout makes the latent huge and the second step's
+    # cross-attention logits overflow. With beta = 0 no latent gradient is
+    # taken, so only the guard after each DDIM step can catch it.
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    save_tokens([TokenEmbedding(0, np.zeros(4)),
+                 TokenEmbedding(1, 1e300 * sign, learnable=True),
+                 TokenEmbedding(2, -1e300 * sign, learnable=True)],
+                str(tmp_path / "emb.txt"))
+    config = tmp_path / "diverge.ini"
+    config.write_text("[scenario]\nheight = 8\nwidth = 8\n\n[synthesis]\nbeta = 0\n\n"
+                      f"[refinement]\nenabled = {refinement}\n")
+    code = main(["synthesize", str(config), "--out", str(tmp_path / "out"),
+                 "--embeddings", str(tmp_path / "emb.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric divergence: ")
+    assert "step 2" in err
+
+
+@pytest.mark.parametrize("command", ["learn", "synthesize", "experiment"])
+def test_ini_syntax_error_names_the_config_path(capsys, tmp_path, command):
+    config = tmp_path / "broken.ini"
+    config.write_text("[scenario\nheight = 8\n")
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(config) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["learn", "synthesize", "experiment"])
+def test_manifest_lists_every_artifact_but_itself(capsys, workspace, tmp_path, command):
+    out = tmp_path / command
+    assert main([command, str(workspace / "run.ini"), "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert "manifest.json" not in outputs
+    for name in outputs:
+        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "config hash: verified" in text
+    assert "MISSING" not in text
 
 
 def test_learn_writes_artifacts(capsys, workspace):

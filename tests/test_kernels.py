@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from attnctl import gradients, refine, synthesis
-from attnctl.core import CROSS, DECODER, SELF, BinaryMask
+from attnctl.core import (
+    CROSS,
+    DECODER,
+    SELF,
+    AttentionMap,
+    BinaryMask,
+    LayerAttention,
+    gated_layers,
+)
 from attnctl.denoiser import (
     ForwardCache,
     LayerCache,
@@ -35,7 +43,6 @@ from attnctl.synthesis import (
     SynthesisConfig,
     _box_loss_grads,
     _box_loss_terms,
-    _layer_descs,
     _mask_maps,
     _sa_energies,
     instance_masks_from_boxes,
@@ -123,10 +130,10 @@ def ref_sa_energies(attn, m_flat):
     return fg, bg
 
 
-def ref_box_loss_grads(descs, maps, masks, groups, alpha_t, config, per_instance):
-    ca_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == CROSS]
-    sa_idx = [i for i, (k, a, _, _) in enumerate(descs) if k == DECODER and a == SELF]
-    d_attn = [None] * len(descs)
+def ref_box_loss_grads(layers, maps, masks, groups, alpha_t, config, per_instance):
+    ca_idx = gated_layers(layers, CROSS)
+    sa_idx = gated_layers(layers, SELF)
+    d_attn = [None] * len(layers)
 
     def _acc(li, grad):
         if d_attn[li] is None:
@@ -143,8 +150,7 @@ def ref_box_loss_grads(descs, maps, masks, groups, alpha_t, config, per_instance
         cf = outer * config.lambda_ca * dr_fg / len(ca_idx)
         cb = outer * config.lambda_ca * db / len(ca_idx)
         for li in ca_idx:
-            _, _, h, w = descs[li]
-            m = masks[i][(h, w)].flat()
+            m = masks[i][(layers[li].height, layers[li].width)].flat()
             attn = maps[li]
             grad = np.zeros_like(attn)
             for token in group:
@@ -158,8 +164,7 @@ def ref_box_loss_grads(descs, maps, masks, groups, alpha_t, config, per_instance
             cf = outer * config.lambda_sa * dr_fg / len(sa_idx)
             cb = outer * config.lambda_sa * db / len(sa_idx)
             for li in sa_idx:
-                _, _, h, w = descs[li]
-                m = masks[i][(h, w)].flat()
+                m = masks[i][(layers[li].height, layers[li].width)].flat()
                 attn = maps[li]
                 rows = m > 0.5
                 grad = np.zeros_like(attn)
@@ -169,11 +174,12 @@ def ref_box_loss_grads(descs, maps, masks, groups, alpha_t, config, per_instance
     return d_attn
 
 
-def ref_mask_maps(descs, maps, masks, groups):
+def ref_mask_maps(layers, maps, masks, groups):
     out = []
-    for li, (kind, attn_type, h, w) in enumerate(descs):
+    for li, layer in enumerate(layers):
+        h, w = layer.height, layer.width
         attn = maps[li].copy()
-        if attn_type == CROSS:
+        if layer.attn_type == CROSS:
             for i, group in enumerate(groups):
                 outside = masks[i][(h, w)].flat() < 0.5
                 for token in group:
@@ -196,7 +202,7 @@ def ref_mask_maps(descs, maps, masks, groups):
                 "attention masking zeroed entire rows; using uniform fallback",
                 DegenerateInputWarning, stacklevel=2,
             )
-            if attn_type == CROSS:
+            if layer.attn_type == CROSS:
                 attn[dead, :] = 1.0 / attn.shape[1]
             else:
                 for r in np.nonzero(dead)[0]:
@@ -236,20 +242,19 @@ def _setup(grid=8, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((grid, grid, dim))
     emb = rng.standard_normal((3, dim))
-    descs = _layer_descs(layers)
     resolutions = sorted({(l.height, l.width) for l in layers})
     boxes = [synthesis.BoxSpec(0.0, 0.0, 0.7, 0.7), synthesis.BoxSpec(0.3, 0.3, 1.0, 1.0)]
     masks = instance_masks_from_boxes(boxes, resolutions)
-    return layers, z, emb, descs, masks, [[1], [2]]
+    return layers, z, emb, masks, [[1], [2]]
 
 
 def _loss_inputs(seed, out_of_box):
-    layers, z, emb, descs, masks, groups = _setup(seed=seed)
+    layers, z, emb, masks, groups = _setup(seed=seed)
     cache = ref_forward_cache(z, emb, layers)
     maps = [lc.attn for lc in cache.layers]
     config = SynthesisConfig(use_out_of_box=out_of_box)
-    per, _ = _box_loss_terms(descs, maps, masks, groups, 0.3, config)
-    return cache, descs, maps, masks, groups, config, per
+    per, _ = _box_loss_terms(layers, maps, masks, groups, 0.3, config)
+    return cache, layers, maps, masks, groups, config, per
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +274,8 @@ def test_forward_cache_matches_reference_bitwise(seed):
 
 @pytest.mark.parametrize("seed,out_of_box", [(0, True), (1, False), (2, True)])
 def test_backprop_without_readout_gradient_matches_reference_bitwise(seed, out_of_box):
-    cache, descs, maps, masks, groups, config, per = _loss_inputs(seed, out_of_box)
-    d_attn = ref_box_loss_grads(descs, maps, masks, groups, 0.3, config, per)
+    cache, layers, maps, masks, groups, config, per = _loss_inputs(seed, out_of_box)
+    d_attn = ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
     new = backprop(cache, d_attn=d_attn, d_eps=None)
     ref = ref_backprop(cache, d_attn=d_attn, d_eps=None)
     assert _same_bits(new.d_z, ref.d_z)
@@ -280,8 +285,8 @@ def test_backprop_without_readout_gradient_matches_reference_bitwise(seed, out_o
 
 
 def test_backprop_with_readout_gradient_matches_reference_bitwise():
-    cache, descs, maps, masks, groups, config, per = _loss_inputs(3, True)
-    d_attn = ref_box_loss_grads(descs, maps, masks, groups, 0.3, config, per)
+    cache, layers, maps, masks, groups, config, per = _loss_inputs(3, True)
+    d_attn = ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
     d_eps = np.random.default_rng(3).standard_normal(cache.z.shape)
     for upstream in (d_attn, None):
         new = backprop(cache, d_attn=upstream, d_eps=d_eps)
@@ -314,9 +319,9 @@ def test_sa_energies_match_reference_bitwise(seed):
 
 @pytest.mark.parametrize("seed,out_of_box", [(0, True), (1, False), (2, True)])
 def test_box_loss_grads_match_reference_bitwise(seed, out_of_box):
-    cache, descs, maps, masks, groups, config, per = _loss_inputs(seed, out_of_box)
-    new = _box_loss_grads(descs, maps, masks, groups, 0.3, config, per)
-    ref = ref_box_loss_grads(descs, maps, masks, groups, 0.3, config, per)
+    cache, layers, maps, masks, groups, config, per = _loss_inputs(seed, out_of_box)
+    new = _box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
+    ref = ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
     assert [g is None for g in new] == [g is None for g in ref]
     for a, b in zip(new, ref):
         if a is not None:
@@ -324,16 +329,16 @@ def test_box_loss_grads_match_reference_bitwise(seed, out_of_box):
 
 
 def test_mask_maps_matches_reference_bitwise_with_overlapping_boxes():
-    layers, z, emb, descs, masks, groups = _setup(seed=5)
+    layers, z, emb, masks, groups = _setup(seed=5)
     maps = [lc.attn for lc in forward_cache(z, emb, layers).layers]
-    sa = [i for i, d in enumerate(descs) if d[1] == SELF][0]
-    h, w = descs[sa][2:]
+    sa = gated_layers(layers, SELF)[0]
+    h, w = layers[sa].height, layers[sa].width
     both = (masks[0][(h, w)].flat() > 0.5) & (masks[1][(h, w)].flat() > 0.5)
     assert both.any()  # some pixel lies in both boxes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        new = _mask_maps(descs, maps, masks, groups)
-        ref = ref_mask_maps(descs, maps, masks, groups)
+        new = _mask_maps(layers, maps, masks, groups)
+        ref = ref_mask_maps(layers, maps, masks, groups)
     for a, b in zip(new, ref):
         assert _same_bits(a, b)
 
@@ -346,13 +351,13 @@ def test_mask_maps_dead_row_fallback_matches_reference_bitwise():
                      [0.1, 0.2, 0.3, 0.4],
                      [0.25, 0.25, 0.25, 0.25],
                      [0.4, 0.3, 0.2, 0.1]])
-    descs = [(DECODER, SELF, 2, 2)]
+    layers = [LayerAttention(DECODER, SELF, 2, 2, AttentionMap(attn))]
     masks = [{(2, 2): BinaryMask([[1, 1], [0, 0]])},
              {(2, 2): BinaryMask([[0, 1], [0, 1]])}]
     with pytest.warns(DegenerateInputWarning):
-        new = _mask_maps(descs, [attn], masks, [[1], [2]])
+        new = _mask_maps(layers, [attn], masks, [[1], [2]])
     with pytest.warns(DegenerateInputWarning):
-        ref = ref_mask_maps(descs, [attn], masks, [[1], [2]])
+        ref = ref_mask_maps(layers, [attn], masks, [[1], [2]])
     assert _same_bits(new[0], ref[0])
     assert _same_bits(new[0][0], [0.5, 0.5, 0.0, 0.0])
     assert new[0][1, 2] == 0.0 and new[0][1, 1] > 0.0

@@ -54,33 +54,36 @@ def test_compute_ca_masks_one_hot_pixel():
     col = np.zeros(4)
     col[2] = 1.0
     record = _ca_record(col, 2, 2)
-    masks = compute_ca_masks(record, [[0]], smoothing=0, sigma_noun=0.5)
+    masks = compute_ca_masks(record.layers, record.maps(), [[0]], smoothing=0,
+                             sigma_noun=0.5)
     assert np.array_equal(masks[0].bits, [[0, 0], [1, 0]])
 
 
 def test_compute_ca_masks_hand_normalization():
     # Column (0.4, 0.2, 0.2, 0.2) min-max normalizes to (1, 0, 0, 0).
     record = _ca_record([0.4, 0.2, 0.2, 0.2], 2, 2)
-    masks = compute_ca_masks(record, [[0]], smoothing=0, sigma_noun=0.5)
+    masks = compute_ca_masks(record.layers, record.maps(), [[0]], smoothing=0,
+                             sigma_noun=0.5)
     assert np.array_equal(masks[0].bits, [[1, 0], [0, 0]])
 
 
 def test_compute_ca_masks_constant_map_warns_empty():
     record = _ca_record([0.25, 0.25, 0.25, 0.25], 2, 2)
     with pytest.warns(DegenerateInputWarning):
-        masks = compute_ca_masks(record, [[0]], smoothing=0, sigma_noun=0.5)
+        masks = compute_ca_masks(record.layers, record.maps(), [[0]], smoothing=0,
+                                 sigma_noun=0.5)
     assert masks[0].is_empty()
 
 
 def test_compute_ca_masks_validation():
     record = _ca_record([0.4, 0.2, 0.2, 0.2], 2, 2)
     with pytest.raises(ConfigurationError):
-        compute_ca_masks(record, [[]], 0, 0.5)
+        compute_ca_masks(record.layers, record.maps(), [[]], 0, 0.5)
     with pytest.raises(ConfigurationError):
-        compute_ca_masks(record, [[7]], 0, 0.5)
+        compute_ca_masks(record.layers, record.maps(), [[7]], 0, 0.5)
     encoder_only = _ca_record([0.4, 0.2, 0.2, 0.2], 2, 2, kind="encoder")
     with pytest.raises(ConfigurationError):
-        compute_ca_masks(encoder_only, [[0]], 0, 0.5)
+        compute_ca_masks(encoder_only.layers, encoder_only.maps(), [[0]], 0, 0.5)
 
 
 def test_refinement_config_validation():
