@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResampleError, ShapeError
+from .errors import ConfigurationError, ResampleError, ShapeError
+from .fileio import content_lines, line_fields, parse_numbers
 
 # Layer tags. Losses and metrics gate on these: only decoder-tagged layers
 # participate in attention losses and leakage readings.
@@ -23,19 +24,47 @@ SELF = "SA"
 ROW_SUM_TOL = 1e-6
 
 
-def _as_float_array(values, name: str, ndim: int | None = None) -> np.ndarray:
+def checked_array(values, name: str, ndim: int | None = None) -> np.ndarray:
+    """``values`` as a float64 array, not copied when it is one: nonempty and
+    of rank ``ndim`` when given (else ShapeError), finite (else ValueError)."""
     arr = np.asarray(values, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{name}: expected {ndim}-D array, got {arr.ndim}-D")
+    if arr.size == 0:
+        raise ShapeError(f"{name}: empty array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: contains non-finite values")
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=arr.dtype, copy=True)
+def frozen_array(values, name: str, ndim: int | None = None) -> np.ndarray:
+    """A read-only copy of ``checked_array(values, name, ndim)``."""
+    out = np.array(checked_array(values, name, ndim), copy=True)
     out.setflags(write=False)
     return out
+
+
+def matched_arrays(a, b, name_a: str, name_b: str) -> "tuple[np.ndarray, np.ndarray]":
+    """``a`` and ``b`` as float64 arrays, checked to share one shape (ShapeError)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"{name_a} shape {a.shape} != {name_b} shape {b.shape}")
+    return a, b
+
+
+def check_layer_tags(kind: str, attn_type: str) -> None:
+    """ConfigurationError unless the tags are ENCODER/DECODER and CROSS/SELF."""
+    if kind not in (ENCODER, DECODER):
+        raise ConfigurationError(f"unknown layer kind {kind!r}")
+    if attn_type not in (CROSS, SELF):
+        raise ConfigurationError(f"unknown attention type {attn_type!r}")
+
+
+def check_tokens(tokens, cols: int) -> None:
+    """ConfigurationError unless every token id names one of ``cols`` columns."""
+    for token in tokens:
+        if not 0 <= token < cols:
+            raise ConfigurationError(f"token id {token} absent: only {cols} token columns")
 
 
 @dataclass(frozen=True)
@@ -50,9 +79,7 @@ class AttentionMap:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_float_array(self.weights, "AttentionMap.weights", ndim=2)
-        if w.shape[0] < 1 or w.shape[1] < 1:
-            raise ShapeError("AttentionMap.weights: must be nonempty")
+        w = frozen_array(self.weights, "AttentionMap.weights", ndim=2)
         if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
             raise ValueError("AttentionMap.weights: entries outside [0, 1]")
         sums = w.sum(axis=1)
@@ -61,7 +88,7 @@ class AttentionMap:
             raise ValueError(
                 f"AttentionMap.weights: row sums deviate from 1 by {worst:.3e}"
             )
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", w)
 
     @property
     def rows(self) -> int:
@@ -89,7 +116,9 @@ class BinaryMask:
             raise ShapeError("BinaryMask.bits: expected a nonempty 2-D grid")
         if not np.all((b == 0) | (b == 1)):
             raise ValueError("BinaryMask.bits: entries must be 0 or 1")
-        object.__setattr__(self, "bits", _freeze(b.astype(np.uint8)))
+        bits = b.astype(np.uint8)
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
 
     @property
     def height(self) -> int:
@@ -141,53 +170,48 @@ class BinaryMask:
 
     @staticmethod
     def from_text(text: str) -> "BinaryMask":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("BinaryMask.from_text: empty input")
-        head = lines[0].split()
+        """Parse ``to_text`` output; errors name the offending line."""
+        lines = content_lines(text)
+        lineno, head = line_fields(lines, 0, "'H W' header")
         if len(head) != 2:
-            raise ValueError("BinaryMask.from_text: header must be 'H W'")
-        try:
-            h, w = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise ValueError("BinaryMask.from_text: non-integer header") from exc
-        if h < 1 or w < 1 or len(lines) != h + 1:
-            raise ValueError("BinaryMask.from_text: header/body mismatch")
+            raise ValueError(f"line {lineno}: expected 'H W' header, got {lines[0][1]!r}")
+        h, w = parse_numbers(head, int, lineno)
+        if h < 1 or w < 1:
+            raise ValueError(f"line {lineno}: mask extents must be positive")
         rows = []
-        for ln in lines[1:]:
-            cells = ln.split()
+        for i in range(h):
+            lineno, cells = line_fields(lines, 1 + i, f"mask row {i}")
             if len(cells) != w or any(c not in ("0", "1") for c in cells):
-                raise ValueError(f"BinaryMask.from_text: bad row {ln!r}")
+                raise ValueError(f"line {lineno}: mask row {i} must hold {w} 0/1 values")
             rows.append([int(c) for c in cells])
+        if len(lines) > h + 1:
+            raise ValueError(f"line {lines[h + 1][0]}: mask has more than {h} rows")
         return BinaryMask(np.array(rows, dtype=np.uint8))
 
 
 def softmax_rows(logits) -> AttentionMap:
     """Row-wise softmax with max-subtraction for stability."""
-    z = _as_float_array(logits, "logits", ndim=2)
-    return AttentionMap(softmax_rows_raw(z))
+    z = checked_array(logits, "logits", ndim=2).copy()
+    return AttentionMap(softmax_rows_inplace(z))
 
 
-def softmax_rows_raw(z: np.ndarray) -> np.ndarray:
-    """Softmax on a raw array, skipping AttentionMap construction.
-
-    Loop-internal fast path; callers guarantee a finite 2-D float input.
-    """
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction, written over ``z`` and
+    returned; callers pass a finite 2-D float64 array they own."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def scaled_dot_attention(queries, keys) -> AttentionMap:
     """softmax(Q K^T / sqrt(d)) for Q:(S,d), K:(T,d)."""
-    q = _as_float_array(queries, "queries", ndim=2)
-    k = _as_float_array(keys, "keys", ndim=2)
+    q = checked_array(queries, "queries", ndim=2)
+    k = checked_array(keys, "keys", ndim=2)
     if q.shape[1] != k.shape[1]:
         raise ShapeError(
             f"query dim {q.shape[1]} does not match key dim {k.shape[1]}"
         )
-    if q.shape[1] < 1:
-        raise ShapeError("feature dimension must be >= 1")
     logits = q @ k.T / np.sqrt(q.shape[1])
     return softmax_rows(logits)
 
@@ -240,10 +264,7 @@ class LayerAttention:
     amap: AttentionMap
 
     def __post_init__(self):
-        if self.kind not in (ENCODER, DECODER):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.attn_type not in (CROSS, SELF):
-            raise ValueError(f"unknown attention type {self.attn_type!r}")
+        check_layer_tags(self.kind, self.attn_type)
         if self.height * self.width != self.amap.rows:
             raise ShapeError(
                 f"map rows {self.amap.rows} != grid {self.height}x{self.width}"
@@ -274,6 +295,16 @@ class AttentionRecord:
     def gated_cross(self) -> "list[LayerAttention]":
         """Decoder cross-attention layers — the ones losses/metrics gate on."""
         return [self.layers[i] for i in gated_layers(self.layers, CROSS)]
+
+    def token_layers(self, tokens) -> "list[LayerAttention]":
+        """The decoder cross-attention layers, after checking that there is
+        one and that every token id names a column of each of them."""
+        layers = self.gated_cross()
+        if not layers:
+            raise ConfigurationError("record has no decoder cross-attention layer")
+        for layer in layers:
+            check_tokens(tokens, layer.amap.cols)
+        return layers
 
     def gated_self(self) -> "list[LayerAttention]":
         return [self.layers[i] for i in gated_layers(self.layers, SELF)]

@@ -21,9 +21,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CROSS, DECODER, ENCODER, SELF, AttentionMap, AttentionRecord, LayerAttention
+from .core import (
+    CROSS,
+    DECODER,
+    ENCODER,
+    SELF,
+    AttentionMap,
+    AttentionRecord,
+    LayerAttention,
+    check_layer_tags,
+    checked_array,
+    frozen_array,
+    matched_arrays,
+    softmax_rows_inplace,
+)
 from .errors import ConfigurationError, ShapeError
-from .fileio import atomic_write_text, fnum
+from .fileio import atomic_write_text, content_lines, fnum, line_fields, parse_numbers
 
 
 @dataclass(frozen=True)
@@ -35,14 +48,8 @@ class TokenEmbedding:
     learnable: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ShapeError("TokenEmbedding.vector: expected a 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("TokenEmbedding.vector: non-finite values")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "vector",
+                           frozen_array(self.vector, "TokenEmbedding.vector", ndim=1))
 
 
 @dataclass(frozen=True)
@@ -58,26 +65,16 @@ class LayerSpec:
     wv: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in (ENCODER, DECODER):
-            raise ConfigurationError(f"bad layer kind {self.kind!r}")
-        if self.attn_type not in (CROSS, SELF):
-            raise ConfigurationError(f"bad attention type {self.attn_type!r}")
+        check_layer_tags(self.kind, self.attn_type)
         if self.height < 1 or self.width < 1:
             raise ShapeError("layer extents must be positive")
-        mats = []
-        d = np.asarray(self.wq).shape[0]
-        for name in ("wq", "wk", "wv"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+        mats = {name: frozen_array(getattr(self, name), name, ndim=2)
+                for name in ("wq", "wk", "wv")}
+        d = mats["wq"].shape[0]
+        for name, m in mats.items():
             if m.shape != (d, d):
                 raise ShapeError(f"{name}: expected square ({d},{d}), got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name}: non-finite values")
-            m = m.copy()
-            m.setflags(write=False)
-            mats.append(m)
-        object.__setattr__(self, "wq", mats[0])
-        object.__setattr__(self, "wk", mats[1])
-        object.__setattr__(self, "wv", mats[2])
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -140,15 +137,13 @@ class NoiseSchedule:
     alphas_cumprod: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alphas_cumprod, dtype=np.float64)
-        if a.ndim != 1 or a.size < 2:
+        a = frozen_array(self.alphas_cumprod, "alphas_cumprod", ndim=1)
+        if a.size < 2:
             raise ShapeError("alphas_cumprod: need a 1-D array of length >= 2")
         if np.any(a <= 0.0) or np.any(a > 1.0):
             raise ValueError("alphas_cumprod: values must lie in (0, 1]")
         if np.any(np.diff(a) >= 0.0):
             raise ValueError("alphas_cumprod: must be strictly decreasing")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "alphas_cumprod", a)
 
     @property
@@ -169,10 +164,7 @@ def toy_schedule(total_steps: int = 50, start: float = 0.9999, end: float = 0.02
 def ddim_add_noise(z0: np.ndarray, eps: np.ndarray, t: int,
                    schedule: NoiseSchedule) -> np.ndarray:
     """z_t = sqrt(abar_t) z0 + sqrt(1 - abar_t) eps."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if z0.shape != eps.shape:
-        raise ShapeError(f"z0 shape {z0.shape} != eps shape {eps.shape}")
+    z0, eps = matched_arrays(z0, eps, "z0", "eps")
     ab = schedule.abar(t)
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
@@ -180,10 +172,7 @@ def ddim_add_noise(z0: np.ndarray, eps: np.ndarray, t: int,
 def predict_clean(z_t: np.ndarray, eps_hat: np.ndarray, t: int,
                   schedule: NoiseSchedule) -> np.ndarray:
     """Invert the forward mix: zhat0 = (z_t - sqrt(1-abar_t) eps_hat) / sqrt(abar_t)."""
-    z_t = np.asarray(z_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if z_t.shape != eps_hat.shape:
-        raise ShapeError(f"z_t shape {z_t.shape} != eps_hat shape {eps_hat.shape}")
+    z_t, eps_hat = matched_arrays(z_t, eps_hat, "z_t", "eps_hat")
     ab = schedule.abar(t)
     return (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
 
@@ -308,12 +297,9 @@ def forward_cache(z: np.ndarray, emb: np.ndarray,
             src = x
         k = src @ work.wk
         v = src @ work.wv
-        # Row softmax of the scaled logits, in place in the logits buffer.
         attn = q @ k.T
         attn *= scale
-        attn -= attn.max(axis=1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=1, keepdims=True)
+        softmax_rows_inplace(attn)
         cache.layers.append(LayerCache(work, x, q, k, v, attn))
     return cache
 
@@ -361,13 +347,9 @@ def forward_denoise(z, t: int, tokens: "list[TokenEmbedding]",
     schedule when one is supplied; the toy model's output does not otherwise
     depend on it.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 3:
-        raise ShapeError(f"z: expected (H, W, channels), got {z.shape}")
+    z = checked_array(z, "z", ndim=3)
     if z.shape[2] != params.dim:
         raise ShapeError(f"z channels {z.shape[2]} != params dim {params.dim}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z: non-finite values")
     if schedule is not None:
         schedule.abar(t)  # range check
     elif t < 0:
@@ -390,49 +372,27 @@ def _matrix_lines(name: str, m: np.ndarray) -> "list[str]":
     return lines
 
 
-def _content_lines(text: str) -> "list[tuple[int, str]]":
-    """Non-blank lines with their 1-based line numbers."""
-    return [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-
-
-def _fields(lines: "list[tuple[int, str]]", pos: int, expected: str):
-    """Line number and whitespace-split fields of content line ``pos``; a
-    file that ends before it raises ValueError."""
-    if pos >= len(lines):
-        last = lines[-1][0] if lines else 0
-        raise ValueError(f"file ends after line {last}, expected {expected}")
-    lineno, text = lines[pos]
-    return lineno, text.split()
-
-
-def _numbers(cells: "list[str]", kind, lineno: int) -> list:
-    try:
-        return [kind(c) for c in cells]
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected numbers, got {' '.join(cells)!r}") from None
-
-
 def _count_line(lines, pos: int, key: str) -> int:
     """The N of a '<key> N' line."""
-    lineno, cells = _fields(lines, pos, f"'{key} N'")
+    lineno, cells = line_fields(lines, pos, f"'{key} N'")
     if len(cells) != 2 or cells[0] != key:
         raise ValueError(f"line {lineno}: expected '{key} N', got {lines[pos][1]!r}")
-    return _numbers(cells[1:], int, lineno)[0]
+    return parse_numbers(cells[1:], int, lineno)[0]
 
 
 def _read_matrix(lines: "list[tuple[int, str]]", pos: int, name: str):
-    lineno, head = _fields(lines, pos, f"'{name} R C' header")
+    lineno, head = line_fields(lines, pos, f"'{name} R C' header")
     if len(head) != 3 or head[0] != name:
         raise ValueError(f"line {lineno}: expected '{name} R C' header, got {lines[pos][1]!r}")
-    r, c = _numbers(head[1:], int, lineno)
+    r, c = parse_numbers(head[1:], int, lineno)
     rows = []
     for i in range(r):
-        lineno, cells = _fields(lines, pos + 1 + i, f"row {i} of matrix {name}")
+        lineno, cells = line_fields(lines, pos + 1 + i, f"row {i} of matrix {name}")
         if len(cells) != c:
             raise ValueError(
                 f"line {lineno}: matrix {name} row {i} has {len(cells)} values, expected {c}"
             )
-        rows.append(_numbers(cells, float, lineno))
+        rows.append(parse_numbers(cells, float, lineno))
     return np.array(rows, dtype=np.float64).reshape(r, c), pos + 1 + r
 
 
@@ -447,7 +407,7 @@ def params_to_text(params: DenoiserParams) -> str:
 
 
 def params_from_text(text: str) -> DenoiserParams:
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines or lines[0][1] != "denoiser-params v1":
         raise ValueError("not a denoiser-params v1 file")
     dim = _count_line(lines, 1, "dim")
@@ -455,13 +415,13 @@ def params_from_text(text: str) -> DenoiserParams:
     pos = 3
     specs = []
     for i in range(n_layers):
-        lineno, head = _fields(lines, pos, f"'layer {i}' header")
+        lineno, head = line_fields(lines, pos, f"'layer {i}' header")
         if len(head) != 6 or head[:2] != ["layer", str(i)]:
             raise ValueError(
                 f"line {lineno}: expected 'layer {i} KIND TYPE H W', got {lines[pos][1]!r}"
             )
         kind, attn_type = head[2], head[3]
-        h, w = _numbers(head[4:], int, lineno)
+        h, w = parse_numbers(head[4:], int, lineno)
         pos += 1
         wq, pos = _read_matrix(lines, pos, "wq")
         wk, pos = _read_matrix(lines, pos, "wk")
@@ -501,7 +461,7 @@ def tokens_to_text(tokens: "list[TokenEmbedding]") -> str:
 
 
 def tokens_from_text(text: str) -> "list[TokenEmbedding]":
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines or lines[0][1] != "token-embeddings v1":
         raise ValueError("not a token-embeddings v1 file")
     dim = _count_line(lines, 1, "dim")
@@ -509,12 +469,12 @@ def tokens_from_text(text: str) -> "list[TokenEmbedding]":
     tokens = []
     pos = 3
     for i in range(count):
-        lineno, head = _fields(lines, pos, f"header of token {i}")
+        lineno, head = line_fields(lines, pos, f"header of token {i}")
         if len(head) != 3 or head[0] != "token" or head[2] not in ("learnable", "fixed"):
             raise ValueError(f"line {lineno}: bad token header {lines[pos][1]!r}")
-        token_id = _numbers(head[1:2], int, lineno)[0]
-        lineno, cells = _fields(lines, pos + 1, f"vector of token {token_id}")
-        vec = np.array(_numbers(cells, float, lineno), dtype=np.float64)
+        token_id = parse_numbers(head[1:2], int, lineno)[0]
+        lineno, cells = line_fields(lines, pos + 1, f"vector of token {token_id}")
+        vec = np.array(parse_numbers(cells, float, lineno), dtype=np.float64)
         if vec.size != dim:
             raise ValueError(
                 f"line {lineno}: token {token_id}: expected {dim} values, got {vec.size}"

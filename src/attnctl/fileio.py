@@ -1,4 +1,4 @@
-"""Small file-writing helpers shared by the run harness.
+"""Small file-writing and text-parsing helpers shared by the engine.
 
 Everything written to disk goes through ``atomic_write_text`` (temp file in the
 target directory, then ``os.replace``) so partially written artifacts never
@@ -48,3 +48,25 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -
 def write_json(path: str, payload: dict) -> None:
     """Write JSON with sorted keys; byte-identical for equal payloads."""
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def content_lines(text: str) -> "list[tuple[int, str]]":
+    """Non-blank lines with their 1-based line numbers."""
+    return [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+
+
+def line_fields(lines: "list[tuple[int, str]]", pos: int, expected: str):
+    """Line number and whitespace-split fields of content line ``pos``; a
+    file that ends before it raises ValueError."""
+    if pos >= len(lines):
+        last = lines[-1][0] if lines else 0
+        raise ValueError(f"file ends after line {last}, expected {expected}")
+    lineno, text = lines[pos]
+    return lineno, text.split()
+
+
+def parse_numbers(cells: "list[str]", kind, lineno: int) -> list:
+    try:
+        return [kind(c) for c in cells]
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected numbers, got {' '.join(cells)!r}") from None

@@ -213,7 +213,14 @@ def parse_config(path: str) -> "tuple[ControlConfig, bytes]":
             config_bytes = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return _config_from_ini(config_bytes.decode(), path), config_bytes
+    try:
+        text = config_bytes.decode()
+    except UnicodeDecodeError as exc:
+        line = config_bytes.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(
+            f"{path}: line {line}: not UTF-8 text "
+            f"(byte 0x{config_bytes[exc.start]:02x} at offset {exc.start})") from None
+    return _config_from_ini(text, path), config_bytes
 
 
 def _config_dict(cfg: ControlConfig) -> dict:

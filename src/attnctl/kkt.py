@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import checked_array, frozen_array
 from .errors import ConfigurationError, DivergenceError, ShapeError
 
 REWARD_VARIANTS = ("costed", "free")
@@ -41,17 +42,13 @@ class PixelAttentionProblem:
     alpha: float
 
     def __post_init__(self):
-        m = np.asarray(self.masks, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ShapeError("masks: expected a nonempty (n_pixels, K) array")
+        m = frozen_array(self.masks, "masks", ndim=2)
         if not np.all((m == 0.0) | (m == 1.0)):
             raise ValueError("masks: entries must be 0 or 1")
         if np.any(m.sum(axis=1) > 1.0):
             raise ValueError("masks: each pixel belongs to at most one instance")
         if not 0.0 < float(self.alpha) <= 1.0:
             raise ConfigurationError("alpha: must lie in (0, 1]")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "masks", m)
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -114,11 +111,7 @@ def _row_index(n: int) -> np.ndarray:
 
 def simplex_project(v) -> np.ndarray:
     """Project one vector onto the probability simplex."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ShapeError("v: expected a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v: non-finite values")
+    v = checked_array(v, "v", ndim=1)
     out, _ = _project_rows(v[None, :])
     return out[0]
 
@@ -134,8 +127,7 @@ class RewardSolution:
 def reward_stationary_point(problem: PixelAttentionProblem,
                             variant: str = "costed") -> RewardSolution:
     """Closed-form stationary point of the reward objective per pixel."""
-    if variant not in REWARD_VARIANTS:
-        raise ConfigurationError(f"variant must be one of {REWARD_VARIANTS}")
+    _check_variant(variant)
     c = problem.targets()
     s = problem.masks.sum(axis=1)
     if variant == "costed":
@@ -162,18 +154,36 @@ def penalty_optimum(problem: PixelAttentionProblem) -> np.ndarray:
 def reward_loss(problem: PixelAttentionProblem, dist: np.ndarray,
                 variant: str = "costed") -> float:
     _check_dist(problem, dist)
-    c = problem.targets()
-    if variant == "costed":
-        return float(((dist - c) ** 2).sum())
-    if variant == "free":
-        return float(((dist[:, 1:] - c[:, 1:]) ** 2).sum())
-    raise ConfigurationError(f"variant must be one of {REWARD_VARIANTS}")
+    return _objective(problem, "reward", variant)[0](dist)
 
 
 def penalty_loss(problem: PixelAttentionProblem, dist: np.ndarray) -> float:
     _check_dist(problem, dist)
-    pen = _penalized_selector(problem)
-    return float(((dist * pen) ** 2).sum())
+    return _objective(problem, "penalty", None)[0](dist)
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in REWARD_VARIANTS:
+        raise ConfigurationError(f"variant must be one of {REWARD_VARIANTS}")
+
+
+def _objective(problem: PixelAttentionProblem, objective: str, variant):
+    """Value and gradient functions of the reward (``variant`` costed or free)
+    or of the penalty (no variant) over all pixels' distributions."""
+    if objective == "penalty":
+        pen = _penalized_selector(problem)
+        pen2 = 2.0 * pen
+        return (lambda x: float(((x * pen) ** 2).sum())), (lambda x: pen2 * x)
+    _check_variant(variant)
+    c = problem.targets()
+    if variant == "costed":
+        return (lambda x: float(((x - c) ** 2).sum())), (lambda x: 2.0 * (x - c))
+
+    def free_grad(x):  # the null coordinate is uncosted
+        g = 2.0 * (x - c)
+        g[:, 0] = 0.0
+        return g
+    return (lambda x: float(((x[:, 1:] - c[:, 1:]) ** 2).sum())), free_grad
 
 
 def _check_dist(problem: PixelAttentionProblem, dist: np.ndarray) -> None:
@@ -224,25 +234,7 @@ def projected_descent(problem: PixelAttentionProblem, objective: str,
             raise ShapeError(f"init shape {a.shape} != ({n}, {d})")
         a, _ = _project_rows(a)
 
-    if objective == "reward":
-        c = problem.targets()
-        if variant == "costed":
-            grad = lambda x: 2.0 * (x - c)
-            value = lambda x: float(((x - c) ** 2).sum())
-        elif variant == "free":
-            def grad(x):
-                g = 2.0 * (x - c)
-                g[:, 0] = 0.0
-                return g
-            value = lambda x: float(((x[:, 1:] - c[:, 1:]) ** 2).sum())
-        else:
-            raise ConfigurationError(f"variant must be one of {REWARD_VARIANTS}")
-    else:
-        pen = _penalized_selector(problem)
-        pen2 = 2.0 * pen
-        grad = lambda x: pen2 * x
-        value = lambda x: float(((x * pen) ** 2).sum())
-
+    value, grad = _objective(problem, objective, variant)
     losses = [value(a)]
     rising = 0
     converged = False

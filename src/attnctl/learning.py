@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CROSS, AttentionRecord, BinaryMask, gated_layers, mask_at
+from .core import (CROSS, AttentionRecord, BinaryMask, checked_array, gated_layers, mask_at,
+                   matched_arrays)
 from .denoiser import (
     DenoiserParams,
     NoiseSchedule,
@@ -174,13 +175,7 @@ def _record_ca_loss(instances: InstanceSet, draw: SampleDraw,
                     pixel_norm: bool) -> float:
     """The loop's attention loss on a record's maps, after checking that
     every sampled token has a column in each gated layer."""
-    for layer in record.gated_cross():
-        for i in draw.instance_indices:
-            token = instances.placeholder_ids[i]
-            if token >= layer.amap.cols:
-                raise ConfigurationError(
-                    f"token id {token} absent from record (only {layer.amap.cols} columns)"
-                )
+    record.token_layers([instances.placeholder_ids[i] for i in draw.instance_indices])
     gated_masks = _gated_masks(record.layers, instances.masks)
     return _attn_loss_and_grad(record.maps(), gated_masks, instances, draw,
                                branch, alpha, pixel_norm)[0]
@@ -221,10 +216,7 @@ def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray,
 def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
                                m_rec: BinaryMask) -> float:
     """||M * eps - M * eps_hat||^2 with the mask broadcast over channels."""
-    eps = np.asarray(eps, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if eps.shape != eps_hat.shape:
-        raise ShapeError(f"eps shape {eps.shape} != eps_hat shape {eps_hat.shape}")
+    eps, eps_hat = matched_arrays(eps, eps_hat, "eps", "eps_hat")
     if eps.shape[:2] != (m_rec.height, m_rec.width):
         raise ShapeError(
             f"mask extent {m_rec.height}x{m_rec.width} does not match grid {eps.shape[:2]}"
@@ -311,9 +303,7 @@ def run_semantic_learning(scenario, config: LearningConfig,
     """
     config.validate()
     instances = scenario.instance_set()
-    z0 = np.asarray(scenario.z0, dtype=np.float64)
-    if z0.ndim != 3:
-        raise ShapeError("scenario.z0 must be (H, W, channels)")
+    z0 = checked_array(scenario.z0, "scenario.z0", ndim=3)
     height, width, dim = z0.shape
     if (height, width) != instances.extent:
         raise ShapeError("instance masks must live on the latent grid")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CROSS, BinaryMask, gated_layers
+from .core import CROSS, BinaryMask, check_tokens, checked_array, gated_layers
 from .errors import ConfigurationError, DegenerateInputWarning, ShapeError
 
 
@@ -82,9 +82,8 @@ def compute_ca_masks(layers, maps, groups, smoothing: int,
             raise ConfigurationError("token group must be nonempty")
         acc = np.zeros((h, w))
         for li in ca_idx:
+            check_tokens(group, maps[li].shape[1])
             for token in group:
-                if not 0 <= token < maps[li].shape[1]:
-                    raise ConfigurationError(f"token id {token} absent from record")
                 acc += maps[li][:, token].reshape(h, w)
         acc /= len(ca_idx) * len(group)
         acc = box_blur(acc, smoothing)
@@ -151,11 +150,7 @@ def kmeans_self_attention(features, k: int,
     k-means++ seeding. Ties in assignment go to the lowest cluster index; an
     emptied cluster keeps its previous center.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError("features: expected a nonempty (n, d) array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features: non-finite values")
+    x = checked_array(features, "features", ndim=2)
     n = x.shape[0]
     if k < 1:
         raise ConfigurationError("k: must be >= 1")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttentionRecord, BinaryMask, mask_at
+from .core import AttentionRecord, BinaryMask, checked_array, frozen_array, mask_at
 from .denoiser import TokenEmbedding
-from .errors import ConfigurationError, DegenerateInputWarning, ShapeError
+from .errors import ConfigurationError, DegenerateInputWarning
 from .learning import InstanceSet
 from .synthesis import BoxSpec, _leakage_from_maps
 
@@ -34,11 +34,9 @@ class Scenario:
     z0: np.ndarray               # (height, width, dim) clean latent
 
     def __post_init__(self):
-        for name in ("directions", "background_dir", "z0"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, ndim in (("directions", 2), ("background_dir", 1), ("z0", 3)):
+            object.__setattr__(self, name,
+                               frozen_array(getattr(self, name), f"Scenario.{name}", ndim))
         object.__setattr__(self, "masks", tuple(self.masks))
 
     @property
@@ -157,12 +155,7 @@ def leakage_mass(record: AttentionRecord, token_id: int, mask: BinaryMask) -> fl
     """Share of the token's attention mass that falls outside the mask,
     averaged over decoder cross-attention layers. Zero total mass reads as
     full leakage (1.0) with a diagnostic."""
-    layers = record.gated_cross()
-    if not layers:
-        raise ConfigurationError("record has no decoder cross-attention layer")
-    for layer in layers:
-        if not 0 <= token_id < layer.amap.cols:
-            raise ConfigurationError(f"token id {token_id} absent from record")
+    layers = record.token_layers([token_id])
     at_res = {(l.height, l.width): mask_at(mask, l.height, l.width) for l in layers}
     return _leakage_from_maps(record.layers, record.maps(), [at_res], [[token_id]])[0]
 
@@ -171,13 +164,8 @@ def argmax_iou_single(record: AttentionRecord, token_id: int,
                       mask: BinaryMask) -> float:
     """IoU between a mask and the region where the token wins the per-pixel
     argmax, averaged over decoder cross-attention layers."""
-    layers = record.gated_cross()
-    if not layers:
-        raise ConfigurationError("record has no decoder cross-attention layer")
     vals = []
-    for layer in layers:
-        if not 0 <= token_id < layer.amap.cols:
-            raise ConfigurationError(f"token id {token_id} absent from record")
+    for layer in record.token_layers([token_id]):
         m = mask_at(mask, layer.height, layer.width).flat() > 0.5
         region = np.argmax(layer.amap.weights, axis=1) == token_id
         union = np.logical_or(region, m).sum()
@@ -203,11 +191,7 @@ def pca_project(features, n_components: int = 2) -> np.ndarray:
     whose eigenvalue is at most 1e-12 of the trace lie beyond the effective
     rank and come back as zero columns with a diagnostic.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError("features: expected a nonempty (n, d) array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features: non-finite values")
+    x = checked_array(features, "features", ndim=2)
     if not 1 <= n_components <= x.shape[1]:
         raise ConfigurationError("n_components: must lie in [1, feature dim]")
     xc = x - x.mean(axis=0, keepdims=True)

@@ -24,7 +24,9 @@ from .core import (
     SELF,
     AttentionRecord,
     BinaryMask,
+    check_tokens,
     gated_layers,
+    matched_arrays,
     resample_mask_nearest,
 )
 from .denoiser import (
@@ -42,6 +44,7 @@ from .denoiser import (
 )
 from .errors import ConfigurationError, DegenerateInputWarning, DivergenceError, ShapeError
 from .fileio import write_csv
+from .gradients import backprop
 from . import refine
 
 
@@ -72,9 +75,6 @@ def rasterize_box(box: BoxSpec, height: int, width: int) -> BinaryMask:
     rows = (box.y0 <= cy) & (cy <= box.y1)
     cols = (box.x0 <= cx) & (cx <= box.x1)
     return BinaryMask((rows[:, None] & cols[None, :]).astype(np.uint8))
-
-
-MaskSet = "dict[tuple[int, int], BinaryMask]"
 
 
 def instance_masks_from_boxes(boxes: "list[BoxSpec]",
@@ -199,9 +199,7 @@ def fg_bg_energies(record: AttentionRecord, layer_index: int, mask: BinaryMask,
     if layer.attn_type == CROSS:
         if not group:
             raise ConfigurationError("token group must be nonempty")
-        for token in group:
-            if not 0 <= token < layer.amap.cols:
-                raise ConfigurationError(f"token id {token} absent from record")
+        check_tokens(group, layer.amap.cols)
         return _ca_energies(layer.amap.weights, m, list(group))
     return _sa_energies(layer.amap.weights, m)
 
@@ -249,43 +247,40 @@ class _InstanceTerms:
     loss: float = 0.0
 
 
+def _typed_terms(gated, config: SynthesisConfig, terms: _InstanceTerms):
+    """Per attention type, cross then self: the type, its decoder layer
+    indices (``gated``), its loss weight and the instance's energy lists."""
+    ca_idx, sa_idx = gated
+    return ((CROSS, ca_idx, config.lambda_ca, terms.fg_ca, terms.bg_ca),
+            (SELF, sa_idx, config.lambda_sa, terms.fg_sa, terms.bg_sa))
+
+
 def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig) -> "tuple[list[_InstanceTerms], float]":
     """Per-instance energies and scores, and their squared sum. The kernels
     here take the layer objects (``_LayerWork`` in the loops,
     ``LayerAttention`` from a record) for their tags and extents, and the
-    maps as raw arrays in layer order."""
-    ca_idx = gated_layers(layers, CROSS)
-    sa_idx = gated_layers(layers, SELF)
-    if not ca_idx:
-        raise ConfigurationError("record has no decoder cross-attention layer")
+    maps as raw arrays in layer order. Callers check the token ids."""
+    gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
     per_instance: "list[_InstanceTerms]" = []
     total = 0.0
     for i, group in enumerate(groups):
         terms = _InstanceTerms()
-        for li in ca_idx:
-            m = masks[i][(layers[li].height, layers[li].width)].flat()
-            fg, bg = _ca_energies(maps[li], m, list(group))
-            terms.fg_ca.append(fg)
-            terms.bg_ca.append(bg)
-        for li in sa_idx:
-            m = masks[i][(layers[li].height, layers[li].width)].flat()
-            fg, bg = _sa_energies(maps[li], m)
-            terms.fg_sa.append(fg)
-            terms.bg_sa.append(bg)
-
         loss_i = 0.0
-        fg_c, bg_c = mean_energies(terms.fg_ca, terms.bg_ca)
-        part_ca = reward_box_score(fg_c, bg_c)
-        if config.use_out_of_box:
-            part_ca += alpha_t * penalty_box_score(bg_c)
-        loss_i += config.lambda_ca * part_ca
-        if sa_idx:
-            fg_s, bg_s = mean_energies(terms.fg_sa, terms.bg_sa)
-            part_sa = reward_box_score(fg_s, bg_s)
+        for attn_type, idx, weight, fgs, bgs in _typed_terms(gated, config, terms):
+            if not idx:
+                continue
+            for li in idx:
+                m = masks[i][(layers[li].height, layers[li].width)].flat()
+                fg, bg = (_ca_energies(maps[li], m, list(group)) if attn_type == CROSS
+                          else _sa_energies(maps[li], m))
+                fgs.append(fg)
+                bgs.append(bg)
+            fg_bar, bg_bar = mean_energies(fgs, bgs)
+            part = reward_box_score(fg_bar, bg_bar)
             if config.use_out_of_box:
-                part_sa += alpha_t * penalty_box_score(bg_s)
-            loss_i += config.lambda_sa * part_sa
+                part += alpha_t * penalty_box_score(bg_bar)
+            loss_i += weight * part
         terms.loss = loss_i
         per_instance.append(terms)
         total += loss_i ** 2
@@ -296,8 +291,7 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig,
                     per_instance: "list[_InstanceTerms]") -> "list[np.ndarray | None]":
     """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms."""
-    ca_idx = gated_layers(layers, CROSS)
-    sa_idx = gated_layers(layers, SELF)
+    gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
     d_attn: "list[np.ndarray | None]" = [None] * len(layers)
 
     def _grad(li):  # layer li's gradient, accumulated over instances
@@ -308,31 +302,26 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
     for i, group in enumerate(groups):
         terms = per_instance[i]
         outer = 2.0 * terms.loss  # d(total)/d(loss_i)
-
-        fg_c, bg_c = mean_energies(terms.fg_ca, terms.bg_ca)
-        dr_fg, dr_bg = _score_derivs(fg_c, bg_c)
-        db = dr_bg + (alpha_t / (1.0 + bg_c) if config.use_out_of_box else 0.0)
-        cf = outer * config.lambda_ca * dr_fg / len(ca_idx)
-        cb = outer * config.lambda_ca * db / len(ca_idx)
-        for li in ca_idx:
-            m = masks[i][(layers[li].height, layers[li].width)].flat()
-            grad = _grad(li)
-            for token in group:
-                col = maps[li][:, token]
-                grad[:, token] += cf * 2.0 * m * col + cb * 2.0 * (1.0 - m) * col
-
-        if sa_idx:
-            fg_s, bg_s = mean_energies(terms.fg_sa, terms.bg_sa)
-            dr_fg, dr_bg = _score_derivs(fg_s, bg_s)
-            db = dr_bg + (alpha_t / (1.0 + bg_s) if config.use_out_of_box else 0.0)
-            cf = outer * config.lambda_sa * dr_fg / len(sa_idx)
-            cb = outer * config.lambda_sa * db / len(sa_idx)
-            for li in sa_idx:
+        for attn_type, idx, weight, fgs, bgs in _typed_terms(gated, config, terms):
+            if not idx:
+                continue
+            fg_bar, bg_bar = mean_energies(fgs, bgs)
+            dr_fg, dr_bg = _score_derivs(fg_bar, bg_bar)
+            db = dr_bg + (alpha_t / (1.0 + bg_bar) if config.use_out_of_box else 0.0)
+            cf = outer * weight * dr_fg / len(idx)
+            cb = outer * weight * db / len(idx)
+            for li in idx:
                 m = masks[i][(layers[li].height, layers[li].width)].flat()
-                rows = m > 0.5
-                block = maps[li][rows, :]
-                block *= cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]
-                _grad(li)[rows, :] += block
+                grad = _grad(li)
+                if attn_type == CROSS:
+                    for token in group:
+                        col = maps[li][:, token]
+                        grad[:, token] += cf * 2.0 * m * col + cb * 2.0 * (1.0 - m) * col
+                else:
+                    rows = m > 0.5
+                    block = maps[li][rows, :]
+                    block *= cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]
+                    grad[rows, :] += block
     return d_attn
 
 
@@ -348,6 +337,7 @@ def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
     if len(masks) != len(groups):
         raise ConfigurationError("need one mask set and one token group per instance")
     alpha_t = alpha_decay(t, sched)
+    record.token_layers([token for group in groups for token in group])
     per_instance, total = _box_loss_terms(record.layers, record.maps(), masks,
                                           groups, alpha_t, config)
     return [p.loss for p in per_instance], total
@@ -355,10 +345,7 @@ def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
 
 def latent_opt_step(z: np.ndarray, grad: np.ndarray, beta: float) -> np.ndarray:
     """One explicit gradient step on the latent."""
-    z = np.asarray(z, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if z.shape != grad.shape:
-        raise ShapeError(f"latent shape {z.shape} != gradient shape {grad.shape}")
+    z, grad = matched_arrays(z, grad, "latent", "gradient")
     if beta < 0.0:
         raise ConfigurationError("beta: must be >= 0")
     if not np.all(np.isfinite(grad)):
@@ -376,7 +363,8 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
     Cross attention: zero each instance token's weight at pixels outside its
     mask. Self attention: zero attention from in-box pixels to out-of-box
     targets. Rows are renormalized; a fully suppressed row falls back to
-    uniform over its permitted targets (diagnostic warning).
+    uniform over its permitted targets (diagnostic warning). Callers check
+    the token ids.
     """
     out = []
     for layer, attn in zip(layers, maps):
@@ -387,10 +375,6 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
                 m = masks[i][(h, w)].flat()
                 outside = m < 0.5
                 for token in group:
-                    if token >= attn.shape[1]:
-                        raise ConfigurationError(
-                            f"token id {token} absent from record"
-                        )
                     attn[outside, token] = 0.0
         else:
             # In-box rows may reach the union of the boxes containing them.
@@ -440,6 +424,10 @@ def apply_attention_masking(record: AttentionRecord, masks, groups) -> Attention
     """Masked copy of a record; idempotent for fixed masks and groups."""
     if len(masks) != len(groups):
         raise ConfigurationError("need one mask set and one token group per instance")
+    tokens = [token for group in groups for token in group]
+    for layer in record.layers:
+        if layer.attn_type == CROSS:
+            check_tokens(tokens, layer.amap.cols)
     masked = _mask_maps(record.layers, record.maps(), masks, groups)
     return record_from_maps(record.layers, masked)
 
@@ -556,10 +544,7 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
         raise ConfigurationError("need one token group per box")
 
     emb = _token_matrix(tokens, params.dim)
-    for group in groups:
-        for token in group:
-            if not 0 <= token < emb.shape[0]:
-                raise ConfigurationError(f"token id {token} not among the embeddings")
+    check_tokens([token for group in groups for token in group], emb.shape[0])
 
     layers = workspace(params)
     resolutions = sorted({(l.height, l.width) for l in layers})
@@ -609,7 +594,6 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
         if optimizing and config.beta > 0.0:
             d_attn = _box_loss_grads(layers, maps, masks, groups, alpha_t,
                                      config, per_terms)
-            from .gradients import backprop  # local import avoids cycle at module load
             res = backprop(cache, d_attn=d_attn, d_eps=None)
             z = latent_opt_step(z, res.d_z, config.beta)
             cache = forward_cache(z, emb, layers)

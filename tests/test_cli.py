@@ -119,6 +119,18 @@ def test_ini_syntax_error_names_the_config_path(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["learn", "synthesize", "experiment"])
+def test_non_utf8_config_names_the_path_and_offset(capsys, tmp_path, command):
+    config = tmp_path / "latin1.ini"
+    config.write_bytes(b"[scenario]\nheight = \xff\n")
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(config) in err
+    assert "offset 20" in err and "line 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["learn", "synthesize", "experiment"])
 def test_manifest_lists_every_artifact_but_itself(capsys, workspace, tmp_path, command):
     out = tmp_path / command
     assert main([command, str(workspace / "run.ini"), "--out", str(out)]) == 0

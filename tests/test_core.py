@@ -140,6 +140,11 @@ def test_binary_mask_from_text_rejects_garbage(bad):
         BinaryMask.from_text(bad)
 
 
+def test_binary_mask_from_text_names_the_bad_line():
+    with pytest.raises(ValueError, match="line 3"):
+        BinaryMask.from_text("2 2\n1 0\n0 x\n")
+
+
 def test_downsample_mask_majority_rule():
     bits = np.zeros((4, 4), dtype=np.uint8)
     bits[0:2, 0:2] = 1          # full block -> 1

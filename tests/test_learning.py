@@ -127,12 +127,18 @@ def test_penalty_zero_iff_support_inside_mask():
     assert penalty_ca_loss(instances, _draw_all(instances), _record_1x2([0.8, 0.0])) == 0.0
 
 
-def test_losses_ignore_encoder_layers():
+def test_losses_reject_encoder_only_record():
+    # Encoder layers carry no loss, so a record with no decoder CA layer has
+    # nothing to charge: an error, as in leakage_mass, not a silent zero.
     instances = _one_instance()
     record = _record_1x2([1.0, 1.0], kind="encoder")
     draw = _draw_all(instances)
-    assert reward_ca_loss(instances, draw, record, 0.5) == 0.0
-    assert penalty_ca_loss(instances, draw, record) == 0.0
+    with pytest.raises(ConfigurationError, match="no decoder cross-attention"):
+        reward_ca_loss(instances, draw, record, 0.5)
+    with pytest.raises(ConfigurationError, match="no decoder cross-attention"):
+        penalty_ca_loss(instances, draw, record)
+    with pytest.raises(ConfigurationError, match="no decoder cross-attention"):
+        staged_attn_loss(instances, draw, record, 0, LearningConfig())
 
 
 def test_losses_only_charge_sampled_instances():

@@ -184,6 +184,15 @@ def test_combined_attn_loss_matches_manual_assembly():
         combined_attn_loss(record, masks, [[0], [1]], 2, sched, cfg)
 
 
+@pytest.mark.parametrize("token", [2, 5, -1])
+def test_combined_attn_loss_rejects_token_outside_record(token):
+    # The record has token columns 0 and 1; -1 must not read the last one.
+    masks = [{(1, 2): BinaryMask([[1, 0]])}]
+    with pytest.raises(ConfigurationError, match=f"token id {token}"):
+        combined_attn_loss(_ca_record(), masks, [[token]], 2, ScheduleParams(),
+                           SynthesisConfig())
+
+
 def test_latent_opt_step():
     out = latent_opt_step(np.ones((1, 1, 1)), np.full((1, 1, 1), 2.0), 0.1)
     assert out[0, 0, 0] == pytest.approx(0.8)
@@ -246,6 +255,13 @@ def test_masking_uniform_fallback_warns():
     w = masked.layers[0].amap.weights
     assert np.allclose(w[2], [0.5, 0.5])          # fallback row
     assert np.allclose(w.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("token", [3, -1])
+def test_masking_rejects_token_outside_record(token):
+    record, masks, _ = _masking_setup()      # token columns 0, 1 and 2
+    with pytest.raises(ConfigurationError, match=f"token id {token}"):
+        apply_attention_masking(record, masks, [[1], [token]])
 
 
 def test_masking_self_attention_blocks_cross_box_targets():
