@@ -222,7 +222,7 @@ def params_from_workspace(dim: int, layers: "list[_LayerWork]") -> DenoiserParam
 @dataclass
 class LayerCache:
     work: _LayerWork
-    x: np.ndarray      # pooled latent features, (n_l, d)
+    x: np.ndarray      # pooled latent features, (n_l, d), shared per resolution
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
@@ -259,24 +259,18 @@ def _blockmean(z: np.ndarray, h: int, w: int) -> np.ndarray:
     return pooled.reshape(h * w, d)
 
 
-def _blockmean_adjoint(g: np.ndarray, h: int, w: int, H: int, W: int) -> np.ndarray:
-    """Adjoint of _blockmean: spread each pooled gradient over its block."""
-    d = g.shape[1]
-    bh, bw = H // h, W // w
-    g = g.reshape(h, 1, w, 1, d) / (bh * bw)
-    return np.broadcast_to(g, (h, bh, w, bw, d)).reshape(H, W, d)
-
-
-def _replicate(o: np.ndarray, h: int, w: int, H: int, W: int) -> np.ndarray:
-    """Replicate an (h*w, d) layer output back onto the (H, W, d) grid."""
-    d = o.shape[1]
-    bh, bw = H // h, W // w
-    o = o.reshape(h, 1, w, 1, d)
-    return np.broadcast_to(o, (h, bh, w, bw, d)).reshape(H, W, d)
+def _blocks(grid: np.ndarray, h: int, w: int) -> np.ndarray:
+    """A writable (h, bh, w, bw, d) view of a C-ordered (H, W, d) grid:
+    adding an (h, 1, w, 1, d) array into it adds each cell's value to every
+    grid cell of its block. This replicates a layer output onto the grid (and
+    spreads the blockmean adjoint) in place, with no full-grid temporary."""
+    H, W, d = grid.shape
+    return grid.reshape(h, H // h, w, W // w, d)
 
 
 def _replicate_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of _replicate: sum the full-grid gradient over each block."""
+    """Adjoint of replicating an (h*w, d) layer output onto the grid: sum
+    the full-grid gradient over each block."""
     H, W, d = g.shape
     bh, bw = H // h, W // w
     return g.reshape(h, bh, w, bw, d).sum(axis=(1, 3)).reshape(h * w, d)
@@ -288,8 +282,12 @@ def forward_cache(z: np.ndarray, emb: np.ndarray,
     d = z.shape[2]
     cache = ForwardCache(z=z, emb=emb)
     scale = 1.0 / np.sqrt(d)
+    pooled: "dict[tuple[int, int], np.ndarray]" = {}  # one pool per resolution
     for work in layers:
-        x = _blockmean(z, work.height, work.width)
+        res = (work.height, work.width)
+        x = pooled.get(res)
+        if x is None:
+            x = pooled[res] = _blockmean(z, *res)
         q = x @ work.wq
         if work.attn_type == CROSS:
             src = emb
@@ -307,11 +305,11 @@ def forward_cache(z: np.ndarray, emb: np.ndarray,
 def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
     """The noise prediction from (possibly modified) attention maps, reusing
     the cached values: the mean over layers of replicate(maps[l] @ V_l)."""
-    H, W, _ = cache.z.shape
-    acc = np.zeros_like(cache.z)
+    acc = np.zeros_like(cache.z, order="C")
     for lc, attn in zip(cache.layers, maps):
-        out = attn @ lc.v
-        acc += _replicate(out, lc.work.height, lc.work.width, H, W)
+        h, w = lc.work.height, lc.work.width
+        blocks = _blocks(acc, h, w)
+        blocks += (attn @ lc.v).reshape(h, 1, w, 1, -1)
     return acc / len(cache.layers)
 
 

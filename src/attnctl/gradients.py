@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CROSS
-from .denoiser import ForwardCache, _blockmean_adjoint, _replicate_adjoint
+from .denoiser import ForwardCache, _blocks, _replicate_adjoint
 
 
 @dataclass
@@ -57,13 +57,15 @@ def backprop(cache: ForwardCache,
     """Push upstream gradients back to embeddings, latent, and value weights.
 
     d_attn: per-layer gradients on the raw attention maps (None entries skip
-    a layer); d_eps: gradient on the noise prediction. Either may be omitted.
+    a layer); d_eps: gradient on the noise prediction. Either may be None,
+    and a None term costs no backprop (with d_eps None, dV and dWv are not
+    computed), so callers pass None, not zeros, for a zero-weighted term.
     """
     H, W, d = cache.z.shape
     n_layers = len(cache.layers)
     scale = 1.0 / np.sqrt(d)
     d_emb = np.zeros_like(cache.emb)
-    d_z = np.zeros_like(cache.z)
+    d_z = np.zeros_like(cache.z, order="C")
     d_wv: "list[np.ndarray]" = []
 
     for idx, lc in enumerate(cache.layers):
@@ -103,6 +105,9 @@ def backprop(cache: ForwardCache,
             d_emb += d_src
         else:
             dx = d_src
-        d_z += _blockmean_adjoint(dx, work.height, work.width, H, W)
+        # Adjoint of the block mean: spread dX / block size over each block.
+        h, w = work.height, work.width
+        blocks = _blocks(d_z, h, w)
+        blocks += dx.reshape(h, 1, w, 1, d) / ((H // h) * (W // w))
 
     return BackpropResult(d_emb=d_emb, d_z=d_z, d_wv=d_wv)

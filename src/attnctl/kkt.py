@@ -212,13 +212,14 @@ class DescentResult:
 
 def projected_descent(problem: PixelAttentionProblem, objective: str,
                       init: np.ndarray | None = None,
-                      variant: str = "costed", step: float = 0.1,
+                      variant: str = "costed", step: float = 0.5,
                       max_iter: int = 5000, tol: float = 1e-12,
                       seed: int = 0) -> DescentResult:
     """Projected gradient descent on the simplex, all pixels in parallel.
 
-    objective: "reward" or "penalty". Aborts with DivergenceError if the loss
-    rises for 10 consecutive iterations (step too large).
+    objective: "reward" or "penalty". Both objectives are 2-smooth, so the
+    default step is 1/L = 0.5. Aborts with DivergenceError if the loss rises
+    for 10 consecutive iterations (step too large).
     """
     if objective not in ("reward", "penalty"):
         raise ConfigurationError("objective must be 'reward' or 'penalty'")

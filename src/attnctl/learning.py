@@ -206,11 +206,13 @@ def staged_attn_loss(instances: InstanceSet, draw: SampleDraw,
                            config.alpha, config.pixel_norm)
 
 
-def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray,
-                       m_rec: BinaryMask) -> "tuple[float, np.ndarray]":
-    """||M * eps - M * eps_hat||^2 and its gradient with respect to eps_hat."""
+def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray, m_rec: BinaryMask,
+                       with_grad: bool = True) -> "tuple[float, np.ndarray | None]":
+    """||M * eps - M * eps_hat||^2 and, if with_grad, its gradient with
+    respect to eps_hat (None otherwise)."""
     m3 = m_rec.bits.astype(np.float64)[:, :, None]
-    return float(((m3 * (eps - eps_hat)) ** 2).sum()), 2.0 * m3 * (eps_hat - eps)
+    loss = float(((m3 * (eps - eps_hat)) ** 2).sum())
+    return loss, (2.0 * m3 * (eps_hat - eps) if with_grad else None)
 
 
 def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
@@ -221,7 +223,7 @@ def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
         raise ShapeError(
             f"mask extent {m_rec.height}x{m_rec.width} does not match grid {eps.shape[:2]}"
         )
-    return _rec_loss_and_grad(eps, eps_hat, m_rec)[0]
+    return _rec_loss_and_grad(eps, eps_hat, m_rec, with_grad=False)[0]
 
 
 def total_learning_loss(rec_loss: float, attn_loss: float,
@@ -329,6 +331,8 @@ def run_semantic_learning(scenario, config: LearningConfig,
         emb[pid] = rng.normal(0.0, 0.02, size=dim)
 
     gated_masks = _gated_masks(layers, instances.masks)
+    rec_active = config.lambda_rec > 0.0
+    attn_active = config.lambda_attn > 0.0
 
     trace: "list[TraceRow]" = []
     emb_at_coarse_end: np.ndarray | None = None
@@ -344,7 +348,11 @@ def run_semantic_learning(scenario, config: LearningConfig,
         z_t = ddim_add_noise(z0, eps, t, schedule)
         cache = forward_cache(z_t, emb, layers)
 
-        rec, d_eps = _rec_loss_and_grad(eps, cache.eps_hat, draw.m_rec)
+        # A term with zero weight is still traced, but sends no gradient.
+        rec, d_eps = _rec_loss_and_grad(eps, cache.eps_hat, draw.m_rec,
+                                        with_grad=rec_active)
+        if rec_active:
+            d_eps = config.lambda_rec * d_eps
 
         attn = 0.0
         d_attn: "list[np.ndarray | None] | None" = None
@@ -353,10 +361,13 @@ def run_semantic_learning(scenario, config: LearningConfig,
         else:
             branch = _attn_branch(e, config)
             if config.t_min_attn <= t <= config.t_max_attn:
-                attn, d_attn = _attn_loss_and_grad(
+                attn, grads = _attn_loss_and_grad(
                     [lc.attn for lc in cache.layers], gated_masks, instances,
                     draw, branch, config.alpha, config.pixel_norm,
                 )
+                if attn_active:
+                    d_attn = [None if g is None else config.lambda_attn * g
+                              for g in grads]
 
         total = total_learning_loss(rec, attn, config)
         if not np.isfinite(total):
@@ -364,20 +375,16 @@ def run_semantic_learning(scenario, config: LearningConfig,
                 f"loss became non-finite at iteration {e} (branch {branch})"
             )
 
-        if stage2:
-            res = backprop(cache, d_attn=None, d_eps=config.lambda_rec * d_eps)
-            if config.stage2_rate > 0.0:
+        # With no active term every gradient is zero and the update would
+        # subtract exact zeros, so both are skipped.
+        if d_attn is not None or d_eps is not None:
+            res = backprop(cache, d_attn=d_attn, d_eps=d_eps)
+            if not stage2:
+                for pid in learnable:
+                    emb[pid] -= config.learn_rate * res.d_emb[pid]
+            elif config.stage2_rate > 0.0:
                 for li, lw in enumerate(layers):
                     lw.wv -= config.stage2_rate * res.d_wv[li]
-        else:
-            if d_attn is not None:
-                upstream = [None if g is None else config.lambda_attn * g
-                            for g in d_attn]
-            else:
-                upstream = None
-            res = backprop(cache, d_attn=upstream, d_eps=config.lambda_rec * d_eps)
-            for pid in learnable:
-                emb[pid] -= config.learn_rate * res.d_emb[pid]
 
         trace.append(TraceRow(e, branch, rec, attn, total))
 

@@ -1,20 +1,24 @@
-"""The synthesis hot-path kernels against straightforward reference versions.
+"""The learning and synthesis hot-path kernels against straightforward
+reference versions.
 
 Each reference below is the plain form of a kernel that the engine computes
-with fewer temporaries: a softmax out of place, the noise readout summed in
-the forward pass, a backward pass that multiplies through a zero readout
-gradient, energies squared after masking, one gradient array per instance, a
-dense boolean ``allowed`` matrix for self-attention masking, a per-cell box
-blur and an (n, k, d) K-means distance array. Where the arithmetic is the
-same the results must be bitwise equal; the box blur and the K-means
-distances sum in another order and are held to 1e-12.
+with fewer temporaries: a softmax out of place, layer outputs and pooled
+gradients replicated onto the grid as full-size broadcast copies, the noise
+readout summed in the forward pass, a backward pass that multiplies through a
+zero readout gradient, a learning loop that backpropagates every term on
+every iteration whatever its weight, energies squared after masking, one
+gradient array per instance, a dense boolean ``allowed`` matrix for
+self-attention masking, a per-cell box blur and an (n, k, d) K-means distance
+array. Where the arithmetic is the same the results must be bitwise equal;
+the box blur and the K-means distances sum in another order and are held to
+1e-12.
 """
 import warnings
 
 import numpy as np
 import pytest
 
-from attnctl import gradients, refine, synthesis
+from attnctl import gradients, learning, refine, synthesis
 from attnctl.core import (
     CROSS,
     DECODER,
@@ -28,11 +32,11 @@ from attnctl.denoiser import (
     ForwardCache,
     LayerCache,
     _blockmean,
-    _blockmean_adjoint,
-    _replicate,
     _replicate_adjoint,
+    ddim_add_noise,
     default_params,
     forward_cache,
+    toy_schedule,
     workspace,
 )
 from attnctl.errors import DegenerateInputWarning
@@ -60,6 +64,22 @@ def _same_bits(a, b) -> bool:
 # Reference kernels
 # ---------------------------------------------------------------------------
 
+def ref_replicate(o, h, w, H, W):
+    """Replicate an (h*w, d) layer output back onto the (H, W, d) grid."""
+    d = o.shape[1]
+    bh, bw = H // h, W // w
+    o = o.reshape(h, 1, w, 1, d)
+    return np.broadcast_to(o, (h, bh, w, bw, d)).reshape(H, W, d)
+
+
+def ref_blockmean_adjoint(g, h, w, H, W):
+    """Adjoint of the block mean: spread each pooled gradient over its block."""
+    d = g.shape[1]
+    bh, bw = H // h, W // w
+    g = g.reshape(h, 1, w, 1, d) / (bh * bw)
+    return np.broadcast_to(g, (h, bh, w, bw, d)).reshape(H, W, d)
+
+
 def ref_forward_cache(z, emb, layers):
     H, W, d = z.shape
     cache = ForwardCache(z=z, emb=emb)
@@ -77,7 +97,7 @@ def ref_forward_cache(z, emb, layers):
         attn = e / e.sum(axis=1, keepdims=True)
         out = attn @ v
         cache.layers.append(LayerCache(work, x, q, k, v, attn))
-        acc += _replicate(out, work.height, work.width, H, W)
+        acc += ref_replicate(out, work.height, work.width, H, W)
     cache._eps_hat = acc / len(layers)
     return cache
 
@@ -118,8 +138,56 @@ def ref_backprop(cache, d_attn=None, d_eps=None):
         else:
             dx = dx + dk @ work.wk.T + dv @ work.wv.T
             d_wv.append(lc.x.T @ dv)
-        d_z += _blockmean_adjoint(dx, work.height, work.width, H, W)
+        d_z += ref_blockmean_adjoint(dx, work.height, work.width, H, W)
     return BackpropResult(d_emb=d_emb, d_z=d_z, d_wv=d_wv)
+
+
+def ref_run_semantic_learning(scen, config, schedule, params):
+    """The learning loop with every term always backpropagated: a zero
+    lambda_rec still sends lambda_rec * d_eps through all layers, and an
+    iteration with no attention term still runs the backward pass and
+    subtracts its (zero) embedding gradient. Returns the final embeddings,
+    the embeddings at the end of the coarse stage, each layer's Wv and the
+    trace rows."""
+    instances = scen.instance_set()
+    z0 = scen.z0
+    layers = workspace(params)
+    rng = np.random.default_rng(config.seed)
+    emb = np.zeros((max(instances.placeholder_ids) + 1, z0.shape[2]))
+    for pid in instances.placeholder_ids:
+        emb[pid] = rng.normal(0.0, 0.02, size=z0.shape[2])
+    gated_masks = learning._gated_masks(layers, instances.masks)
+    trace, emb_at_coarse_end = [], None
+    for e in range(config.total_iters):
+        if e == config.coarse_iters:
+            emb_at_coarse_end = emb.copy()
+        stage2 = e >= config.stage1_iters
+        draw = learning.joint_sample(instances, rng)
+        t = int(rng.integers(0, schedule.total_steps))
+        eps = rng.standard_normal(z0.shape)
+        cache = ref_forward_cache(ddim_add_noise(z0, eps, t, schedule), emb, layers)
+        m3 = draw.m_rec.bits.astype(np.float64)[:, :, None]
+        rec = float(((m3 * (eps - cache.eps_hat)) ** 2).sum())
+        d_eps = 2.0 * m3 * (cache.eps_hat - eps)
+        branch = learning.BRANCH_STAGE2 if stage2 else learning._attn_branch(e, config)
+        attn, upstream = 0.0, None
+        if not stage2 and config.t_min_attn <= t <= config.t_max_attn:
+            attn, d_attn = learning._attn_loss_and_grad(
+                [lc.attn for lc in cache.layers], gated_masks, instances, draw,
+                branch, config.alpha, config.pixel_norm)
+            upstream = [None if g is None else config.lambda_attn * g for g in d_attn]
+        res = ref_backprop(cache, d_attn=upstream, d_eps=config.lambda_rec * d_eps)
+        if stage2:
+            for li, lw in enumerate(layers):
+                lw.wv -= config.stage2_rate * res.d_wv[li]
+        else:
+            for pid in instances.placeholder_ids:
+                emb[pid] -= config.learn_rate * res.d_emb[pid]
+        trace.append(learning.TraceRow(
+            e, branch, rec, attn, config.lambda_rec * rec + config.lambda_attn * attn))
+    if emb_at_coarse_end is None:  # coarse_iters == total_iters
+        emb_at_coarse_end = emb.copy()
+    return emb, emb_at_coarse_end, [lw.wv for lw in layers], trace
 
 
 def ref_sa_energies(attn, m_flat):
@@ -421,6 +489,53 @@ def test_kmeans_matches_reference_distances(monkeypatch, seed, duplicate):
 # ---------------------------------------------------------------------------
 # End to end
 # ---------------------------------------------------------------------------
+
+# (grid, seed, lambda_rec, lambda_attn, coarse_iters, pixel_norm): both grids,
+# both reconstruction weights, each coarse/fine split from penalty-only (0) to
+# reward-only (coarse_iters == total_iters), and a zero attention weight.
+LEARNING_CONFIGS = [
+    (grid, seed, lambda_rec, 1.0, coarse, (seed + coarse // 50) % 2 == 1)
+    for grid in (8, 16)
+    for lambda_rec in (0.0, 1.0)
+    for seed, coarse in zip((0, 1, 2, 0, 1, 2), (0, 50, 100, 200, 400, 800))
+    if grid == 8 or coarse <= 200
+] + [(8, 1, 1.0, 0.0, 50, False), (16, 2, 0.0, 0.0, 0, True)]
+
+
+@pytest.mark.parametrize(
+    "grid,seed,lambda_rec,lambda_attn,coarse,pixel_norm", LEARNING_CONFIGS)
+def test_run_semantic_learning_matches_reference_loop_bitwise(
+        grid, seed, lambda_rec, lambda_attn, coarse, pixel_norm):
+    scen = generate_scenario((grid, grid), 2, rho=0.8, seed=seed, dim=8)
+    params = default_params(8, grid, grid, seed=7)
+    schedule = toy_schedule(50, 0.9999, 0.9)
+    # A reward-only run ends with the coarse stage; the others add 40 more
+    # embedding iterations, then 20 value-refinement (stage 2) iterations.
+    stage1 = coarse if coarse == 800 else coarse + 40
+    config = learning.LearningConfig(
+        lambda_rec=lambda_rec, lambda_attn=lambda_attn,
+        total_iters=stage1 if coarse == 800 else stage1 + 20,
+        stage1_iters=stage1, coarse_iters=coarse,
+        learn_rate=2000.0 if lambda_rec == 0.0 else 0.5, stage2_rate=1e-5,
+        pixel_norm=pixel_norm, seed=seed)
+    new = learning.run_semantic_learning(scen, config, schedule=schedule, params=params)
+    emb, emb_at_coarse_end, wv, trace = ref_run_semantic_learning(
+        scen, config, schedule, params)
+    assert _same_bits(new.embedding_matrix, emb)
+    assert _same_bits(new.emb_at_coarse_end, emb_at_coarse_end)
+    for layer, ref_wv in zip(new.params.layers, wv):
+        assert _same_bits(layer.wv, ref_wv)
+    assert [r.branch for r in new.trace] == [r.branch for r in trace]
+    for field in ("iteration", "rec_loss", "attn_loss", "total"):
+        assert _same_bits([getattr(r, field) for r in new.trace],
+                          [getattr(r, field) for r in trace])
+    # Where a term is active the run learned something, so equal bits are
+    # not two runs that both stood still.
+    if lambda_rec + lambda_attn > 0.0 and coarse < 800:
+        assert not _same_bits(new.embedding_matrix, new.emb_at_coarse_end)
+    if lambda_rec > 0.0 and coarse < 800:
+        assert not all(_same_bits(a.wv, b.wv)
+                       for a, b in zip(new.params.layers, params.layers))
 
 def test_run_synthesis_with_reference_kernels_is_bitwise_equal(monkeypatch):
     scen = generate_scenario((16, 16), 2, rho=0.8, seed=0, dim=4)

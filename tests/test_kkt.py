@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from attnctl.errors import ConfigurationError, DivergenceError, ShapeError
@@ -42,6 +44,49 @@ def test_simplex_project_properties():
         assert np.all(p >= 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(simplex_project(p), p, atol=1e-12)
+
+
+# Seeded: each run draws the same examples and writes no example database.
+_seeded = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+_vectors = st.lists(
+    st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=12,
+).map(np.array)
+
+
+def ref_simplex_project(v):
+    """Sort-based projection (Duchi et al. 2008), one rank at a time: theta
+    is the shift at the largest rank j whose j-th largest entry exceeds
+    (sum of the j largest - 1) / j."""
+    u = sorted(v, reverse=True)
+    theta, total = 0.0, 0.0
+    for j, uj in enumerate(u, start=1):
+        total += uj
+        if uj > (total - 1.0) / j:
+            theta = (total - 1.0) / j
+    return np.maximum(np.asarray(v) - theta, 0.0)
+
+
+@_seeded
+@given(_vectors)
+def test_simplex_project_lands_on_simplex(v):
+    p = simplex_project(v)
+    assert p.shape == v.shape
+    assert np.all(p >= 0.0)
+    assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@_seeded
+@given(_vectors)
+def test_simplex_project_is_idempotent(v):
+    p = simplex_project(v)
+    assert np.allclose(simplex_project(p), p, rtol=0.0, atol=1e-12)
+
+
+@_seeded
+@given(_vectors)
+def test_simplex_project_matches_sort_reference(v):
+    assert np.allclose(simplex_project(v), ref_simplex_project(v), rtol=0.0, atol=1e-9)
 
 
 def test_simplex_project_matches_slsqp():

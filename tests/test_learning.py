@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from attnctl import learning
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import default_params, toy_schedule
 from attnctl.errors import ConfigurationError, DivergenceError, ShapeError
@@ -318,3 +319,49 @@ def test_learning_is_deterministic():
     b = run_semantic_learning(_tiny_scenario(), cfg, schedule=toy_schedule(10))
     assert np.array_equal(a.tokens[1].vector, b.tokens[1].vector)
     assert [r.total for r in a.trace] == [r.total for r in b.trace]
+
+
+def _count_backprop_calls(monkeypatch, config):
+    """Run the loop on the tiny scenario, logging in order each attention
+    loss evaluation ("attn") and each backprop call with the d_eps it got."""
+    events = []
+    attn_loss_and_grad, backprop = learning._attn_loss_and_grad, learning.backprop
+
+    def logged_attn(*args):
+        events.append(("attn", None))
+        return attn_loss_and_grad(*args)
+
+    def logged_backprop(cache, d_attn=None, d_eps=None):
+        events.append(("backprop", d_eps))
+        return backprop(cache, d_attn=d_attn, d_eps=d_eps)
+
+    monkeypatch.setattr(learning, "_attn_loss_and_grad", logged_attn)
+    monkeypatch.setattr(learning, "backprop", logged_backprop)
+    result = run_semantic_learning(_tiny_scenario(), config, schedule=toy_schedule(10))
+    return result, events
+
+
+def test_zero_rec_weight_backprops_only_attention_iterations(monkeypatch):
+    # Levels 0..4 of 10 carry the attention term; the last 10 iterations are
+    # stage 2, which has none. With lambda_rec = 0 an iteration without the
+    # attention term has no gradient at all, so it must not backpropagate.
+    cfg = LearningConfig(lambda_rec=0.0, lambda_attn=1.0, total_iters=40,
+                         stage1_iters=30, coarse_iters=10, t_max_attn=4)
+    result, events = _count_backprop_calls(monkeypatch, cfg)
+    kinds = [kind for kind, _ in events]
+    n_attn = kinds.count("attn")
+    assert 0 < n_attn < 30
+    # Each attention evaluation is followed by exactly one backprop, which
+    # gets no readout gradient.
+    assert kinds == ["attn", "backprop"] * n_attn
+    assert all(d_eps is None for kind, d_eps in events if kind == "backprop")
+    assert sum(row.attn_loss != 0.0 for row in result.trace) == n_attn
+
+
+def test_active_rec_weight_backprops_every_iteration(monkeypatch):
+    cfg = LearningConfig(lambda_rec=1.0, total_iters=12, stage1_iters=8,
+                         coarse_iters=4, t_max_attn=4)
+    _, events = _count_backprop_calls(monkeypatch, cfg)
+    calls = [d_eps for kind, d_eps in events if kind == "backprop"]
+    assert len(calls) == 12
+    assert all(d_eps is not None for d_eps in calls)
