@@ -233,8 +233,11 @@ class LayerCache:
 class ForwardCache:
     """Everything the hand-written backward pass needs.
 
-    ``eps_hat``, the noise prediction from the unmodified maps, is computed
-    by ``readout_eps`` on first read and kept.
+    ``eps_hat``, the noise prediction from the cached maps, is computed by
+    ``readout_eps`` on first read and kept. Synthesis masks the cached maps
+    in place once it has read them raw: from then on they are no longer the
+    softmax output, so ``eps_hat`` and ``backprop`` are stale. The loop
+    takes its masked readout from ``readout_eps`` instead.
     """
 
     z: np.ndarray          # (H, W, d)
@@ -242,10 +245,14 @@ class ForwardCache:
     layers: "list[LayerCache]" = field(default_factory=list)
     _eps_hat: np.ndarray | None = field(default=None, init=False, repr=False)
 
+    def maps(self) -> "list[np.ndarray]":
+        """The cached attention maps in layer order (the arrays themselves)."""
+        return [lc.attn for lc in self.layers]
+
     @property
     def eps_hat(self) -> np.ndarray:
         if self._eps_hat is None:
-            self._eps_hat = readout_eps(self, [lc.attn for lc in self.layers])
+            self._eps_hat = readout_eps(self, self.maps())
         return self._eps_hat
 
 
@@ -354,8 +361,7 @@ def forward_denoise(z, t: int, tokens: "list[TokenEmbedding]",
         raise ValueError(f"timestep {t} must be >= 0")
     emb = _token_matrix(tokens, params.dim)
     cache = forward_cache(z, emb, workspace(params))
-    record = record_from_maps([lc.work for lc in cache.layers],
-                              [lc.attn for lc in cache.layers])
+    record = record_from_maps([lc.work for lc in cache.layers], cache.maps())
     return cache.eps_hat, record
 
 

@@ -131,7 +131,7 @@ def _learning_losses(fx: _Fixture, branch: str):
     cache = forward_cache(fx.z, fx.emb, fx.layers)
     rec, d_eps = _rec_loss_and_grad(fx.eps, cache.eps_hat, fx.draw.m_rec)
     attn, d_attn = _attn_loss_and_grad(
-        [lc.attn for lc in cache.layers], _gated_masks(fx.layers, fx.instances.masks),
+        cache.maps(), _gated_masks(fx.layers, fx.instances.masks),
         fx.instances, fx.draw, branch, fx.config.alpha, fx.config.pixel_norm,
     )
     return cache, rec, d_eps, attn, d_attn
@@ -186,15 +186,14 @@ def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
     # --- combined box-control loss wrt latent ------------------------------
     alpha_t = alpha_decay(fx.decay_step, fx.sched)
     cache = forward_cache(fx.z, fx.emb, fx.layers)
-    maps = [lc.attn for lc in cache.layers]
+    maps = cache.maps()
     per_terms, _ = _box_loss_terms(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn)
     d_attn = _box_loss_grads(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn,
                              per_terms)
     analytic = backprop(cache, d_attn=d_attn, d_eps=None).d_z
 
     def combined_value():
-        c = forward_cache(fx.z, fx.emb, fx.layers)
-        m = [lc.attn for lc in c.layers]
+        m = forward_cache(fx.z, fx.emb, fx.layers).maps()
         return _box_loss_terms(fx.layers, m, fx.masks, fx.groups, alpha_t, fx.syn)[1]
 
     results.append(compare("combined_box_wrt_latent", analytic,

@@ -22,12 +22,10 @@ Backward, given dL/dA (attention losses) and dL/deps_hat (reconstruction):
     dQ  = s dZ K ;  dK = s dZ^T Q ;  dV = A^T dO
     dX  = dQ Wq^T  (+ dK Wk^T + dV Wv^T for self attention)
     d_emb += dK Wk^T + dV Wv^T           # cross attention only
-    d_z   += blockmean_adjoint(dX)
+    d_z   += blockmean_adjoint(dX)       # on first read of ``d_z``
     dWv = src^T dV
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +33,38 @@ from .core import CROSS
 from .denoiser import ForwardCache, _blocks, _replicate_adjoint
 
 
-@dataclass
 class BackpropResult:
-    d_emb: np.ndarray             # (n_tokens, d)
-    d_z: np.ndarray               # (H, W, d)
-    d_wv: "list[np.ndarray]"      # per layer, (d, d)
+    """Gradients on the embeddings (n_tokens, d), the latent (H, W, d) and
+    each layer's value projection (d, d).
+
+    ``d_z`` is given as an array, or as a function that builds it; the
+    function runs on first read and its array is kept. ``backprop`` passes
+    one that spreads each layer's dX onto the grid, so learning, which reads
+    only ``d_emb`` and ``d_wv``, never pays for the full-grid gradient.
+    """
+
+    def __init__(self, d_emb: np.ndarray, d_z, d_wv: "list[np.ndarray]"):
+        self.d_emb = d_emb
+        self._d_z = d_z
+        self.d_wv = d_wv
+
+    @property
+    def d_z(self) -> np.ndarray:
+        if callable(self._d_z):
+            self._d_z = self._d_z()
+        return self._d_z
+
+
+def _spread_latent_grad(shape: "tuple[int, int, int]",
+                        dxs: "list[tuple[int, int, np.ndarray]]") -> np.ndarray:
+    """The adjoint of each layer's block mean, summed in layer order: every
+    (h, w) layer's dX, divided by the block size, added over its blocks."""
+    H, W, _ = shape
+    d_z = np.zeros(shape, order="C")
+    for h, w, dx in dxs:
+        blocks = _blocks(d_z, h, w)
+        blocks += dx.reshape(h, 1, w, 1, -1) / ((H // h) * (W // w))
+    return d_z
 
 
 def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
@@ -61,11 +86,11 @@ def backprop(cache: ForwardCache,
     and a None term costs no backprop (with d_eps None, dV and dWv are not
     computed), so callers pass None, not zeros, for a zero-weighted term.
     """
-    H, W, d = cache.z.shape
+    d = cache.z.shape[2]
     n_layers = len(cache.layers)
     scale = 1.0 / np.sqrt(d)
     d_emb = np.zeros_like(cache.emb)
-    d_z = np.zeros_like(cache.z, order="C")
+    dxs: "list[tuple[int, int, np.ndarray]]" = []  # spread into d_z on read
     d_wv: "list[np.ndarray]" = []
 
     for idx, lc in enumerate(cache.layers):
@@ -105,9 +130,9 @@ def backprop(cache: ForwardCache,
             d_emb += d_src
         else:
             dx = d_src
-        # Adjoint of the block mean: spread dX / block size over each block.
-        h, w = work.height, work.width
-        blocks = _blocks(d_z, h, w)
-        blocks += dx.reshape(h, 1, w, 1, d) / ((H // h) * (W // w))
+        dxs.append((work.height, work.width, dx))
 
-    return BackpropResult(d_emb=d_emb, d_z=d_z, d_wv=d_wv)
+    shape = cache.z.shape
+    return BackpropResult(d_emb=d_emb,
+                          d_z=lambda: _spread_latent_grad(shape, dxs),
+                          d_wv=d_wv)

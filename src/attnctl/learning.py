@@ -362,7 +362,7 @@ def run_semantic_learning(scenario, config: LearningConfig,
             branch = _attn_branch(e, config)
             if config.t_min_attn <= t <= config.t_max_attn:
                 attn, grads = _attn_loss_and_grad(
-                    [lc.attn for lc in cache.layers], gated_masks, instances,
+                    cache.maps(), gated_masks, instances,
                     draw, branch, config.alpha, config.pixel_norm,
                 )
                 if attn_active:

@@ -9,7 +9,20 @@ the control masks are periodically refined from the attention itself.
 
 Control losses and their latent gradients are always evaluated on the raw
 (unmasked) maps — the masked maps have zeros exactly where the penalty term
-needs support, which would kill the gradient.
+needs support, which would kill the gradient. Each sampling step therefore
+runs in this order:
+
+1. forward pass; box loss on the raw maps;
+2. in the optimization phase: the loss gradient, backprop and a latent step,
+   then a fresh forward pass and the loss again, on the new raw maps;
+3. leakage on the raw maps;
+4. masking, in place: from here on the step's maps are the masked ones;
+5. the noise readout and (when due) the mask refresh from the masked maps;
+6. the DDIM step.
+
+A step keeps one set of maps alive at a time, plus the gradient buffers of
+its optimization: each forward pass's maps are dropped before the next pass
+builds new ones, and masking writes into them instead of copying.
 """
 from __future__ import annotations
 
@@ -358,18 +371,17 @@ def latent_opt_step(z: np.ndarray, grad: np.ndarray, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
-    """Suppress out-of-box attention in every layer's map.
+    """Suppress out-of-box attention in every layer's map, in place.
 
     Cross attention: zero each instance token's weight at pixels outside its
     mask. Self attention: zero attention from in-box pixels to out-of-box
     targets. Rows are renormalized; a fully suppressed row falls back to
-    uniform over its permitted targets (diagnostic warning). Callers check
-    the token ids.
+    uniform over its permitted targets (diagnostic warning). The given
+    arrays are overwritten and returned as a list; a caller that still needs
+    the raw maps passes copies. Callers check the token ids.
     """
-    out = []
     for layer, attn in zip(layers, maps):
         h, w = layer.height, layer.width
-        attn = attn.copy()
         if layer.attn_type == CROSS:
             for i, group in enumerate(groups):
                 m = masks[i][(h, w)].flat()
@@ -402,8 +414,7 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
                     attn[r, ok] = 1.0 / ok.sum()
             sums = attn.sum(axis=1, keepdims=True)
         attn /= sums
-        out.append(attn)
-    return out
+    return maps
 
 
 def _rows_by_boxes(inside: np.ndarray):
@@ -428,7 +439,8 @@ def apply_attention_masking(record: AttentionRecord, masks, groups) -> Attention
     for layer in record.layers:
         if layer.attn_type == CROSS:
             check_tokens(tokens, layer.amap.cols)
-    masked = _mask_maps(record.layers, record.maps(), masks, groups)
+    masked = _mask_maps(record.layers, [m.copy() for m in record.maps()],
+                        masks, groups)
     return record_from_maps(record.layers, masked)
 
 
@@ -518,9 +530,11 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     Returns the predicted clean latent, per-step metrics, and the final
     control masks. Steps 1..bound_steps carry one latent-optimization
     iteration each (decay step = sampling step); later steps apply masking
-    only and refresh the masks every ``update_interval`` steps. Raises
-    DivergenceError naming the step once the control loss or the latent
-    goes non-finite.
+    only and refresh the masks every ``update_interval`` steps. Within a
+    step the raw maps are read first (box loss, its gradient, leakage) and
+    then masked in place for the noise readout and the refresh; see the
+    module docstring. Raises DivergenceError naming the step once the
+    control loss or the latent goes non-finite.
     """
     config.validate()
     if sched is None:
@@ -571,83 +585,129 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     else:
         z = rng.standard_normal((*latent_shape, params.dim))
 
-    steps: "list[StepMetrics]" = []
-    refined_any = False
-    prev_centers = None
+    n_clusters = 0
     if refinement is not None:
         refinement.validate()
-    n_clusters = 0
-    if refinement is not None and refinement.enabled:
-        n_clusters = refinement.clusters if refinement.clusters > 0 else len(boxes) + 1
-
+        if refinement.enabled:
+            n_clusters = refinement.clusters if refinement.clusters > 0 else len(boxes) + 1
+    run = _SamplingRun(emb=emb, layers=layers, groups=groups, masks=masks,
+                       resolutions=resolutions, config=config, sched=sched,
+                       schedule=schedule, refinement=refinement,
+                       n_clusters=n_clusters)
+    steps: "list[StepMetrics]" = []
     for step in range(1, config.total_steps + 1):
-        t = config.total_steps - step
-        optimizing = step <= config.bound_steps
-        alpha_t = alpha_decay(min(step, sched.horizon), sched)
+        z, metrics = _sampling_step(run, z, step)
+        steps.append(metrics)
+    return SynthesisResult(z_final=z, steps=steps, masks=run.masks,
+                           refined=run.refined)
 
-        cache = forward_cache(z, emb, layers)
-        maps = [lc.attn for lc in cache.layers]
-        per_terms, total = _box_loss_terms(layers, maps, masks, groups, alpha_t, config)
-        per_losses = [p.loss for p in per_terms]
-        total_after = total
 
-        if optimizing and config.beta > 0.0:
-            d_attn = _box_loss_grads(layers, maps, masks, groups, alpha_t,
-                                     config, per_terms)
-            res = backprop(cache, d_attn=d_attn, d_eps=None)
-            z = latent_opt_step(z, res.d_z, config.beta)
-            cache = forward_cache(z, emb, layers)
-            maps = [lc.attn for lc in cache.layers]
-            _, total_after = _box_loss_terms(layers, maps, masks, groups, alpha_t, config)
-            if not np.isfinite(total_after):
-                raise DivergenceError(f"synthesis loss non-finite at step {step}")
+@dataclass
+class _SamplingRun:
+    """What a run carries from step to step: its fixed inputs, the control
+    masks (replaced at a refresh) and the last refresh's K-means centers."""
 
-        leakage = _leakage_from_maps(layers, maps, masks, groups)
-        steps.append(StepMetrics(
-            step=step, t=t, alpha_t=float(alpha_t),
-            per_instance=tuple(per_losses), total=float(total),
-            total_after=float(total_after), leakage=tuple(leakage),
-        ))
+    emb: np.ndarray
+    layers: list
+    groups: "list[list[int]]"
+    masks: "list[dict]"
+    resolutions: "list[tuple[int, int]]"
+    config: SynthesisConfig
+    sched: ScheduleParams
+    schedule: NoiseSchedule
+    refinement: "refine.RefinementConfig | None"
+    n_clusters: int               # 0: no refresh
+    prev_centers: np.ndarray | None = None
+    refined: bool = False         # True once refinement replaced a box mask
 
-        masked = _mask_maps(layers, maps, masks, groups) if config.use_masking else maps
-        eps_hat = readout_eps(cache, masked)
 
-        due = (
-            n_clusters > 0
-            and not optimizing
-            and config.update_interval > 0
-            and (step - config.bound_steps) % config.update_interval == 0
-        )
-        if due:
-            ca_masks = refine.compute_ca_masks(
-                layers, masked, groups, refinement.smoothing, refinement.sigma_noun
+def _sampling_step(run: _SamplingRun, z: np.ndarray,
+                   step: int) -> "tuple[np.ndarray, StepMetrics]":
+    """One sampling step, in the order the module docstring gives: the
+    latent after it and the step's metrics. The step's maps are local here,
+    so none of them outlives the step."""
+    config, layers, masks, groups = run.config, run.layers, run.masks, run.groups
+    t = config.total_steps - step
+    optimizing = step <= config.bound_steps
+    alpha_t = alpha_decay(min(step, run.sched.horizon), run.sched)
+
+    cache = forward_cache(z, run.emb, layers)
+    per_terms, total = _box_loss_terms(layers, cache.maps(), masks, groups,
+                                       alpha_t, config)
+    total_after = total
+    if optimizing and config.beta > 0.0:
+        z = _latent_step(z, cache, run, alpha_t, per_terms)
+        del cache  # drop the old maps before the forward pass builds new ones
+        cache = forward_cache(z, run.emb, layers)
+        _, total_after = _box_loss_terms(layers, cache.maps(), masks, groups,
+                                         alpha_t, config)
+        if not np.isfinite(total_after):
+            raise DivergenceError(f"synthesis loss non-finite at step {step}")
+
+    maps = cache.maps()
+    leakage = _leakage_from_maps(layers, maps, masks, groups)
+    metrics = StepMetrics(
+        step=step, t=t, alpha_t=float(alpha_t),
+        per_instance=tuple(p.loss for p in per_terms), total=float(total),
+        total_after=float(total_after), leakage=tuple(leakage),
+    )
+
+    if config.use_masking:
+        maps = _mask_maps(layers, maps, masks, groups)  # the cache's own maps
+    eps_hat = readout_eps(cache, maps)
+    due = (
+        run.n_clusters > 0
+        and not optimizing
+        and config.update_interval > 0
+        and (step - config.bound_steps) % config.update_interval == 0
+    )
+    if due:
+        _refresh_masks(run, maps)
+
+    if t > 0:
+        z = ddim_step(z, eps_hat, t, t - 1, run.schedule)
+    else:
+        z = predict_clean(z, eps_hat, 0, run.schedule)
+    if not np.all(np.isfinite(z)):
+        raise DivergenceError(f"synthesis latent non-finite after step {step}")
+    return z, metrics
+
+
+def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
+                 per_terms: "list[_InstanceTerms]") -> np.ndarray:
+    """The latent after one gradient step on the box loss of ``cache``'s raw
+    maps. The gradient buffers are local here and go when it returns."""
+    d_attn = _box_loss_grads(run.layers, cache.maps(), run.masks, run.groups,
+                             alpha_t, run.config, per_terms)
+    res = backprop(cache, d_attn=d_attn, d_eps=None)
+    return latent_opt_step(z, res.d_z, run.config.beta)
+
+
+def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
+    """Refine the control masks from a step's masked maps: coarse masks from
+    the cross-attention maps, K-means over the first gated self-attention
+    map, clusters assigned to instances. An instance whose refined mask is
+    empty keeps its previous one."""
+    refinement = run.refinement
+    ca_masks = refine.compute_ca_masks(
+        run.layers, maps, run.groups, refinement.smoothing, refinement.sigma_noun
+    )
+    sa_layers = gated_layers(run.layers, SELF)
+    if not sa_layers:
+        return
+    state = refine.kmeans_self_attention(
+        maps[sa_layers[0]], run.n_clusters, prev_centers=run.prev_centers,
+        seed=run.config.seed,
+    )
+    run.prev_centers = state.centers
+    new_masks = refine.assign_clusters(ca_masks, state, refinement.sigma_cluster)
+    for i, nm in enumerate(new_masks):
+        if nm.is_empty():
+            # stacklevel 4 names the caller of run_synthesis.
+            warnings.warn(
+                f"refined mask for instance {i} is empty; keeping previous",
+                DegenerateInputWarning, stacklevel=4,
             )
-            sa_layers = gated_layers(layers, SELF)
-            if sa_layers:
-                features = masked[sa_layers[0]]
-                state = refine.kmeans_self_attention(
-                    features, n_clusters, prev_centers=prev_centers,
-                    seed=config.seed,
-                )
-                prev_centers = state.centers
-                new_masks = refine.assign_clusters(
-                    ca_masks, state, refinement.sigma_cluster
-                )
-                for i, nm in enumerate(new_masks):
-                    if nm.is_empty():
-                        warnings.warn(
-                            f"refined mask for instance {i} is empty; keeping previous",
-                            DegenerateInputWarning, stacklevel=2,
-                        )
-                        continue
-                    masks[i] = masks_at_all_resolutions(nm, resolutions)
-                    refined_any = True
-
-        if t > 0:
-            z = ddim_step(z, eps_hat, t, t - 1, schedule)
-        else:
-            z = predict_clean(z, eps_hat, 0, schedule)
-        if not np.all(np.isfinite(z)):
-            raise DivergenceError(f"synthesis latent non-finite after step {step}")
-
-    return SynthesisResult(z_final=z, steps=steps, masks=masks, refined=refined_any)
+            continue
+        run.masks[i] = masks_at_all_resolutions(nm, run.resolutions)
+        run.refined = True

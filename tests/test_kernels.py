@@ -17,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnctl import gradients, learning, refine, synthesis
 from attnctl.core import (
@@ -24,6 +26,7 @@ from attnctl.core import (
     DECODER,
     SELF,
     AttentionMap,
+    AttentionRecord,
     BinaryMask,
     LayerAttention,
     gated_layers,
@@ -49,6 +52,7 @@ from attnctl.synthesis import (
     _box_loss_terms,
     _mask_maps,
     _sa_energies,
+    apply_attention_masking,
     instance_masks_from_boxes,
     run_synthesis,
 )
@@ -405,8 +409,9 @@ def test_mask_maps_matches_reference_bitwise_with_overlapping_boxes():
     assert both.any()  # some pixel lies in both boxes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        new = _mask_maps(layers, maps, masks, groups)
-        ref = ref_mask_maps(layers, maps, masks, groups)
+        # _mask_maps writes into its arrays: each kernel gets its own copy.
+        new = _mask_maps(layers, [m.copy() for m in maps], masks, groups)
+        ref = ref_mask_maps(layers, [m.copy() for m in maps], masks, groups)
     for a, b in zip(new, ref):
         assert _same_bits(a, b)
 
@@ -423,12 +428,85 @@ def test_mask_maps_dead_row_fallback_matches_reference_bitwise():
     masks = [{(2, 2): BinaryMask([[1, 1], [0, 0]])},
              {(2, 2): BinaryMask([[0, 1], [0, 1]])}]
     with pytest.warns(DegenerateInputWarning):
-        new = _mask_maps(layers, [attn], masks, [[1], [2]])
+        new = _mask_maps(layers, [attn.copy()], masks, [[1], [2]])
     with pytest.warns(DegenerateInputWarning):
-        ref = ref_mask_maps(layers, [attn], masks, [[1], [2]])
+        ref = ref_mask_maps(layers, [attn.copy()], masks, [[1], [2]])
     assert _same_bits(new[0], ref[0])
     assert _same_bits(new[0][0], [0.5, 0.5, 0.0, 0.0])
     assert new[0][1, 2] == 0.0 and new[0][1, 1] > 0.0
+
+
+# Seeded: each run draws the same examples and writes no example database.
+_seeded = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def _masking_problems(draw):
+    """A decoder CA and SA layer pair on an h x w grid with row-stochastic
+    maps, some of whose weights are exact zeros (so masking can kill whole
+    rows), and 1-3 instances with random masks and token groups."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n, cols = h * w, draw(st.integers(2, 5))
+    n_inst = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sparsity = draw(st.sampled_from([0.0, 0.5, 0.9]))
+
+    def stochastic(rows, targets):
+        a = rng.random((rows, targets)) * (rng.random((rows, targets)) >= sparsity)
+        a[np.arange(rows), rng.integers(0, targets, rows)] += 0.5  # no zero row
+        return a / a.sum(axis=1, keepdims=True)
+
+    layers = [LayerAttention(DECODER, CROSS, h, w, AttentionMap(stochastic(n, cols))),
+              LayerAttention(DECODER, SELF, h, w, AttentionMap(stochastic(n, n)))]
+    masks = [{(h, w): BinaryMask(rng.random((h, w)) < 0.5)} for _ in range(n_inst)]
+    groups = [sorted(rng.choice(cols, size=rng.integers(1, cols), replace=False).tolist())
+              for _ in range(n_inst)]
+    return layers, masks, groups
+
+
+def _writable_maps(layers):
+    return [layer.amap.weights.copy() for layer in layers]
+
+
+@_seeded
+@given(_masking_problems())
+def test_masked_maps_stay_row_stochastic(problem):
+    layers, masks, groups = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        out = _mask_maps(layers, _writable_maps(layers), masks, groups)
+    for attn in out:
+        assert np.all(attn >= 0.0)
+        assert np.all(np.abs(attn.sum(axis=1) - 1.0) <= 1e-12)
+
+
+@_seeded
+@given(_masking_problems())
+def test_in_place_masking_matches_reference_on_a_copy(problem):
+    layers, masks, groups = problem
+    maps = _writable_maps(layers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        ref = ref_mask_maps(layers, [m.copy() for m in maps], masks, groups)
+        out = _mask_maps(layers, maps, masks, groups)
+    assert all(a is b for a, b in zip(out, maps))  # masked where they lie
+    for a, b in zip(out, ref):
+        assert _same_bits(a, b)
+
+
+@_seeded
+@given(_masking_problems())
+def test_apply_attention_masking_leaves_its_record_alone(problem):
+    layers, masks, groups = problem
+    record = AttentionRecord(tuple(layers))
+    before = [m.tobytes() for m in record.maps()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        masked = apply_attention_masking(record, masks, groups)
+        ref = ref_mask_maps(layers, _writable_maps(layers), masks, groups)
+    assert [m.tobytes() for m in record.maps()] == before
+    for a, b in zip(masked.maps(), ref):
+        assert _same_bits(a, b)
 
 
 # ---------------------------------------------------------------------------

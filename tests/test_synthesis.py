@@ -1,11 +1,14 @@
 """Box control: rasterization, the decay schedule, scores, masking, the loop."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import default_params, toy_schedule
+from attnctl.refine import RefinementConfig
 from attnctl.errors import (
     ConfigurationError,
     DegenerateInputWarning,
@@ -389,3 +392,37 @@ def test_write_steps_csv(tmp_path):
     assert first[0] == "1" and first[1] == "19"
     with pytest.raises(ConfigurationError):
         write_steps_csv([], str(path))
+
+
+def test_run_synthesis_keeps_about_one_self_attention_map_alive():
+    # At 64x64 the decoder self attention is a 1024 x 1024 map of 8 MB. A
+    # step holds that map, plus the loss gradient on it and the softmax
+    # backward's buffer while it optimizes; the previous forward pass's maps,
+    # masked copies and gradients must be gone by then. Steps 1-4 optimize,
+    # all mask, and steps 6 and 8 refresh the masks.
+    sc = generate_scenario((64, 64), 2, rho=0.8, seed=0, dim=16)
+    tokens = synthesis_tokens(sc, gain=10.0)
+    params = default_params(16, 64, 64, seed=7)
+    cfg = SynthesisConfig(beta=128.0, total_steps=8, bound_steps=4,
+                          update_interval=2, seed=3)
+    latent = np.random.default_rng(0).standard_normal((64, 64, 16))
+    sa_map_bytes = (32 * 32) ** 2 * 8
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateInputWarning)
+            result = run_synthesis(tokens, params, sc.boxes(), cfg,
+                                   sched=ScheduleParams(horizon=4),
+                                   refinement=RefinementConfig(),
+                                   initial_latent=latent)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert result.refined
+    assert result.steps[0].total_after != result.steps[0].total
+    assert peak <= 4 * sa_map_bytes, f"peak {peak / sa_map_bytes:.2f} maps"
