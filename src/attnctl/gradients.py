@@ -60,7 +60,7 @@ def _spread_latent_grad(shape: "tuple[int, int, int]",
     """The adjoint of each layer's block mean, summed in layer order: every
     (h, w) layer's dX, divided by the block size, added over its blocks."""
     H, W, _ = shape
-    d_z = np.zeros(shape, order="C")
+    d_z = np.zeros(shape)
     for h, w, dx in dxs:
         blocks = _blocks(d_z, h, w)
         blocks += dx.reshape(h, 1, w, 1, -1) / ((H // h) * (W // w))
