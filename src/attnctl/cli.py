@@ -11,30 +11,11 @@ import json
 import sys
 
 from . import __version__
-from .denoiser import (
-    default_params,
-    load_params,
-    load_tokens,
-    toy_schedule,
-)
 from .errors import ConfigurationError, DivergenceError
-from .fileio import atomic_write_text, write_csv
+from .fileio import atomic_write_text
 from .gradcheck import REL_TOL, format_results, run_gradcheck
-from .harness import (
-    METRICS_HEADER,
-    RunDir,
-    _scenario_from_config,
-    parse_config,
-    report,
-    run_experiment,
-    write_learning,
-    write_manifest,
-    write_synthesis,
-)
+from .harness import report, run_experiment, run_learn, run_synthesize
 from .kkt import REWARD_VARIANTS, oracle_report
-from .learning import run_semantic_learning
-from .scenario import synthesis_tokens
-from .synthesis import run_synthesis
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,16 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_learn(args) -> int:
-    cfg, config_bytes = parse_config(args.config)
-    run = RunDir(args.out)
-    scenario = _scenario_from_config(cfg.scenario)
-    result = run_semantic_learning(scenario, cfg.learning)
-    rows = write_learning(run, scenario, result)
-    write_csv(run.file("metrics.csv"), METRICS_HEADER, rows)
-    write_manifest(run, cfg, config_bytes)
-
+    learn, rows = run_learn(args.config, args.out)
     print(f"learned {len(rows)} instance embeddings "
-          f"in {cfg.learning.total_iters} iterations")
+          f"in {len(learn.trace)} iterations")
     for row in rows:
         print(f"instance {row[1]}: leakage {row[2]:.4f}, argmax IoU {row[3]:.4f}")
     print(f"artifacts in {args.out}")
@@ -93,30 +67,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    cfg, config_bytes = parse_config(args.config)
-    run = RunDir(args.out)
-    scenario = _scenario_from_config(cfg.scenario)
-
-    if args.embeddings:
-        tokens = load_tokens(args.embeddings)
-    else:
-        tokens = synthesis_tokens(scenario)
-    if args.params:
-        params = load_params(args.params)
-    else:
-        dim = tokens[0].vector.size
-        params = default_params(dim, cfg.scenario.height, cfg.scenario.width,
-                                seed=cfg.learning.seed)
-
-    boxes = cfg.boxes if cfg.boxes is not None else scenario.boxes()
-    result = run_synthesis(
-        tokens, params, boxes, cfg.synthesis, sched=cfg.schedule,
-        schedule=toy_schedule(cfg.synthesis.total_steps), groups=cfg.groups,
-        refinement=cfg.refinement,
-    )
-    write_synthesis(run, result, (cfg.scenario.height, cfg.scenario.width))
-    write_manifest(run, cfg, config_bytes)
-
+    result = run_synthesize(args.config, args.out, args.embeddings, args.params)
     last = result.steps[-1]
     print(f"synthesis finished: control loss {result.steps[0].total:.6g} -> "
           f"{last.total:.6g} over {len(result.steps)} steps")

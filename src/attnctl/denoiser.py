@@ -8,12 +8,12 @@ embeddings (cross attention) or itself (self attention):
     X = blockmean(z) @ Wq ...    A = softmax(Q K^T / sqrt(d)),   O = A V
 
 The noise prediction is the mean over layers of each layer's output replicated
-back to the full grid. ``forward_cache`` keeps the attention maps and values;
-the prediction itself (``ForwardCache.eps_hat``) is computed on first read,
-because synthesis reads out masked maps instead and never needs it. Keys and
-values of cross-attention layers depend only on the token embeddings, never on
-the timestep; the whole forward pass is in fact timestep-independent, which
-keeps hand-written gradients tractable.
+back to the full grid. ``forward_cache`` keeps the attention maps and values,
+and ``readout_eps`` reads the prediction out of given maps: the cached ones,
+or, in synthesis, the same maps once masked. Keys and values of
+cross-attention layers depend only on the token embeddings, never on the
+timestep; the whole forward pass is in fact timestep-independent, which keeps
+hand-written gradients tractable.
 """
 from __future__ import annotations
 
@@ -193,7 +193,8 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
 
 @dataclass
 class _LayerWork:
-    """Mutable working copy of a LayerSpec for the training loops."""
+    """Mutable working copy of a LayerSpec, for the loops that write its
+    weights (learning's value refinement, gradcheck's differences)."""
 
     kind: str
     attn_type: str
@@ -221,7 +222,7 @@ def params_from_workspace(dim: int, layers: "list[_LayerWork]") -> DenoiserParam
 
 @dataclass
 class LayerCache:
-    work: _LayerWork
+    work: "LayerSpec | _LayerWork"
     x: np.ndarray      # pooled latent features, (n_l, d), shared per resolution
     q: np.ndarray
     k: np.ndarray
@@ -233,59 +234,38 @@ class LayerCache:
 class ForwardCache:
     """Everything the hand-written backward pass needs.
 
-    ``eps_hat``, the noise prediction from the cached maps, is computed by
-    ``readout_eps`` on first read and kept. Synthesis masks the cached maps
-    in place once it has read them raw: from then on they are no longer the
-    softmax output, so ``eps_hat`` and ``backprop`` are stale. The loop
-    takes its masked readout from ``readout_eps`` instead.
+    ``readout_eps(cache, cache.maps())`` is the noise prediction. Synthesis
+    masks the cached maps in place once it has read them raw: from then on
+    they are no longer the softmax output, so ``backprop`` on the cache is
+    stale, and ``readout_eps`` reads out the masked maps.
     """
 
     z: np.ndarray          # (H, W, d)
     emb: np.ndarray        # (n_tokens, d)
     layers: "list[LayerCache]" = field(default_factory=list)
-    _eps_hat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def maps(self) -> "list[np.ndarray]":
         """The cached attention maps in layer order (the arrays themselves)."""
         return [lc.attn for lc in self.layers]
 
-    @property
-    def eps_hat(self) -> np.ndarray:
-        if self._eps_hat is None:
-            self._eps_hat = readout_eps(self, self.maps())
-        return self._eps_hat
-
-
-def _blockmean(z: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Average-pool an (H, W, d) grid to (h*w, d); extents must divide."""
-    H, W, d = z.shape
-    if H % h or W % w:
-        raise ShapeError(f"cannot pool {H}x{W} to {h}x{w}")
-    bh, bw = H // h, W // w
-    pooled = z.reshape(h, bh, w, bw, d).mean(axis=(1, 3))
-    return pooled.reshape(h * w, d)
-
 
 def _blocks(grid: np.ndarray, h: int, w: int) -> np.ndarray:
-    """A writable (h, bh, w, bw, d) view of a C-ordered (H, W, d) grid:
-    adding an (h, 1, w, 1, d) array into it adds each cell's value to every
-    grid cell of its block. This replicates a layer output onto the grid (and
-    spreads the blockmean adjoint) in place, with no full-grid temporary."""
+    """An (h, bh, w, bw, d) view of an (H, W, d) grid, one (bh, bw) block
+    per cell of an h x w layer; ShapeError unless the extents divide. A mean
+    over axes 1 and 3 pools the grid to the layer, a sum is the adjoint of
+    replicating a layer output onto it. On a C-ordered grid the view is
+    writable: adding an (h, 1, w, 1, d) array into it adds each cell's value
+    to every grid cell of its block, with no full-grid temporary."""
     H, W, d = grid.shape
+    if H % h or W % w:
+        raise ShapeError(f"cannot pool {H}x{W} to {h}x{w}")
     return grid.reshape(h, H // h, w, W // w, d)
 
 
-def _replicate_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of replicating an (h*w, d) layer output onto the grid: sum
-    the full-grid gradient over each block."""
-    H, W, d = g.shape
-    bh, bw = H // h, W // w
-    return g.reshape(h, bh, w, bw, d).sum(axis=(1, 3)).reshape(h * w, d)
-
-
-def forward_cache(z: np.ndarray, emb: np.ndarray,
-                  layers: "list[_LayerWork]") -> ForwardCache:
-    """Raw-array forward pass retaining per-layer intermediates."""
+def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
+    """Raw-array forward pass retaining per-layer intermediates. ``layers``
+    are ``LayerSpec``s, or the ``workspace`` copies of a loop that writes
+    its weights."""
     d = z.shape[2]
     cache = ForwardCache(z=z, emb=emb)
     scale = 1.0 / np.sqrt(d)
@@ -294,7 +274,7 @@ def forward_cache(z: np.ndarray, emb: np.ndarray,
         res = (work.height, work.width)
         x = pooled.get(res)
         if x is None:
-            x = pooled[res] = _blockmean(z, *res)
+            x = pooled[res] = _blocks(z, *res).mean(axis=(1, 3)).reshape(-1, d)
         q = x @ work.wq
         if work.attn_type == CROSS:
             src = emb
@@ -360,9 +340,9 @@ def forward_denoise(z, t: int, tokens: "list[TokenEmbedding]",
     elif t < 0:
         raise ValueError(f"timestep {t} must be >= 0")
     emb = _token_matrix(tokens, params.dim)
-    cache = forward_cache(z, emb, workspace(params))
-    record = record_from_maps([lc.work for lc in cache.layers], cache.maps())
-    return cache.eps_hat, record
+    cache = forward_cache(z, emb, params.layers)
+    record = record_from_maps(params.layers, cache.maps())
+    return readout_eps(cache, cache.maps()), record
 
 
 # ---------------------------------------------------------------------------

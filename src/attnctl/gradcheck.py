@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryMask
-from .denoiser import default_params, forward_cache, workspace
+from .denoiser import default_params, forward_cache, readout_eps, workspace
 from .gradients import backprop
 from .learning import (
     InstanceSet,
@@ -50,19 +50,19 @@ class GradCheck:
         return self.max_rel <= REL_TOL
 
 
-def central_diff(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def central_diff(f, x: np.ndarray) -> np.ndarray:
     """Per-coordinate central finite difference of a scalar function."""
     g = np.zeros_like(x, dtype=np.float64)
     it = np.nditer(x, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
         orig = x[idx]
-        x[idx] = orig + h
+        x[idx] = orig + FD_STEP
         fp = f()
-        x[idx] = orig - h
+        x[idx] = orig - FD_STEP
         fm = f()
         x[idx] = orig
-        g[idx] = (fp - fm) / (2.0 * h)
+        g[idx] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -129,7 +129,8 @@ def _learning_losses(fx: _Fixture, branch: str):
     """The learning loop's kernels at the fixture's current values: the
     forward cache, then (rec, d_eps) and (attn, d_attn)."""
     cache = forward_cache(fx.z, fx.emb, fx.layers)
-    rec, d_eps = _rec_loss_and_grad(fx.eps, cache.eps_hat, fx.draw.m_rec)
+    rec, d_eps = _rec_loss_and_grad(fx.eps, readout_eps(cache, cache.maps()),
+                                    fx.draw.m_rec)
     attn, d_attn = _attn_loss_and_grad(
         cache.maps(), _gated_masks(fx.layers, fx.instances.masks),
         fx.instances, fx.draw, branch, fx.config.alpha, fx.config.pixel_norm,

@@ -27,32 +27,33 @@ Backward, given dL/dA (attention losses) and dL/deps_hat (reconstruction):
 """
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import CROSS
-from .denoiser import ForwardCache, _blocks, _replicate_adjoint
+from .denoiser import ForwardCache, _blocks
 
 
+@dataclass
 class BackpropResult:
-    """Gradients on the embeddings (n_tokens, d), the latent (H, W, d) and
-    each layer's value projection (d, d).
+    """Gradients on the embeddings (n_tokens, d) and each layer's value
+    projection (d, d), and on the latent (H, W, d) as ``d_z``.
 
-    ``d_z`` is given as an array, or as a function that builds it; the
-    function runs on first read and its array is kept. ``backprop`` passes
-    one that spreads each layer's dX onto the grid, so learning, which reads
-    only ``d_emb`` and ``d_wv``, never pays for the full-grid gradient.
+    ``d_z`` spreads each layer's dX onto the grid on first read and keeps
+    the array, so learning, which reads only ``d_emb`` and ``d_wv``, never
+    pays for the full-grid gradient.
     """
 
-    def __init__(self, d_emb: np.ndarray, d_z, d_wv: "list[np.ndarray]"):
-        self.d_emb = d_emb
-        self._d_z = d_z
-        self.d_wv = d_wv
+    d_emb: np.ndarray
+    d_wv: "list[np.ndarray]"
+    dxs: "list[tuple[int, int, np.ndarray]]"  # (h, w, dX) per layer reached
+    shape: "tuple[int, int, int]"               # the latent's (H, W, d)
 
-    @property
+    @functools.cached_property
     def d_z(self) -> np.ndarray:
-        if callable(self._d_z):
-            self._d_z = self._d_z()
-        return self._d_z
+        return _spread_latent_grad(self.shape, self.dxs)
 
 
 def _spread_latent_grad(shape: "tuple[int, int, int]",
@@ -101,7 +102,8 @@ def backprop(cache: ForwardCache,
             continue
 
         if d_eps is not None:
-            d_out = _replicate_adjoint(d_eps, work.height, work.width) / n_layers
+            blocks = _blocks(d_eps, work.height, work.width)
+            d_out = blocks.sum(axis=(1, 3)).reshape(-1, d) / n_layers
             da = d_out @ lc.v.T
             if upstream is not None:
                 da = da + upstream
@@ -132,7 +134,4 @@ def backprop(cache: ForwardCache,
             dx = d_src
         dxs.append((work.height, work.width, dx))
 
-    shape = cache.z.shape
-    return BackpropResult(d_emb=d_emb,
-                          d_z=lambda: _spread_latent_grad(shape, dxs),
-                          d_wv=d_wv)
+    return BackpropResult(d_emb=d_emb, d_wv=d_wv, dxs=dxs, shape=cache.z.shape)

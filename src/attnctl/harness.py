@@ -2,10 +2,11 @@
 
 A run is driven by one INI-style config whose keys mirror the config
 dataclass fields exactly (section [learning] -> LearningConfig, and so on).
-``run_experiment`` chains scenario generation, semantic learning, and
-box-controlled synthesis, then writes every artifact atomically: CSV metrics,
-the oracle JSON, serialized embeddings/parameters, refined masks, and a
-manifest sufficient to reproduce the run byte-for-byte.
+``run_learn``, ``run_synthesize`` and ``run_experiment`` run the three run
+commands. ``run_experiment`` chains scenario generation, semantic learning,
+and box-controlled synthesis, then writes every artifact atomically: CSV
+metrics, the oracle JSON, serialized embeddings/parameters, refined masks,
+and a manifest sufficient to reproduce the run byte-for-byte.
 """
 from __future__ import annotations
 
@@ -22,7 +23,10 @@ import numpy as np
 from . import __version__
 from .core import BinaryMask
 from .denoiser import (
+    default_params,
     forward_denoise,
+    load_params,
+    load_tokens,
     save_params,
     save_tokens,
     toy_schedule,
@@ -38,12 +42,14 @@ from .scenario import (
     generate_scenario,
     leakage_mass,
     pca_project,
+    synthesis_tokens,
 )
 from .synthesis import (
     BoxSpec,
     ScheduleParams,
     SynthesisConfig,
     SynthesisResult,
+    default_groups,
     run_synthesis,
     write_steps_csv,
 )
@@ -244,13 +250,6 @@ class ExperimentResult:
     files: "list[str]"
 
 
-def _scenario_from_config(sc: ScenarioConfig) -> Scenario:
-    return generate_scenario(
-        extents=(sc.height, sc.width), n_instances=sc.instances, rho=sc.rho,
-        seed=sc.seed, dim=sc.dim, noise_sigma=sc.noise_sigma,
-    )
-
-
 class RunDir:
     """An output directory and the names of the artifacts written to it."""
 
@@ -265,32 +264,56 @@ class RunDir:
         return os.path.join(self.path, name)
 
 
-def write_learning(run: RunDir, scenario: Scenario, learn: LearningResult) -> list:
-    """Write the learning artifacts and return the learning rows of
-    metrics.csv: each instance token's leakage and argmax IoU on the clean
-    latent."""
+def _open_run(config_path: str, out_dir: str):
+    """How every run command starts: the parsed config and the file's
+    bytes, the run directory (created) and the configured scenario."""
+    cfg, config_bytes = parse_config(config_path)
+    run = RunDir(out_dir)
+    sc = cfg.scenario
+    scenario = generate_scenario(
+        extents=(sc.height, sc.width), n_instances=sc.instances, rho=sc.rho,
+        seed=sc.seed, dim=sc.dim, noise_sigma=sc.noise_sigma,
+    )
+    return cfg, config_bytes, run, scenario
+
+
+def _learn(run: RunDir, cfg: ControlConfig,
+           scenario: Scenario) -> "tuple[LearningResult, list]":
+    """Learning on the scenario, with its artifacts written. Returns the
+    result and the learning rows of metrics.csv: each instance token's
+    leakage and argmax IoU on the clean latent."""
+    learn = run_semantic_learning(scenario, cfg.learning)
     write_trace_csv(learn.trace, run.file("learn_trace.csv"))
     save_tokens(learn.tokens, run.file("embeddings.txt"))
     save_params(learn.params, run.file("denoiser.txt"))
     instances = scenario.instance_set()
     _, record = forward_denoise(scenario.z0, 0, learn.tokens, learn.params,
                                 learn.schedule)
-    return [("learning", i,
-             leakage_mass(record, token, instances.masks[i]),
-             argmax_iou_single(record, token, instances.masks[i]),
-             learn.trace[-1].rec_loss, learn.trace[-1].total)
-            for i, token in enumerate(instances.placeholder_ids)]
+    return learn, [("learning", i,
+                    leakage_mass(record, token, instances.masks[i]),
+                    argmax_iou_single(record, token, instances.masks[i]),
+                    learn.trace[-1].rec_loss, learn.trace[-1].total)
+                   for i, token in enumerate(instances.placeholder_ids)]
 
 
-def write_synthesis(run: RunDir, synth: SynthesisResult,
-                    latent_res: "tuple[int, int]") -> "list[BinaryMask]":
-    """Write synth_steps.csv and each instance's final control mask at the
-    latent resolution; returns those masks."""
+def _synthesize(run: RunDir, cfg: ControlConfig, scenario: Scenario, tokens,
+                params) -> "tuple[SynthesisResult, list[list[int]], list[BinaryMask]]":
+    """Synthesis in the configured boxes and token groups (by default the
+    scenario's boxes and one learnable token each), with synth_steps.csv
+    and each instance's final control mask at the latent resolution
+    written. Returns the result, the groups and those masks."""
+    boxes = cfg.boxes if cfg.boxes is not None else scenario.boxes()
+    groups = cfg.groups if cfg.groups is not None else default_groups(tokens, len(boxes))
+    synth = run_synthesis(
+        tokens, params, boxes, cfg.synthesis, sched=cfg.schedule,
+        schedule=toy_schedule(cfg.synthesis.total_steps), groups=groups,
+        refinement=cfg.refinement,
+    )
     write_steps_csv(synth.steps, run.file("synth_steps.csv"))
-    finals = [mset[latent_res] for mset in synth.masks]
+    finals = [mset[(scenario.height, scenario.width)] for mset in synth.masks]
     for i, mask in enumerate(finals):
         atomic_write_text(run.file(f"final_mask_{i}.txt"), mask.to_text())
-    return finals
+    return synth, groups, finals
 
 
 def write_manifest(run: RunDir, cfg: ControlConfig, config_bytes: bytes) -> None:
@@ -309,30 +332,47 @@ def write_manifest(run: RunDir, cfg: ControlConfig, config_bytes: bytes) -> None
     })
 
 
+def run_learn(config_path: str, out_dir: str) -> "tuple[LearningResult, list]":
+    """Learning alone on the configured scenario: its artifacts, metrics.csv
+    and the manifest. Returns the result and the rows of metrics.csv."""
+    cfg, config_bytes, run, scenario = _open_run(config_path, out_dir)
+    learn, rows = _learn(run, cfg, scenario)
+    write_csv(run.file("metrics.csv"), METRICS_HEADER, rows)
+    write_manifest(run, cfg, config_bytes)
+    return learn, rows
+
+
+def run_synthesize(config_path: str, out_dir: str,
+                   embeddings_path: "str | None" = None,
+                   params_path: "str | None" = None) -> SynthesisResult:
+    """Synthesis alone, from the token embeddings and denoiser params files
+    of a learn run; without them, from the scenario's ready-made tokens and
+    params seeded by [learning] seed. Writes its artifacts and the manifest."""
+    cfg, config_bytes, run, scenario = _open_run(config_path, out_dir)
+    if embeddings_path:
+        tokens = load_tokens(embeddings_path)
+    else:
+        tokens = synthesis_tokens(scenario)
+    if params_path:
+        params = load_params(params_path)
+    else:
+        params = default_params(tokens[0].vector.size, scenario.height,
+                                scenario.width, seed=cfg.learning.seed)
+    synth, _, _ = _synthesize(run, cfg, scenario, tokens, params)
+    write_manifest(run, cfg, config_bytes)
+    return synth
+
+
 def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
     """Learning followed by synthesis on the configured scenario; writes all
     artifacts plus a manifest with the config hash and library versions."""
-    cfg, config_bytes = parse_config(config_path)
-    run = RunDir(out_dir)
-    scenario = _scenario_from_config(cfg.scenario)
-    instances = scenario.instance_set()
-
-    learn = run_semantic_learning(scenario, cfg.learning)
-    metrics_rows = write_learning(run, scenario, learn)
-
-    boxes = cfg.boxes if cfg.boxes is not None else scenario.boxes()
-    groups = cfg.groups if cfg.groups is not None else \
-        [[pid] for pid in instances.placeholder_ids]
-    if len(boxes) != scenario.n_instances:
+    cfg, config_bytes, run, scenario = _open_run(config_path, out_dir)
+    learn, metrics_rows = _learn(run, cfg, scenario)
+    if cfg.boxes is not None and len(cfg.boxes) != scenario.n_instances:
         raise ConfigurationError(
-            f"{len(boxes)} boxes configured for {scenario.n_instances} instances"
+            f"{len(cfg.boxes)} boxes configured for {scenario.n_instances} instances"
         )
-    synth = run_synthesis(
-        learn.tokens, learn.params, boxes, cfg.synthesis,
-        sched=cfg.schedule, schedule=toy_schedule(cfg.synthesis.total_steps),
-        groups=groups, refinement=cfg.refinement,
-    )
-    finals = write_synthesis(run, synth, (scenario.height, scenario.width))
+    synth, groups, finals = _synthesize(run, cfg, scenario, learn.tokens, learn.params)
 
     _, synth_record = forward_denoise(synth.z_final, 0, learn.tokens,
                                       learn.params, learn.schedule)

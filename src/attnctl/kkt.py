@@ -20,7 +20,6 @@ Two reward variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .core import checked_array, frozen_array
 from .errors import ConfigurationError, DivergenceError, ShapeError
 
 REWARD_VARIANTS = ("costed", "free")
+DESCENT_MAX_ITER = 5000
+DESCENT_TOL = 1e-12     # converged once no coordinate moves by more
 
 
 @dataclass(frozen=True)
@@ -84,29 +85,12 @@ def _project_rows(v: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """
     n, d = v.shape
     u = np.sort(v, axis=1)[:, ::-1]  # descending
-    shifts = (u.cumsum(axis=1) - 1.0) / _ranks(d)  # candidate theta per rank
+    shifts = (u.cumsum(axis=1) - 1.0) / np.arange(1.0, d + 1.0)  # candidate theta per rank
     # theta is the shift at the last rank where u > shift; searching the
     # reversed rows finds it as the first
     last = (u > shifts)[:, ::-1].argmax(axis=1)
-    theta = shifts[:, ::-1][_row_index(n), last]
+    theta = shifts[:, ::-1][np.arange(n), last]
     return np.maximum(v - theta[:, None], 0.0), theta
-
-
-@lru_cache(maxsize=64)
-def _ranks(d: int) -> np.ndarray:
-    """1..d as floats. Cached, with _row_index, because projected descent
-    projects thousands of times at one shape and a small projection is
-    bound by per-call overhead, not arithmetic."""
-    r = np.arange(1.0, d + 1.0)
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=64)
-def _row_index(n: int) -> np.ndarray:
-    r = np.arange(n)
-    r.setflags(write=False)
-    return r
 
 
 def simplex_project(v) -> np.ndarray:
@@ -213,7 +197,6 @@ class DescentResult:
 def projected_descent(problem: PixelAttentionProblem, objective: str,
                       init: np.ndarray | None = None,
                       variant: str = "costed", step: float = 0.5,
-                      max_iter: int = 5000, tol: float = 1e-12,
                       seed: int = 0) -> DescentResult:
     """Projected gradient descent on the simplex, all pixels in parallel.
 
@@ -240,7 +223,7 @@ def projected_descent(problem: PixelAttentionProblem, objective: str,
     rising = 0
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, DESCENT_MAX_ITER + 1):
         new, _ = _project_rows(a - step * grad(a))
         loss = value(new)
         if loss > losses[-1]:
@@ -255,7 +238,7 @@ def projected_descent(problem: PixelAttentionProblem, objective: str,
         delta = float(np.abs(new - a).max())
         a = new
         losses.append(loss)
-        if delta <= tol:
+        if delta <= DESCENT_TOL:
             converged = True
             break
     return DescentResult(dist=a, losses=losses, n_iter=n_iter, converged=converged)

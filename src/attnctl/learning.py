@@ -25,6 +25,7 @@ from .denoiser import (
     ddim_add_noise,
     forward_cache,
     params_from_workspace,
+    readout_eps,
     toy_schedule,
     workspace,
 )
@@ -349,8 +350,8 @@ def run_semantic_learning(scenario, config: LearningConfig,
         cache = forward_cache(z_t, emb, layers)
 
         # A term with zero weight is still traced, but sends no gradient.
-        rec, d_eps = _rec_loss_and_grad(eps, cache.eps_hat, draw.m_rec,
-                                        with_grad=rec_active)
+        rec, d_eps = _rec_loss_and_grad(eps, readout_eps(cache, cache.maps()),
+                                        draw.m_rec, with_grad=rec_active)
         if rec_active:
             d_eps = config.lambda_rec * d_eps
 

@@ -16,6 +16,9 @@ import numpy as np
 from .core import CROSS, BinaryMask, check_tokens, checked_array, gated_layers
 from .errors import ConfigurationError, DegenerateInputWarning, ShapeError
 
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-8       # converged once no center coordinate moves by more
+
 
 @dataclass
 class RefinementConfig:
@@ -142,8 +145,7 @@ def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.nd
 
 def kmeans_self_attention(features, k: int,
                           prev_centers: np.ndarray | None = None,
-                          seed: int = 0, max_iter: int = 100,
-                          tol: float = 1e-8) -> ClusterState:
+                          seed: int = 0) -> ClusterState:
     """Lloyd's algorithm on self-attention rows.
 
     Initialization is either the provided warm-start centers or seeded
@@ -169,7 +171,7 @@ def kmeans_self_attention(features, k: int,
     assignments = np.zeros(n, dtype=np.int64)
     history: "list[float]" = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         d2 = _sq_distances(x, x_sq, centers)
         assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assignments].sum()))
@@ -180,7 +182,7 @@ def kmeans_self_attention(features, k: int,
                 new_centers[c] = x[members].mean(axis=0)
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift <= tol:
+        if shift <= KMEANS_TOL:
             break
     d2 = _sq_distances(x, x_sq, centers)
     assignments = np.argmin(d2, axis=1)

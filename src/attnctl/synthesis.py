@@ -53,7 +53,6 @@ from .denoiser import (
     readout_eps,
     record_from_maps,
     toy_schedule,
-    workspace,
 )
 from .errors import ConfigurationError, DegenerateInputWarning, DivergenceError, ShapeError
 from .fileio import write_csv
@@ -271,7 +270,7 @@ def _typed_terms(gated, config: SynthesisConfig, terms: _InstanceTerms):
 def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig) -> "tuple[list[_InstanceTerms], float]":
     """Per-instance energies and scores, and their squared sum. The kernels
-    here take the layer objects (``_LayerWork`` in the loops,
+    here take the layer objects (``LayerSpec`` or a ``workspace`` copy,
     ``LayerAttention`` from a record) for their tags and extents, and the
     maps as raw arrays in layer order. Callers check the token ids."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
@@ -560,7 +559,7 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     emb = _token_matrix(tokens, params.dim)
     check_tokens([token for group in groups for token in group], emb.shape[0])
 
-    layers = workspace(params)
+    layers = params.layers
     resolutions = sorted({(l.height, l.width) for l in layers})
     gated_res = sorted({(l.height, l.width) for l in layers if l.kind == DECODER})
     masks = instance_masks_from_boxes(boxes, resolutions)
@@ -608,7 +607,7 @@ class _SamplingRun:
     masks (replaced at a refresh) and the last refresh's K-means centers."""
 
     emb: np.ndarray
-    layers: list
+    layers: tuple
     groups: "list[list[int]]"
     masks: "list[dict]"
     resolutions: "list[tuple[int, int]]"

@@ -211,6 +211,29 @@ def test_experiment_and_report(capsys, workspace):
     assert "synthesis: 16 steps" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("boxes", ["", "\n[boxes]\nbox_0 = 0 0 0.6 0.5\ngroup_0 = 2\n"
+                                       "box_1 = 0.4 0.5 1 1\ngroup_1 = 1\n"])
+def test_experiment_equals_learn_then_synthesize(capsys, tmp_path, boxes):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG + boxes)
+    exp, learn, synth = tmp_path / "exp", tmp_path / "learn", tmp_path / "synth"
+    assert main(["experiment", str(config), "--out", str(exp)]) == 0
+    assert main(["learn", str(config), "--out", str(learn)]) == 0
+    assert main(["synthesize", str(config), "--out", str(synth),
+                 "--embeddings", str(learn / "embeddings.txt"),
+                 "--params", str(learn / "denoiser.txt")]) == 0
+    capsys.readouterr()
+    for name in ("learn_trace.csv", "embeddings.txt", "denoiser.txt"):
+        assert (exp / name).read_bytes() == (learn / name).read_bytes(), name
+    masks = sorted(p.name for p in exp.glob("final_mask_*.txt"))
+    assert masks == ["final_mask_0.txt", "final_mask_1.txt"]
+    for name in ["synth_steps.csv"] + masks:
+        assert (exp / name).read_bytes() == (synth / name).read_bytes(), name
+    exp_rows = (exp / "metrics.csv").read_text().splitlines()
+    assert [r for r in exp_rows if not r.startswith("synthesis,")] == \
+        (learn / "metrics.csv").read_text().splitlines()
+
+
 def test_report_on_empty_dir_exits_one(capsys, tmp_path):
     assert main(["report", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

@@ -14,6 +14,7 @@ the box blur and the K-means distances sum in another order and are held to
 1e-12.
 """
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,16 +35,15 @@ from attnctl.core import (
 from attnctl.denoiser import (
     ForwardCache,
     LayerCache,
-    _blockmean,
-    _replicate_adjoint,
     ddim_add_noise,
     default_params,
     forward_cache,
+    readout_eps,
     toy_schedule,
     workspace,
 )
 from attnctl.errors import DegenerateInputWarning
-from attnctl.gradients import BackpropResult, backprop
+from attnctl.gradients import backprop
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     ScheduleParams,
@@ -68,6 +68,19 @@ def _same_bits(a, b) -> bool:
 # Reference kernels
 # ---------------------------------------------------------------------------
 
+def ref_blockmean(z, h, w):
+    """Average-pool an (H, W, d) grid to (h*w, d)."""
+    H, W, d = z.shape
+    return z.reshape(h, H // h, w, W // w, d).mean(axis=(1, 3)).reshape(h * w, d)
+
+
+def ref_replicate_adjoint(g, h, w):
+    """Adjoint of replicating an (h*w, d) layer output onto the grid: sum
+    the full-grid gradient over each block."""
+    H, W, d = g.shape
+    return g.reshape(h, H // h, w, W // w, d).sum(axis=(1, 3)).reshape(h * w, d)
+
+
 def ref_replicate(o, h, w, H, W):
     """Replicate an (h*w, d) layer output back onto the (H, W, d) grid."""
     d = o.shape[1]
@@ -85,12 +98,13 @@ def ref_blockmean_adjoint(g, h, w, H, W):
 
 
 def ref_forward_cache(z, emb, layers):
+    """The forward cache and the noise readout summed along with it."""
     H, W, d = z.shape
     cache = ForwardCache(z=z, emb=emb)
     acc = np.zeros_like(z)
     scale = 1.0 / np.sqrt(d)
     for work in layers:
-        x = _blockmean(z, work.height, work.width)
+        x = ref_blockmean(z, work.height, work.width)
         q = x @ work.wq
         src = emb if work.attn_type == CROSS else x
         k = src @ work.wk
@@ -102,8 +116,7 @@ def ref_forward_cache(z, emb, layers):
         out = attn @ v
         cache.layers.append(LayerCache(work, x, q, k, v, attn))
         acc += ref_replicate(out, work.height, work.width, H, W)
-    cache._eps_hat = acc / len(layers)
-    return cache
+    return cache, acc / len(layers)
 
 
 def ref_softmax_rows_backward(attn, d_attn):
@@ -125,7 +138,7 @@ def ref_backprop(cache, d_attn=None, d_eps=None):
             d_wv.append(np.zeros((d, d)))
             continue
         if d_eps is not None:
-            d_out = _replicate_adjoint(d_eps, work.height, work.width) / n_layers
+            d_out = ref_replicate_adjoint(d_eps, work.height, work.width) / n_layers
         else:
             d_out = np.zeros((lc.attn.shape[0], lc.v.shape[1]))
         da = d_out @ lc.v.T
@@ -143,7 +156,7 @@ def ref_backprop(cache, d_attn=None, d_eps=None):
             dx = dx + dk @ work.wk.T + dv @ work.wv.T
             d_wv.append(lc.x.T @ dv)
         d_z += ref_blockmean_adjoint(dx, work.height, work.width, H, W)
-    return BackpropResult(d_emb=d_emb, d_z=d_z, d_wv=d_wv)
+    return SimpleNamespace(d_emb=d_emb, d_z=d_z, d_wv=d_wv)
 
 
 def ref_run_semantic_learning(scen, config, schedule, params):
@@ -169,10 +182,11 @@ def ref_run_semantic_learning(scen, config, schedule, params):
         draw = learning.joint_sample(instances, rng)
         t = int(rng.integers(0, schedule.total_steps))
         eps = rng.standard_normal(z0.shape)
-        cache = ref_forward_cache(ddim_add_noise(z0, eps, t, schedule), emb, layers)
+        cache, eps_hat = ref_forward_cache(ddim_add_noise(z0, eps, t, schedule),
+                                           emb, layers)
         m3 = draw.m_rec.bits.astype(np.float64)[:, :, None]
-        rec = float(((m3 * (eps - cache.eps_hat)) ** 2).sum())
-        d_eps = 2.0 * m3 * (cache.eps_hat - eps)
+        rec = float(((m3 * (eps - eps_hat)) ** 2).sum())
+        d_eps = 2.0 * m3 * (eps_hat - eps)
         branch = learning.BRANCH_STAGE2 if stage2 else learning._attn_branch(e, config)
         attn, upstream = 0.0, None
         if not stage2 and config.t_min_attn <= t <= config.t_max_attn:
@@ -322,7 +336,7 @@ def _setup(grid=8, dim=4, seed=0):
 
 def _loss_inputs(seed, out_of_box):
     layers, z, emb, masks, groups = _setup(seed=seed)
-    cache = ref_forward_cache(z, emb, layers)
+    cache, _ = ref_forward_cache(z, emb, layers)
     maps = [lc.attn for lc in cache.layers]
     config = SynthesisConfig(use_out_of_box=out_of_box)
     per, _ = _box_loss_terms(layers, maps, masks, groups, 0.3, config)
@@ -337,11 +351,13 @@ def _loss_inputs(seed, out_of_box):
 def test_forward_cache_matches_reference_bitwise(seed):
     layers, z, emb, *_ = _setup(seed=seed)
     new = forward_cache(z, emb, layers)
-    ref = ref_forward_cache(z, emb, layers)
-    for a, b in zip(new.layers, ref.layers):
+    ref, ref_eps_hat = ref_forward_cache(z, emb, layers)
+    # Synthesis passes the read-only LayerSpecs, the loops their copies.
+    specs = forward_cache(z, emb, default_params(4, 8, 8, seed=seed).layers)
+    for a, b, c in zip(new.layers, ref.layers, specs.layers):
         assert _same_bits(a.attn, b.attn)
-    assert _same_bits(new.eps_hat, ref.eps_hat)
-    assert new.eps_hat is new.eps_hat  # computed once, then kept
+        assert _same_bits(c.attn, b.attn)
+    assert _same_bits(readout_eps(new, new.maps()), ref_eps_hat)
 
 
 @pytest.mark.parametrize("seed,out_of_box", [(0, True), (1, False), (2, True)])
@@ -631,8 +647,9 @@ def test_run_synthesis_with_reference_kernels_is_bitwise_equal(monkeypatch):
 
     new = run()
     with monkeypatch.context() as mp:
-        mp.setattr(synthesis, "forward_cache", ref_forward_cache)
-        mp.setattr(gradients, "backprop", ref_backprop)
+        mp.setattr(synthesis, "forward_cache",
+                   lambda z, emb, layers: ref_forward_cache(z, emb, layers)[0])
+        mp.setattr(synthesis, "backprop", ref_backprop)
         mp.setattr(synthesis, "_sa_energies", ref_sa_energies)
         mp.setattr(synthesis, "_box_loss_grads", ref_box_loss_grads)
         mp.setattr(synthesis, "_mask_maps", ref_mask_maps)
