@@ -7,6 +7,7 @@ copies.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,19 @@ CROSS = "CA"
 SELF = "SA"
 
 ROW_SUM_TOL = 1e-6
+ROW_BLOCK = 1 << 17  # entries in one row block of a map (1 MiB of float64)
+
+
+@functools.lru_cache(maxsize=256)
+def row_blocks(n_rows: int, n_cols: int) -> "tuple[slice, ...]":
+    """Consecutive slices covering range(n_rows), each of at least one row
+    and at most ROW_BLOCK entries of an n_cols-wide array. The kernels that
+    walk a 64x64 grid's self-attention map use them to bound their
+    temporaries; a map of up to ROW_BLOCK entries is one block. Cached:
+    the learning loop asks for the same few shapes thousands of times."""
+    step = max(1, ROW_BLOCK // n_cols)
+    return tuple(slice(start, min(start + step, n_rows))
+                 for start in range(0, n_rows, step))
 
 
 def checked_array(values, name: str, ndim: int | None = None) -> np.ndarray:

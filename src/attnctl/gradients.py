@@ -24,6 +24,15 @@ Backward, given dL/dA (attention losses) and dL/deps_hat (reconstruction):
     d_emb += dK Wk^T + dV Wv^T           # cross attention only
     d_z   += blockmean_adjoint(dX)       # on first read of ``d_z``
     dWv = src^T dV
+
+The softmax backward, dQ and dK run over the rows of dA that can be
+non-zero, a block of rows at a time, so no n x n buffer is built. With no
+readout gradient those are the rows a ``RowGrad`` names: box control
+differentiates self attention on in-box rows only, every other row of dZ
+and dQ is zero, and dK sums over the named rows alone. A dense dA is the
+all-rows case of the same pass; a map whose blocks hold all its rows at
+once (every cross-attention map, and self attention up to 32x32 grids) is
+done in one block, in exactly the arithmetic of the unblocked formulas.
 """
 from __future__ import annotations
 
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CROSS
+from .core import CROSS, row_blocks
 from .denoiser import ForwardCache, _blocks
 
 
@@ -68,6 +77,21 @@ def _spread_latent_grad(shape: "tuple[int, int, int]",
     return d_z
 
 
+@dataclass(frozen=True)
+class RowGrad:
+    """dL/dA on some rows of an attention map: row ``rows[j]`` of the
+    gradient is ``values[j]``, and every other row is zero. ``rows`` is
+    sorted, without repeats."""
+
+    rows: np.ndarray    # (r,) row indices
+    values: np.ndarray  # (r, columns)
+
+    def dense(self, n_rows: int) -> np.ndarray:
+        out = np.zeros((n_rows, self.values.shape[1]))
+        out[self.rows] = self.values
+        return out
+
+
 def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
     """Gradient through a row softmax: maps dL/dA to dL/dlogits."""
     out = d_attn * attn
@@ -78,14 +102,15 @@ def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
 
 
 def backprop(cache: ForwardCache,
-             d_attn: "list[np.ndarray | None] | None" = None,
+             d_attn: "list[np.ndarray | RowGrad | None] | None" = None,
              d_eps: np.ndarray | None = None) -> BackpropResult:
     """Push upstream gradients back to embeddings, latent, and value weights.
 
-    d_attn: per-layer gradients on the raw attention maps (None entries skip
-    a layer); d_eps: gradient on the noise prediction. Either may be None,
-    and a None term costs no backprop (with d_eps None, dV and dWv are not
-    computed), so callers pass None, not zeros, for a zero-weighted term.
+    d_attn: per-layer gradients on the raw attention maps, dense or
+    ``RowGrad`` (None entries skip a layer); d_eps: gradient on the noise
+    prediction. Either may be None, and a None term costs no backprop (with
+    d_eps None, dV and dWv are not computed), so callers pass None, not
+    zeros, for a zero-weighted term.
     """
     d = cache.z.shape[2]
     n_layers = len(cache.layers)
@@ -101,26 +126,42 @@ def backprop(cache: ForwardCache,
             d_wv.append(np.zeros((d, d)))
             continue
 
+        n = lc.attn.shape[0]
+        rows = None  # None: every row of dA can be non-zero
+        if isinstance(upstream, RowGrad):
+            if d_eps is None:
+                rows, upstream = upstream.rows, upstream.values
+            else:  # the readout gradient reaches every row
+                upstream = upstream.dense(n)
+        d_out = None
         if d_eps is not None:
             blocks = _blocks(d_eps, work.height, work.width)
             d_out = blocks.sum(axis=(1, 3)).reshape(-1, d) / n_layers
-            da = d_out @ lc.v.T
-            if upstream is not None:
-                da = da + upstream
-        else:
-            # No readout gradient: dO = 0, so dA is the upstream alone and
-            # dV, dWv are zero.
-            da = upstream
-        dz_logits = softmax_rows_backward(lc.attn, da)
-        dq = scale * (dz_logits @ lc.k)
-        dk = scale * (dz_logits.T @ lc.q)
+
+        dq = np.zeros((n, d))  # rows outside ``rows`` stay zero
+        dk = None
+        for blk in row_blocks(n if rows is None else rows.size, lc.attn.shape[1]):
+            r = blk if rows is None else rows[blk]
+            if d_out is None:
+                # No readout gradient: dO = 0, so dA is the upstream alone
+                # and dV, dWv are zero.
+                da = upstream[blk]
+            else:
+                da = d_out[blk] @ lc.v.T
+                if upstream is not None:
+                    da = da + upstream[blk]
+            dz_logits = softmax_rows_backward(lc.attn[r], da)
+            dq[r] = scale * (dz_logits @ lc.k)
+            part = dz_logits.T @ lc.q[r]
+            dk = part if dk is None else dk + part
+        dk = np.zeros_like(lc.k) if dk is None else scale * dk
         dx = dq @ work.wq.T
         # Gradient on the rows that keys and values are projected from: the
         # embeddings (cross attention) or X itself (self attention).
         d_src = dk @ work.wk.T
         if work.attn_type != CROSS:
             d_src = dx + d_src
-        if d_eps is not None:
+        if d_out is not None:
             dv = lc.attn.T @ d_out
             d_src = d_src + dv @ work.wv.T
             src = cache.emb if work.attn_type == CROSS else lc.x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CROSS, BinaryMask, check_tokens, checked_array, gated_layers
+from .core import CROSS, BinaryMask, check_tokens, checked_array, gated_layers, row_blocks
 from .errors import ConfigurationError, DegenerateInputWarning, ShapeError
 
 KMEANS_MAX_ITER = 100
@@ -120,7 +120,7 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    d2 = _row_sq_distances(x, centers[0])
     for c in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -128,8 +128,17 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             centers[c:] = centers[0]
             break
         centers[c] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _row_sq_distances(x, centers[c]))
     return centers
+
+
+def _row_sq_distances(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """||x_i - center||^2 for every row, one row block at a time: no
+    temporary the size of x."""
+    out = np.empty(x.shape[0])
+    for blk in row_blocks(x.shape[0], x.shape[1]):
+        out[blk] = ((x[blk] - center) ** 2).sum(axis=1)
+    return out
 
 
 def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -177,9 +186,13 @@ def kmeans_self_attention(features, k: int,
         history.append(float(d2[np.arange(n), assignments].sum()))
         new_centers = centers.copy()
         for c in range(k):
-            members = assignments == c
-            if np.any(members):
-                new_centers[c] = x[members].mean(axis=0)
+            idx = np.flatnonzero(assignments == c)
+            if idx.size:
+                # The members' mean, summed in row order over the span they
+                # occupy, with no copy of their rows.
+                span = slice(idx[0], idx[-1] + 1)
+                members = (assignments[span] == c)[:, None]
+                new_centers[c] = x[span].sum(axis=0, where=members) / idx.size
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift <= KMEANS_TOL:

@@ -20,9 +20,13 @@ runs in this order:
 5. the noise readout and (when due) the mask refresh from the masked maps;
 6. the DDIM step.
 
-A step keeps one set of maps alive at a time, plus the gradient buffers of
-its optimization: each forward pass's maps are dropped before the next pass
-builds new ones, and masking writes into them instead of copying.
+A step keeps one set of maps alive at a time: each forward pass's maps are
+dropped before the next pass builds new ones, masking writes into them
+instead of copying, and the mask refresh clusters them without a copy. The
+optimization adds the box-loss gradient and the backward pass's row-block
+buffers. The self-attention gradient covers only the in-box rows, the only
+rows the box energies read, and the backward runs over those rows alone, so
+no second map-sized array is built.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from .core import (
     gated_layers,
     matched_arrays,
     resample_mask_nearest,
+    row_blocks,
 )
 from .denoiser import (
     DenoiserParams,
@@ -56,7 +61,7 @@ from .denoiser import (
 )
 from .errors import ConfigurationError, DegenerateInputWarning, DivergenceError, ShapeError
 from .fileio import write_csv
-from .gradients import backprop
+from .gradients import RowGrad, backprop
 from . import refine
 
 
@@ -301,15 +306,13 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
 
 def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig,
-                    per_instance: "list[_InstanceTerms]") -> "list[np.ndarray | None]":
-    """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms."""
+                    per_instance: "list[_InstanceTerms]") -> "list[np.ndarray | RowGrad | None]":
+    """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms. A
+    cross-attention gradient is dense; a self-attention one is a ``RowGrad``
+    on the union of the in-box rows, the only rows its energies read."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
-    d_attn: "list[np.ndarray | None]" = [None] * len(layers)
-
-    def _grad(li):  # layer li's gradient, accumulated over instances
-        if d_attn[li] is None:
-            d_attn[li] = np.zeros_like(maps[li])
-        return d_attn[li]
+    d_attn: "list[np.ndarray | RowGrad | None]" = [None] * len(layers)
+    sa_coefs: "dict[int, list]" = {}  # layer -> (in-box rows, coefficient row) per instance
 
     for i, group in enumerate(groups):
         terms = per_instance[i]
@@ -324,17 +327,36 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
             cb = outer * weight * db / len(idx)
             for li in idx:
                 m = masks[i][(layers[li].height, layers[li].width)].flat()
-                grad = _grad(li)
                 if attn_type == CROSS:
+                    if d_attn[li] is None:  # accumulated over instances
+                        d_attn[li] = np.zeros_like(maps[li])
+                    grad = d_attn[li]
                     for token in group:
                         col = maps[li][:, token]
                         grad[:, token] += cf * 2.0 * m * col + cb * 2.0 * (1.0 - m) * col
                 else:
-                    rows = m > 0.5
-                    block = maps[li][rows, :]
-                    block *= cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]
-                    grad[rows, :] += block
+                    sa_coefs.setdefault(li, []).append(
+                        (m > 0.5, cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]))
+    for li, coefs in sa_coefs.items():
+        d_attn[li] = _sa_row_grad(maps[li], coefs)
     return d_attn
+
+
+def _sa_row_grad(attn: np.ndarray, coefs) -> RowGrad:
+    """The sum over instances of each in-box row of ``attn`` times the
+    instance's coefficient row, on the union of the in-box rows, built one
+    row block at a time."""
+    inside = np.array([rows for rows, _ in coefs], dtype=bool)
+    union = np.flatnonzero(inside.any(axis=0))
+    values = np.zeros((union.size, attn.shape[1]))
+    for blk in row_blocks(union.size, attn.shape[1]):
+        raw = attn[union[blk]]
+        part = np.empty_like(raw)
+        out = values[blk]
+        for sel, (_, coef) in zip(inside[:, union[blk]], coefs):
+            np.multiply(raw, coef, out=part, where=sel[:, None])
+            np.add(out, part, out=out, where=sel[:, None])
+    return RowGrad(union, values)
 
 
 def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,

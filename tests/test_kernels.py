@@ -316,6 +316,46 @@ def ref_sq_distances(x, centers):
     return ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
+def ref_kmeans(x, k, prev_centers=None, seed=0):
+    """Lloyd's algorithm with whole-array k-means++ distances and each center
+    the mean of a copy of its members' rows."""
+    n = x.shape[0]
+    if prev_centers is not None:
+        centers = np.array(prev_centers, dtype=np.float64)
+    else:
+        rng = np.random.default_rng(seed)
+        centers = np.empty((k, x.shape[1]))
+        centers[0] = x[rng.integers(n)]
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
+        for c in range(1, k):
+            total = float(d2.sum())
+            if total <= 0.0:
+                centers[c:] = centers[0]
+                break
+            centers[c] = x[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+    x_sq = np.einsum("ij,ij->i", x, x)
+    history = []
+    for n_iter in range(1, refine.KMEANS_MAX_ITER + 1):
+        d2 = refine._sq_distances(x, x_sq, centers)
+        assignments = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), assignments].sum()))
+        new_centers = centers.copy()
+        for c in range(k):
+            members = assignments == c
+            if np.any(members):
+                new_centers[c] = x[members].mean(axis=0)
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift <= refine.KMEANS_TOL:
+            break
+    d2 = refine._sq_distances(x, x_sq, centers)
+    assignments = np.argmin(d2, axis=1)
+    return SimpleNamespace(centers=centers, assignments=assignments, n_iter=n_iter,
+                           inertia=float(d2[np.arange(n), assignments].sum()),
+                           inertia_history=history)
+
+
 # ---------------------------------------------------------------------------
 # Inputs
 # ---------------------------------------------------------------------------
@@ -411,9 +451,16 @@ def test_box_loss_grads_match_reference_bitwise(seed, out_of_box):
     new = _box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
     ref = ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
     assert [g is None for g in new] == [g is None for g in ref]
-    for a, b in zip(new, ref):
-        if a is not None:
-            assert _same_bits(a, b)
+    for layer, attn, a, b in zip(layers, maps, new, ref):
+        if a is None:
+            continue
+        if layer.attn_type == SELF:
+            # Self attention comes back on its in-box rows only; every other
+            # row of the reference is zero.
+            assert isinstance(a, gradients.RowGrad)
+            assert not np.any(np.delete(b, a.rows, axis=0))
+            a = a.dense(attn.shape[0])
+        assert _same_bits(a, b)
 
 
 def test_mask_maps_matches_reference_bitwise_with_overlapping_boxes():
@@ -578,6 +625,109 @@ def test_kmeans_matches_reference_distances(monkeypatch, seed, duplicate):
     assert new.n_iter == ref.n_iter
     assert new.inertia == pytest.approx(ref.inertia, rel=1e-12)
     assert np.allclose(new.inertia_history, ref.inertia_history, rtol=1e-12, atol=0.0)
+
+
+def _sa_like_rows(n, k, seed):
+    """n row-stochastic rows of length n: k bands of consecutive rows, each
+    attending mostly to its own band, plus noise, so clusters are runs of
+    rows as box rows are on a grid."""
+    rng = np.random.default_rng(seed)
+    band = np.minimum(np.arange(n) * k // n, k - 1)
+    x = rng.random((n, n)) + 8.0 * (band[:, None] == band[None, :])
+    return x / x.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n,seed,structured", [
+    (60, 0, False), (60, 1, True), (256, 2, True), (1024, 3, True), (1024, 4, False)])
+def test_kmeans_matches_reference_means_bitwise(n, seed, structured):
+    if structured:
+        x = _sa_like_rows(n, 3, seed)
+    else:
+        x = np.random.default_rng(seed).random((n, n))
+    cold = refine.kmeans_self_attention(x, 3, seed=seed)
+    # A warm start from the converged centers, and one with a duplicated
+    # center, whose cluster empties and keeps its previous center.
+    for prev in (None, cold.centers, np.stack([x[0], x[1], x[0]])):
+        new = cold if prev is None else refine.kmeans_self_attention(
+            x, 3, prev_centers=prev, seed=seed)
+        ref = ref_kmeans(x, 3, prev_centers=prev, seed=seed)
+        assert _same_bits(new.centers, ref.centers)
+        assert np.array_equal(new.assignments, ref.assignments)
+        assert new.n_iter == ref.n_iter
+        assert new.inertia == ref.inertia
+        assert new.inertia_history == ref.inertia_history
+
+
+# ---------------------------------------------------------------------------
+# Row-restricted backward
+# ---------------------------------------------------------------------------
+
+_CACHES = {}
+
+
+def _row_grad_cache(grid):
+    """Forward caches of the default three-layer stack on a grid x grid
+    latent (the decoder SA map has (grid/2)^2 rows): one as computed, and one
+    whose SA key projection is zeroed after the forward pass, so that dK
+    does not reach that layer's dX and dX is dQ Wq^T alone."""
+    if grid not in _CACHES:
+        rng = np.random.default_rng(grid)
+        z = rng.standard_normal((grid, grid, 4))
+        emb = rng.standard_normal((3, 4))
+        params = default_params(4, grid, grid, seed=grid)
+        plain = forward_cache(z, emb, params.layers)
+        query_only = forward_cache(z, emb, workspace(params))
+        query_only.layers[2].work.wk[...] = 0.0
+        _CACHES[grid] = plain, query_only
+    return _CACHES[grid]
+
+
+@st.composite
+def _row_grads(draw):
+    """A grid and, for each of its three layers, a RowGrad on a random
+    subset of the map's rows (empty and full included) with random values."""
+    grid = draw(st.sampled_from([4, 8, 16, 64]))
+    cache, _ = _row_grad_cache(grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grads = []
+    for lc in cache.layers:
+        n, cols = lc.attn.shape
+        size = draw(st.sampled_from([0, 1, n // 3, n - 1, n]))
+        rows = np.sort(rng.choice(n, size=size, replace=False))
+        grads.append(gradients.RowGrad(rows, rng.standard_normal((size, cols))))
+    return grid, grads
+
+
+def _close(a, b):
+    scale = max(np.max(np.abs(b)), np.finfo(float).tiny)
+    return np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_row_grads())
+def test_backprop_on_row_grad_matches_its_dense_form(problem):
+    grid, grads = problem
+    for cache in _row_grad_cache(grid):
+        dense = [g.dense(lc.attn.shape[0]) for g, lc in zip(grads, cache.layers)]
+        new = backprop(cache, d_attn=grads, d_eps=None)
+        ref = backprop(cache, d_attn=dense, d_eps=None)
+        # dX of a layer that dK does not reach is dQ Wq^T: zero off the
+        # named rows, and on them equal to the bit when the row blocks are
+        # those of the dense form. A product over other rows may take
+        # another BLAS kernel (one row is a matrix-vector product), so
+        # elsewhere dQ, and dK, which sums over fewer rows, are held to
+        # rounding.
+        for lc, g, (*_, a), (*_, b) in zip(cache.layers, grads, new.dxs, ref.dxs):
+            if lc.work.attn_type == CROSS or not lc.work.wk.any():
+                assert not np.any(np.delete(a, g.rows, axis=0))
+                assert not np.any(np.delete(b, g.rows, axis=0))
+                if g.rows.size == lc.attn.shape[0]:
+                    assert _same_bits(a, b)
+                assert _close(a, b)
+        assert _close(new.d_z, ref.d_z)
+        assert _close(new.d_emb, ref.d_emb)
+        for a, b in zip(new.d_wv, ref.d_wv):
+            assert _close(a, b)
 
 
 # ---------------------------------------------------------------------------
