@@ -10,7 +10,9 @@ embeddings (cross attention) or itself (self attention):
 The noise prediction is the mean over layers of each layer's output replicated
 back to the full grid. ``forward_cache`` keeps the attention maps and values,
 and ``readout_eps`` reads the prediction out of given maps: the cached ones,
-or, in synthesis, the same maps once masked. Keys and values of
+or, in synthesis, the same maps once masked. ``readout_from_outputs`` reads
+it out of given layer outputs, which synthesis's masked readout computes
+without masking the self-attention map. Keys and values of
 cross-attention layers depend only on the token embeddings, never on the
 timestep; the whole forward pass is in fact timestep-independent, which keeps
 hand-written gradients tractable.
@@ -235,9 +237,10 @@ class ForwardCache:
     """Everything the hand-written backward pass needs.
 
     ``readout_eps(cache, cache.maps())`` is the noise prediction. Synthesis
-    masks the cached maps in place once it has read them raw: from then on
-    they are no longer the softmax output, so ``backprop`` on the cache is
-    stale, and ``readout_eps`` reads out the masked maps.
+    masks the cached maps in place once it has read them raw (the
+    cross-attention maps on every masked step, the self-attention maps on a
+    mask refresh): from then on they are no longer the softmax output, so
+    ``backprop`` on the cache is stale.
     """
 
     z: np.ndarray          # (H, W, d)
@@ -292,11 +295,18 @@ def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
 def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
     """The noise prediction from (possibly modified) attention maps, reusing
     the cached values: the mean over layers of replicate(maps[l] @ V_l)."""
+    return readout_from_outputs(
+        cache, (attn @ lc.v for lc, attn in zip(cache.layers, maps)))
+
+
+def readout_from_outputs(cache: ForwardCache, outputs) -> np.ndarray:
+    """The noise prediction from each layer's output, an (n_l, d) array in
+    layer order: the mean over layers of its replication onto the grid."""
     acc = np.zeros_like(cache.z, order="C")
-    for lc, attn in zip(cache.layers, maps):
+    for lc, out in zip(cache.layers, outputs):
         h, w = lc.work.height, lc.work.width
         blocks = _blocks(acc, h, w)
-        blocks += (attn @ lc.v).reshape(h, 1, w, 1, -1)
+        blocks += out.reshape(h, 1, w, 1, -1)
     return acc / len(cache.layers)
 
 

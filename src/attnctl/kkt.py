@@ -29,6 +29,9 @@ from .errors import ConfigurationError, DivergenceError, ShapeError
 REWARD_VARIANTS = ("costed", "free")
 DESCENT_MAX_ITER = 5000
 DESCENT_TOL = 1e-12     # converged once no coordinate moves by more
+# The largest instance count of ``standard_problem``: its arrays are
+# (k + 1) x (k + 1) floats, about 8 MB each at the bound.
+ORACLE_MAX_K = 1024
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,8 @@ def projected_descent(problem: PixelAttentionProblem, objective: str,
 def standard_problem(k: int, alpha: float) -> PixelAttentionProblem:
     """K single-instance pixels (pixel i belongs to instance i+1) plus one
     background pixel — the configuration the oracle report is built on."""
-    if k < 1:
-        raise ConfigurationError("k: must be >= 1")
+    if not 1 <= k <= ORACLE_MAX_K:
+        raise ConfigurationError(f"k: must lie in [1, {ORACLE_MAX_K}], got {k}")
     masks = np.zeros((k + 1, k))
     masks[np.arange(k), np.arange(k)] = 1.0
     return PixelAttentionProblem(masks, alpha)

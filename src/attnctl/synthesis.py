@@ -16,9 +16,23 @@ runs in this order:
 2. in the optimization phase: the loss gradient, backprop and a latent step,
    then a fresh forward pass and the loss again, on the new raw maps;
 3. leakage on the raw maps;
-4. masking, in place: from here on the step's maps are the masked ones;
-5. the noise readout and (when due) the mask refresh from the masked maps;
+4. the noise readout of the masked maps. On a step that does not refresh the
+   masks, masking happens inside the readout: the cross-attention maps are
+   masked in place, and a self-attention layer's output is its raw ``A V``
+   with the in-box rows recomputed from their permitted columns alone, so
+   its map is never written or divided. On a refresh step the maps are
+   masked in place and read out;
+5. on a refresh step, the mask refresh from those masked maps;
 6. the DDIM step.
+
+Masking in place and the masked readout permit each in-box row the same
+columns (``_permitted_columns``): the union of the boxes that contain it.
+
+The self-attention box energies read only in-box rows. Each layer's
+energies for every instance come from one pass over the union of those
+rows, one row block at a time: a block is squared once, and one product
+with a (pixels x 2 instances) 0/1 matrix of the columns ``[m_i, 1 - m_i]``
+gives every instance's in-box and out-of-box sums.
 
 A step keeps one set of maps alive at a time: each forward pass's maps are
 dropped before the next pass builds new ones, masking writes into them
@@ -56,6 +70,7 @@ from .denoiser import (
     forward_cache,
     predict_clean,
     readout_eps,
+    readout_from_outputs,
     record_from_maps,
     toy_schedule,
 )
@@ -188,15 +203,33 @@ def _ca_energies(attn: np.ndarray, m_flat: np.ndarray, group) -> "tuple[float, f
     return fg, bg
 
 
-def _sa_energies(attn: np.ndarray, m_flat: np.ndarray) -> "tuple[float, float]":
-    # The in-box rows are squared once: (a m)^2 = a^2 m for m in {0, 1}.
-    sq = attn[m_flat > 0.5, :]
-    np.square(sq, out=sq)
-    part = sq * m_flat[None, :]
-    fg = float(part.sum())
-    np.multiply(sq, (1.0 - m_flat)[None, :], out=part)
-    bg = float(part.sum())
-    return fg, bg
+def _flat_masks(masks, layer) -> np.ndarray:
+    """Each instance's mask at ``layer``'s resolution, flattened: an
+    (instances, pixels) array of 0.0 and 1.0."""
+    res = (layer.height, layer.width)
+    return np.array([m[res].flat() for m in masks]).reshape(
+        len(masks), layer.height * layer.width)
+
+
+def _sa_box_energies(attn: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    """In-box and out-of-box squared self-attention energy of every
+    instance, an (instances, 2) array: the squares of an instance's in-box
+    rows summed over its in-box (fg) and out-of-box (bg) targets. One pass
+    over the union of the in-box rows, one row block at a time: each block
+    is squared once, and one product with the 0/1 columns [m_i, 1 - m_i]
+    sums every instance's targets, since (a m)^2 = a^2 m for m in {0, 1}."""
+    n_inst = flats.shape[0]
+    targets = np.empty((attn.shape[1], 2 * n_inst))
+    targets[:, 0::2] = flats.T
+    targets[:, 1::2] = 1.0 - flats.T
+    union = np.flatnonzero((flats > 0.5).any(axis=0))
+    sums = np.zeros((n_inst, 2 * n_inst))
+    for blk in row_blocks(union.size, attn.shape[1]):
+        sq = attn[union[blk]]
+        np.square(sq, out=sq)
+        sums += flats[:, union[blk]] @ (sq @ targets)
+    own = np.arange(n_inst)
+    return sums.reshape(n_inst, n_inst, 2)[own, own]
 
 
 def fg_bg_energies(record: AttentionRecord, layer_index: int, mask: BinaryMask,
@@ -218,7 +251,8 @@ def fg_bg_energies(record: AttentionRecord, layer_index: int, mask: BinaryMask,
             raise ConfigurationError("token group must be nonempty")
         check_tokens(group, layer.amap.cols)
         return _ca_energies(layer.amap.weights, m, list(group))
-    return _sa_energies(layer.amap.weights, m)
+    fg, bg = _sa_box_energies(layer.amap.weights, m[None, :])[0]
+    return float(fg), float(bg)
 
 
 def mean_energies(fg_values: "list[float]", bg_values: "list[float]") -> "tuple[float, float]":
@@ -279,6 +313,8 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
     ``LayerAttention`` from a record) for their tags and extents, and the
     maps as raw arrays in layer order. Callers check the token ids."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
+    sa_energies = {li: _sa_box_energies(maps[li], _flat_masks(masks, layers[li])).tolist()
+                   for li in gated[1]}
     per_instance: "list[_InstanceTerms]" = []
     total = 0.0
     for i, group in enumerate(groups):
@@ -288,9 +324,11 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
             if not idx:
                 continue
             for li in idx:
-                m = masks[i][(layers[li].height, layers[li].width)].flat()
-                fg, bg = (_ca_energies(maps[li], m, list(group)) if attn_type == CROSS
-                          else _sa_energies(maps[li], m))
+                if attn_type == CROSS:
+                    m = masks[i][(layers[li].height, layers[li].width)].flat()
+                    fg, bg = _ca_energies(maps[li], m, list(group))
+                else:
+                    fg, bg = sa_energies[li][i]
                 fgs.append(fg)
                 bgs.append(bg)
             fg_bar, bg_bar = mean_energies(fgs, bgs)
@@ -395,28 +433,26 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
     """Suppress out-of-box attention in every layer's map, in place.
 
     Cross attention: zero each instance token's weight at pixels outside its
-    mask. Self attention: zero attention from in-box pixels to out-of-box
-    targets. Rows are renormalized; a fully suppressed row falls back to
-    uniform over its permitted targets (diagnostic warning). The given
-    arrays are overwritten and returned as a list; a caller that still needs
-    the raw maps passes copies. Callers check the token ids.
+    mask. Self attention: zero attention from in-box pixels to the targets
+    ``_permitted_columns`` does not permit. Rows are renormalized; a fully
+    suppressed row falls back to uniform over its permitted targets
+    (diagnostic warning). The given arrays are overwritten and returned as a
+    list; a caller that still needs the raw maps passes copies. Callers check
+    the token ids.
     """
     for layer, attn in zip(layers, maps):
-        h, w = layer.height, layer.width
+        flats = _flat_masks(masks, layer)
+        permitted = []
         if layer.attn_type == CROSS:
-            for i, group in enumerate(groups):
-                m = masks[i][(h, w)].flat()
+            for m, group in zip(flats, groups):
                 outside = m < 0.5
                 for token in group:
                     attn[outside, token] = 0.0
         else:
-            # In-box rows may reach the union of the boxes containing them.
-            inside = np.array([masks[i][(h, w)].flat() > 0.5
-                               for i in range(len(groups))],
-                              dtype=bool).reshape(len(groups), attn.shape[0])
-            for rows, boxes_in in _rows_by_boxes(inside):
+            permitted = list(_permitted_columns(flats > 0.5))
+            for rows, allowed in permitted:
                 block = attn[rows]
-                np.copyto(block, 0.0, where=~inside[boxes_in].any(axis=0))
+                np.copyto(block, 0.0, where=~allowed)
                 attn[rows] = block
         sums = attn.sum(axis=1, keepdims=True)
         dead = sums[:, 0] <= 0.0
@@ -425,23 +461,22 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
                 "attention masking zeroed entire rows; using uniform fallback",
                 DegenerateInputWarning, stacklevel=2,
             )
-            if layer.attn_type == CROSS:
-                attn[dead, :] = 1.0 / attn.shape[1]
-            else:
-                for r in np.nonzero(dead)[0]:
-                    boxes_in = inside[:, r]
-                    ok = (inside[boxes_in].any(axis=0) if boxes_in.any()
-                          else np.ones(attn.shape[1], dtype=bool))
-                    attn[r, ok] = 1.0 / ok.sum()
+            anywhere = dead.copy()  # dead rows that may attend to every target
+            for rows, allowed in permitted:
+                attn[np.ix_(rows[dead[rows]], allowed)] = 1.0 / allowed.sum()
+                anywhere[rows] = False
+            attn[anywhere, :] = 1.0 / attn.shape[1]
             sums = attn.sum(axis=1, keepdims=True)
         attn /= sums
     return maps
 
 
-def _rows_by_boxes(inside: np.ndarray):
-    """Group the pixels that lie in at least one box by the set of boxes
-    containing them; ``inside`` is (boxes, pixels). Yields each group's pixel
-    indices and its boolean box selector, one group per distinct set."""
+def _permitted_columns(inside: np.ndarray):
+    """Which targets each in-box pixel may attend to under self-attention
+    masking: the union of the boxes containing it. ``inside`` is (boxes,
+    pixels). Yields one row group per distinct set of containing boxes: its
+    pixel indices and its boolean column selector. Pixels in no box are in
+    no group; masking leaves their rows alone."""
     if inside.shape[0] == 0:
         return
     keys = np.ascontiguousarray(inside.T).view(np.dtype((np.void, inside.shape[0])))
@@ -449,7 +484,48 @@ def _rows_by_boxes(inside: np.ndarray):
     for g, pixel in enumerate(first):
         boxes_in = inside[:, pixel]
         if boxes_in.any():
-            yield np.nonzero(group_of.ravel() == g)[0], boxes_in
+            yield np.nonzero(group_of.ravel() == g)[0], inside[boxes_in].any(axis=0)
+
+
+def _masked_readout(cache, masks, groups) -> np.ndarray:
+    """The noise prediction from the masked maps, ``readout_eps(cache,
+    _mask_maps(...))`` up to rounding, without writing the self-attention
+    maps. The small cross-attention maps are masked in place. A
+    self-attention layer's output is the raw ``A V`` with the rows of each
+    ``_permitted_columns`` group, permitted columns C, overwritten by
+    ``A[rows, C] V[C] / rowsum(A[rows, C])``, one row block at a time; a row
+    with no mass on C falls back to the mean of ``V[C]`` (diagnostic
+    warning). Rows in no box keep their output: a softmax row sums to one.
+    Callers check the token ids."""
+    outputs = []
+    for lc in cache.layers:
+        if lc.work.attn_type == CROSS:
+            attn, = _mask_maps([lc.work], [lc.attn], masks, groups)
+            outputs.append(attn @ lc.v)
+            continue
+        out = lc.attn @ lc.v
+        any_dead = False
+        for rows, allowed in _permitted_columns(_flat_masks(masks, lc.work) > 0.5):
+            cols = np.flatnonzero(allowed)
+            v_allowed = lc.v[cols]
+            for blk in row_blocks(rows.size, cols.size):
+                sub = lc.attn[np.ix_(rows[blk], cols)]
+                sums = sub.sum(axis=1)
+                part = sub @ v_allowed
+                dead = sums <= 0.0
+                if dead.any():
+                    any_dead = True
+                    part[dead] = v_allowed.mean(axis=0)
+                    sums[dead] = 1.0
+                part /= sums[:, None]
+                out[rows[blk]] = part
+        if any_dead:
+            warnings.warn(
+                "attention masking zeroed entire rows; using uniform fallback",
+                DegenerateInputWarning, stacklevel=2,
+            )
+        outputs.append(out)
+    return readout_from_outputs(cache, outputs)
 
 
 def apply_attention_masking(record: AttentionRecord, masks, groups) -> AttentionRecord:
@@ -552,10 +628,10 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     control masks. Steps 1..bound_steps carry one latent-optimization
     iteration each (decay step = sampling step); later steps apply masking
     only and refresh the masks every ``update_interval`` steps. Within a
-    step the raw maps are read first (box loss, its gradient, leakage) and
-    then masked in place for the noise readout and the refresh; see the
-    module docstring. Raises DivergenceError naming the step once the
-    control loss or the latent goes non-finite.
+    step the raw maps are read first (box loss, its gradient, leakage), then
+    the noise is read out of the masked maps, which are masked in place only
+    for a refresh; see the module docstring. Raises DivergenceError naming
+    the step once the control loss or the latent goes non-finite.
     """
     config.validate()
     if sched is None:
@@ -673,17 +749,20 @@ def _sampling_step(run: _SamplingRun, z: np.ndarray,
         total_after=float(total_after), leakage=tuple(leakage),
     )
 
-    if config.use_masking:
-        maps = _mask_maps(layers, maps, masks, groups)  # the cache's own maps
-    eps_hat = readout_eps(cache, maps)
     due = (
         run.n_clusters > 0
         and not optimizing
         and config.update_interval > 0
         and (step - config.bound_steps) % config.update_interval == 0
     )
-    if due:
-        _refresh_masks(run, maps)
+    if config.use_masking and not due:
+        eps_hat = _masked_readout(cache, masks, groups)
+    else:
+        if config.use_masking:  # the refresh clusters the masked maps
+            maps = _mask_maps(layers, maps, masks, groups)
+        eps_hat = readout_eps(cache, maps)
+        if due:
+            _refresh_masks(run, maps)
 
     if t > 0:
         z = ddim_step(z, eps_hat, t, t - 1, run.schedule)

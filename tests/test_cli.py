@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: exit codes, output text, artifacts."""
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from attnctl.cli import main
 from attnctl.denoiser import TokenEmbedding, save_tokens
+from attnctl.kkt import ORACLE_MAX_K
 
 CONFIG = """\
 [scenario]
@@ -57,6 +59,25 @@ def test_oracle_prints_json(capsys, tmp_path):
     assert inst["background"] == pytest.approx(1.0 / 6.0)
     assert inst["multiplier"] == pytest.approx(-1.0 / 3.0)
     assert json.loads(out_file.read_text()) == payload
+
+
+@pytest.mark.parametrize("k", [ORACLE_MAX_K + 1, 20_000, 100_000_000])
+def test_oracle_with_too_many_instances_exits_one_before_allocating(capsys, k):
+    # k = 10^8 once asked numpy for 71 PiB and ended in a traceback.
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        code = main(["oracle", "--k", str(k), "--alpha", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert code == 1
+    assert f"[1, {ORACLE_MAX_K}]" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_gradcheck_passes(capsys):

@@ -7,11 +7,14 @@ gradients replicated onto the grid as full-size broadcast copies, the noise
 readout summed in the forward pass, a backward pass that multiplies through a
 zero readout gradient, a learning loop that backpropagates every term on
 every iteration whatever its weight, energies squared after masking, one
-gradient array per instance, a dense boolean ``allowed`` matrix for
-self-attention masking, a per-cell box blur and an (n, k, d) K-means distance
-array. Where the arithmetic is the same the results must be bitwise equal;
-the box blur and the K-means distances sum in another order and are held to
-1e-12.
+instance at a time, one gradient array per instance, a dense boolean
+``allowed`` matrix for self-attention masking, the masked readout as the
+readout of masked maps, a per-cell box blur and an (n, k, d) K-means
+distance array. Where the arithmetic is the same the results must be bitwise
+equal; the box blur, the K-means distances, the self-attention energies and
+the masked readout sum in another order and are held to 1e-12 (the energies
+to 1e-13, and bitwise on maps whose sums are exact), and so is a synthesis
+run on the reference kernels.
 """
 import warnings
 from types import SimpleNamespace
@@ -50,10 +53,13 @@ from attnctl.synthesis import (
     SynthesisConfig,
     _box_loss_grads,
     _box_loss_terms,
+    _flat_masks,
     _mask_maps,
-    _sa_energies,
+    _masked_readout,
+    _sa_box_energies,
     apply_attention_masking,
     instance_masks_from_boxes,
+    masks_at_all_resolutions,
     run_synthesis,
 )
 
@@ -437,12 +443,18 @@ def test_softmax_rows_backward_leaves_inputs_alone():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sa_energies_match_reference_bitwise(seed):
+    # Entries are multiples of 1/16, so every square and every partial sum
+    # is exact in float64 and the energies agree bit for bit whatever the
+    # summation order (random maps are held to 1e-13 further down).
     rng = np.random.default_rng(seed)
-    attn = rng.random((36, 36))
-    m = (rng.random(36) < 0.4).astype(np.float64)
-    assert _sa_energies(attn, m) == ref_sa_energies(attn, m)
-    fg, bg = _sa_energies(attn, np.zeros(36))
-    assert (fg, bg) == ref_sa_energies(attn, np.zeros(36)) == (0.0, 0.0)
+    attn = rng.integers(0, 17, (36, 36)) / 16.0
+    flats = (rng.random((3, 36)) < 0.4).astype(np.float64)
+    flats[2] = 0.0
+    got = _sa_box_energies(attn, flats)
+    for i, m in enumerate(flats):
+        assert tuple(got[i]) == ref_sa_energies(attn, m)
+        assert tuple(_sa_box_energies(attn, m[None, :])[0]) == ref_sa_energies(attn, m)
+    assert tuple(got[2]) == ref_sa_energies(attn, flats[2]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed,out_of_box", [(0, True), (1, False), (2, True)])
@@ -575,6 +587,120 @@ def test_apply_attention_masking_leaves_its_record_alone(problem):
 # ---------------------------------------------------------------------------
 # Kernels that sum in another order
 # ---------------------------------------------------------------------------
+
+def _random_box(rng):
+    x0, y0 = rng.uniform(0.0, 0.6, 2)
+    w, h = rng.uniform(0.25, 0.4, 2)
+    return synthesis.BoxSpec(x0, y0, x0 + w, y0 + h)
+
+
+@st.composite
+def _sa_energy_problems(draw):
+    """The decoder self-attention map of a grid x grid latent (grid 4-64,
+    so (grid/2)^2 rows), row-stochastic, and 1-3 instance masks: rasterized
+    boxes, which may overlap, non-rectangular pixel sets, or empty masks."""
+    side = draw(st.integers(2, 32))
+    n = side * side
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    attn = rng.random((n, n)) ** 4
+    attn /= attn.sum(axis=1, keepdims=True)
+    flats = []
+    for kind in draw(st.lists(st.sampled_from(["box", "pixels", "empty"]),
+                              min_size=1, max_size=3)):
+        if kind == "box":
+            flats.append(synthesis.rasterize_box(_random_box(rng), side, side).flat())
+        elif kind == "pixels":
+            flats.append((rng.random(n) < 0.4).astype(np.float64))
+        else:
+            flats.append(np.zeros(n))
+    return attn, np.array(flats)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_sa_energy_problems())
+def test_sa_box_energies_match_reference(problem):
+    attn, flats = problem
+    got = _sa_box_energies(attn, flats)
+    assert got.shape == (len(flats), 2)
+    for (fg, bg), m in zip(got, flats):
+        if not m.any():
+            assert (fg, bg) == (0.0, 0.0)
+            continue
+        ref_fg, ref_bg = ref_sa_energies(attn, m)
+        assert abs(fg - ref_fg) <= 1e-13 * ref_fg
+        assert abs(bg - ref_bg) <= 1e-13 * ref_bg
+
+
+@st.composite
+def _readout_problems(draw):
+    """A forward cache of the default three-layer stack on a grid x grid
+    latent and 1-3 instances whose masks, at every layer resolution, are
+    rasterized boxes, which may overlap, or refined (non-rectangular) masks
+    carried from the full grid."""
+    grid = draw(st.sampled_from([4, 8, 16, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = default_params(4, grid, grid, seed=int(rng.integers(0, 100)))
+    z = rng.standard_normal((grid, grid, 4)) * draw(st.sampled_from([1.0, 10.0]))
+    cache = forward_cache(z, rng.standard_normal((3, 4)) * 10.0, params.layers)
+    resolutions = sorted({(l.height, l.width) for l in params.layers})
+    masks = []
+    for kind in draw(st.lists(st.sampled_from(["box", "refined"]), min_size=1, max_size=3)):
+        if kind == "box":
+            masks += instance_masks_from_boxes([_random_box(rng)], resolutions)
+        else:
+            refined = BinaryMask(rng.random((grid, grid)) < 0.4)
+            masks.append(masks_at_all_resolutions(refined, resolutions))
+    groups = [[int(rng.integers(0, 3))] for _ in masks]
+    return cache, masks, groups
+
+
+def _warnings_of(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_readout_problems())
+def test_masked_readout_matches_readout_of_masked_maps(problem):
+    cache, masks, groups = problem
+    layers = [lc.work for lc in cache.layers]
+    raw = [m.copy() for m in cache.maps()]
+    ref, ref_warned = _warnings_of(
+        lambda: readout_eps(cache, _mask_maps(layers, [m.copy() for m in raw],
+                                              masks, groups)))
+    new, warned = _warnings_of(_masked_readout, cache, masks, groups)
+    assert _close(new, ref)
+    assert warned == ref_warned
+    # Only the cross-attention maps were masked where they lie.
+    for layer, before, after in zip(layers, raw, cache.maps()):
+        assert _same_bits(before, after) == (layer.attn_type == SELF)
+
+
+def test_masked_readout_dead_row_falls_back_to_the_mean_of_permitted_values():
+    # The map of the dead-row masking test: pixel 0 may reach only box A
+    # (pixels 0 and 1) but attends only to pixel 2.
+    attn = np.array([[0.0, 0.0, 1.0, 0.0],
+                     [0.1, 0.2, 0.3, 0.4],
+                     [0.25, 0.25, 0.25, 0.25],
+                     [0.4, 0.3, 0.2, 0.1]])
+    v = np.random.default_rng(8).standard_normal((4, 3))
+    work = SimpleNamespace(kind=DECODER, attn_type=SELF, height=2, width=2)
+    cache = ForwardCache(z=np.zeros((2, 2, 3)), emb=np.zeros((3, 3)),
+                         layers=[LayerCache(work, None, None, None, v, attn.copy())])
+    masks = [{(2, 2): BinaryMask([[1, 1], [0, 0]])},
+             {(2, 2): BinaryMask([[0, 1], [0, 1]])}]
+    new, warned = _warnings_of(_masked_readout, cache, masks, [[1], [2]])
+    assert [category for category, _ in warned] == [DegenerateInputWarning]
+    ref, ref_warned = _warnings_of(
+        lambda: readout_eps(cache, _mask_maps([work], [attn.copy()], masks, [[1], [2]])))
+    assert warned == ref_warned
+    assert _close(new, ref)
+    assert _same_bits(new[0, 0], v[:2].mean(axis=0))  # uniform over {0, 1}
+    assert _same_bits(cache.layers[0].attn, attn)
+
+
 
 @pytest.mark.parametrize("shape", [(8, 8), (5, 9), (1, 7), (12, 3)])
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 12])
@@ -781,7 +907,30 @@ def test_run_semantic_learning_matches_reference_loop_bitwise(
         assert not all(_same_bits(a.wv, b.wv)
                        for a, b in zip(new.params.layers, params.layers))
 
-def test_run_synthesis_with_reference_kernels_is_bitwise_equal(monkeypatch):
+def _ref_sa_box_energies(attn, flats):
+    return np.array([ref_sa_energies(attn, m) for m in flats]).reshape(len(flats), 2)
+
+
+def _ref_masked_readout(cache, masks, groups):
+    layers = [lc.work for lc in cache.layers]
+    return readout_eps(cache, ref_mask_maps(layers, cache.maps(), masks, groups))
+
+
+def _steps_close(a, b) -> bool:
+    for s, t in zip(a, b):
+        for name in ("per_instance", "total", "total_after", "leakage"):
+            x, y = np.atleast_1d(getattr(s, name)), np.atleast_1d(getattr(t, name))
+            if np.any(np.abs(x - y) > 1e-12 * np.abs(y)):
+                return False
+    return len(a) == len(b) and [(s.step, s.t, s.alpha_t) for s in a] == \
+        [(t.step, t.t, t.alpha_t) for t in b]
+
+
+def test_run_synthesis_with_reference_kernels_matches_to_rounding(monkeypatch):
+    # The self-attention energies and the masked readout sum in another
+    # order than their references, so the run agrees to rounding: z_final
+    # to 1e-12 absolute, the step metrics to 1e-12 relative, the masks and
+    # ``refined`` exactly.
     scen = generate_scenario((16, 16), 2, rho=0.8, seed=0, dim=4)
     tokens = synthesis_tokens(scen, gain=10.0)
     params = default_params(4, 16, 16, seed=7)
@@ -800,16 +949,18 @@ def test_run_synthesis_with_reference_kernels_is_bitwise_equal(monkeypatch):
         mp.setattr(synthesis, "forward_cache",
                    lambda z, emb, layers: ref_forward_cache(z, emb, layers)[0])
         mp.setattr(synthesis, "backprop", ref_backprop)
-        mp.setattr(synthesis, "_sa_energies", ref_sa_energies)
+        mp.setattr(synthesis, "_sa_box_energies", _ref_sa_box_energies)
         mp.setattr(synthesis, "_box_loss_grads", ref_box_loss_grads)
+        # ref_mask_maps returns new arrays: the step must use what it returns.
         mp.setattr(synthesis, "_mask_maps", ref_mask_maps)
+        mp.setattr(synthesis, "_masked_readout", _ref_masked_readout)
         mp.setattr(refine, "box_blur", ref_box_blur)
         mp.setattr(refine, "_sq_distances",
                    lambda x, x_sq, centers: ref_sq_distances(x, centers))
         ref = run()
     assert new.refined and ref.refined
-    assert _same_bits(new.z_final, ref.z_final)
-    assert new.steps == ref.steps
+    assert np.max(np.abs(new.z_final - ref.z_final)) <= 1e-12
+    assert _steps_close(new.steps, ref.steps)
     for a, b in zip(new.masks, ref.masks):
         assert {k: m.bits.tobytes() for k, m in a.items()} == \
                {k: m.bits.tobytes() for k, m in b.items()}
