@@ -129,13 +129,16 @@ def _coerce(section: str, key: str, raw: str, target_type) -> object:
             raise ValueError(raw)
         if target_type is int:
             return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        if target_type is not float:
+            return raw
+        value = float(raw)
     except ValueError as exc:
         raise ConfigurationError(
             f"[{section}] {key}: cannot parse {raw!r} as {target_type.__name__}"
         ) from exc
+    if not np.isfinite(value):
+        raise ConfigurationError(f"[{section}] {key}: must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_boxes_section(items: "dict[str, str]"):

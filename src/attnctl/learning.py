@@ -8,6 +8,14 @@ reward (pull each token's attention toward its scaled mask) for the first
 ``coarse_iters`` iterations, penalty (push attention off everything outside
 the mask) afterwards. A final parameter-refinement stage touches only the
 value projections.
+
+The loop evaluates only the terms it weights. A term whose weight is 0 is
+not computed and its trace cell reads nan; with ``lambda_rec = 0`` the
+forward pass runs the decoder cross-attention layers alone (the only layers
+the attention loss reads) and never reads the noise out, and an iteration
+with no active term runs no forward or backward pass at all. Every iteration
+still draws its subset, level and noise, so the random stream does not
+depend on the weights.
 """
 from __future__ import annotations
 
@@ -142,7 +150,9 @@ class LearningConfig:
     def validate(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha: must lie in (0, 1]")
-        if self.lambda_rec < 0.0 or self.lambda_attn < 0.0:
+        # Written so that nan fails too: a nan weight would otherwise read
+        # as a zero weight, whose term the loop does not evaluate.
+        if not (self.lambda_rec >= 0.0 and self.lambda_attn >= 0.0):
             raise ConfigurationError("lambda_rec/lambda_attn: must be >= 0")
         if not 0 <= self.coarse_iters <= self.stage1_iters <= self.total_iters:
             raise ConfigurationError(
@@ -152,7 +162,7 @@ class LearningConfig:
             raise ConfigurationError("total_iters: must be >= 1")
         if self.t_min_attn < 0 or self.t_max_attn < self.t_min_attn:
             raise ConfigurationError("need 0 <= t_min_attn <= t_max_attn")
-        if self.learn_rate <= 0.0 or self.stage2_rate < 0.0:
+        if not (self.learn_rate > 0.0 and self.stage2_rate >= 0.0):
             raise ConfigurationError("learn_rate must be > 0 and stage2_rate >= 0")
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
@@ -229,12 +239,22 @@ def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
 
 def total_learning_loss(rec_loss: float, attn_loss: float,
                         config: LearningConfig) -> float:
-    """lambda_rec * reconstruction + lambda_attn * staged attention."""
-    return config.lambda_rec * rec_loss + config.lambda_attn * attn_loss
+    """lambda_rec * reconstruction + lambda_attn * staged attention, summed
+    over the weighted terms only: a zero-weighted term is not evaluated (its
+    loss reads nan) and adds nothing."""
+    total = 0.0
+    for weight, loss in ((config.lambda_rec, rec_loss), (config.lambda_attn, attn_loss)):
+        if weight > 0.0:
+            total += weight * loss
+    return total
 
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One iteration's losses. A term whose weight is 0 is not evaluated
+    and reads nan; a weighted attention term reads 0 on an iteration outside
+    its window or in stage 2. ``total`` sums the weighted terms."""
+
     iteration: int
     branch: str      # reward | penalty | stage2
     rec_loss: float
@@ -301,7 +321,8 @@ def run_semantic_learning(scenario, config: LearningConfig,
     ``params`` to hold them fixed while the embedding init and sampling
     stream vary (the usual setup for seed-sensitivity comparisons). Returns
     the learned tokens, the (value-refined) denoiser parameters, and the full
-    per-iteration loss trace. Raises DivergenceError if the total loss goes
+    per-iteration loss trace. Raises DivergenceError naming the iteration if
+    the weighted loss or an updated embedding or value weight goes
     non-finite.
     """
     config.validate()
@@ -331,9 +352,13 @@ def run_semantic_learning(scenario, config: LearningConfig,
     for pid in learnable:
         emb[pid] = rng.normal(0.0, 0.02, size=dim)
 
-    gated_masks = _gated_masks(layers, instances.masks)
     rec_active = config.lambda_rec > 0.0
     attn_active = config.lambda_attn > 0.0
+    # Only the readout reads the encoder and self-attention layers, so
+    # without the reconstruction term the forward pass runs the decoder
+    # cross-attention layers alone; masks are keyed by position in that list.
+    run_layers = layers if rec_active else [layers[i] for i in gated_layers(layers, CROSS)]
+    gated_masks = _gated_masks(run_layers, instances.masks)
 
     trace: "list[TraceRow]" = []
     emb_at_coarse_end: np.ndarray | None = None
@@ -342,33 +367,33 @@ def run_semantic_learning(scenario, config: LearningConfig,
         if e == config.coarse_iters:
             emb_at_coarse_end = emb.copy()
         stage2 = e >= config.stage1_iters
+        branch = BRANCH_STAGE2 if stage2 else _attn_branch(e, config)
 
+        # Drawn on every iteration, evaluated or not, so that the random
+        # stream does not depend on the weights.
         draw = joint_sample(instances, rng)
         t = int(rng.integers(0, schedule.total_steps))
         eps = rng.standard_normal(z0.shape)
-        z_t = ddim_add_noise(z0, eps, t, schedule)
-        cache = forward_cache(z_t, emb, layers)
 
-        # A term with zero weight is still traced, but sends no gradient.
-        rec, d_eps = _rec_loss_and_grad(eps, readout_eps(cache, cache.maps()),
-                                        draw.m_rec, with_grad=rec_active)
-        if rec_active:
-            d_eps = config.lambda_rec * d_eps
-
-        attn = 0.0
-        d_attn: "list[np.ndarray | None] | None" = None
-        if stage2:
-            branch = BRANCH_STAGE2
-        else:
-            branch = _attn_branch(e, config)
-            if config.t_min_attn <= t <= config.t_max_attn:
+        # A zero-weighted term is not evaluated and reads nan; a weighted
+        # attention term outside its window or in stage 2 reads 0.
+        rec = np.nan
+        attn = 0.0 if attn_active else np.nan
+        attn_now = attn_active and not stage2 and config.t_min_attn <= t <= config.t_max_attn
+        d_eps = d_attn = None
+        if rec_active or attn_now:
+            cache = forward_cache(ddim_add_noise(z0, eps, t, schedule), emb, run_layers)
+            if rec_active:
+                rec, d_eps = _rec_loss_and_grad(eps, readout_eps(cache, cache.maps()),
+                                                draw.m_rec)
+                d_eps = config.lambda_rec * d_eps
+            if attn_now:
                 attn, grads = _attn_loss_and_grad(
                     cache.maps(), gated_masks, instances,
                     draw, branch, config.alpha, config.pixel_norm,
                 )
-                if attn_active:
-                    d_attn = [None if g is None else config.lambda_attn * g
-                              for g in grads]
+                d_attn = [None if g is None else config.lambda_attn * g
+                          for g in grads]
 
         total = total_learning_loss(rec, attn, config)
         if not np.isfinite(total):
@@ -376,16 +401,23 @@ def run_semantic_learning(scenario, config: LearningConfig,
                 f"loss became non-finite at iteration {e} (branch {branch})"
             )
 
-        # With no active term every gradient is zero and the update would
-        # subtract exact zeros, so both are skipped.
+        # With no active term there is no gradient, so no backprop or update.
         if d_attn is not None or d_eps is not None:
             res = backprop(cache, d_attn=d_attn, d_eps=d_eps)
+            updated: "list[np.ndarray]" = []
             if not stage2:
                 for pid in learnable:
                     emb[pid] -= config.learn_rate * res.d_emb[pid]
+                updated = [emb]
             elif config.stage2_rate > 0.0:
-                for li, lw in enumerate(layers):
-                    lw.wv -= config.stage2_rate * res.d_wv[li]
+                for lw, d_wv in zip(run_layers, res.d_wv):
+                    lw.wv -= config.stage2_rate * d_wv
+                updated = [lw.wv for lw in run_layers]
+            if not all(np.isfinite(a).all() for a in updated):
+                raise DivergenceError(
+                    f"{'value weights' if stage2 else 'embeddings'} became non-finite "
+                    f"at iteration {e} (branch {branch})"
+                )
 
         trace.append(TraceRow(e, branch, rec, attn, total))
 

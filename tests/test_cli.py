@@ -96,6 +96,18 @@ def test_bad_config_exits_one(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", [("learning", "learn_rate"), ("synthesis", "beta")])
+def test_non_finite_config_number_exits_one(capsys, tmp_path, section, key, value):
+    # A nan learn_rate once ran and was reported as numeric divergence.
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert main(["learn", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}: must be a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_exits_two(capsys, workspace, tmp_path):
     code = main(["learn", str(workspace / "diverge.ini"),

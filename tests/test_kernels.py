@@ -5,11 +5,11 @@ Each reference below is the plain form of a kernel that the engine computes
 with fewer temporaries: a softmax out of place, layer outputs and pooled
 gradients replicated onto the grid as full-size broadcast copies, the noise
 readout summed in the forward pass, a backward pass that multiplies through a
-zero readout gradient, a learning loop that backpropagates every term on
-every iteration whatever its weight, energies squared after masking, one
-instance at a time, one gradient array per instance, a dense boolean
-``allowed`` matrix for self-attention masking, the masked readout as the
-readout of masked maps, a per-cell box blur and an (n, k, d) K-means
+zero readout gradient, a learning loop that evaluates and backpropagates
+every term on every iteration whatever its weight, energies squared after
+masking, one instance at a time, one gradient array per instance, a dense
+boolean ``allowed`` matrix for self-attention masking, the masked readout as
+the readout of masked maps, a per-cell box blur and an (n, k, d) K-means
 distance array. Where the arithmetic is the same the results must be bitwise
 equal; the box blur, the K-means distances, the self-attention energies and
 the masked readout sum in another order and are held to 1e-12 (the energies
@@ -166,7 +166,8 @@ def ref_backprop(cache, d_attn=None, d_eps=None):
 
 
 def ref_run_semantic_learning(scen, config, schedule, params):
-    """The learning loop with every term always backpropagated: a zero
+    """The learning loop with every term always evaluated and
+    backpropagated: every iteration runs every layer and the readout, a zero
     lambda_rec still sends lambda_rec * d_eps through all layers, and an
     iteration with no attention term still runs the backward pass and
     subtracts its (zero) embedding gradient. Returns the final embeddings,
@@ -896,9 +897,17 @@ def test_run_semantic_learning_matches_reference_loop_bitwise(
     for layer, ref_wv in zip(new.params.layers, wv):
         assert _same_bits(layer.wv, ref_wv)
     assert [r.branch for r in new.trace] == [r.branch for r in trace]
-    for field in ("iteration", "rec_loss", "attn_loss", "total"):
+    for field in ("iteration", "total"):
         assert _same_bits([getattr(r, field) for r in new.trace],
                           [getattr(r, field) for r in trace])
+    # The reference evaluates every term; the loop evaluates a term only
+    # where its weight is > 0 and traces nan for the other.
+    for field, weight in (("rec_loss", lambda_rec), ("attn_loss", lambda_attn)):
+        values = [getattr(r, field) for r in new.trace]
+        if weight > 0.0:
+            assert _same_bits(values, [getattr(r, field) for r in trace])
+        else:
+            assert np.isnan(values).all()
     # Where a term is active the run learned something, so equal bits are
     # not two runs that both stood still.
     if lambda_rec + lambda_attn > 0.0 and coarse < 800:

@@ -213,6 +213,10 @@ def test_learning_config_validation():
         dict(t_min_attn=5, t_max_attn=3),
         dict(learn_rate=0.0),
         dict(seed=-1),
+        dict(lambda_rec=float("nan")),
+        dict(lambda_attn=float("nan")),
+        dict(learn_rate=float("nan")),
+        dict(stage2_rate=float("nan")),
     ]:
         with pytest.raises(ConfigurationError):
             LearningConfig(**bad).validate()
@@ -365,3 +369,102 @@ def test_active_rec_weight_backprops_every_iteration(monkeypatch):
     calls = [d_eps for kind, d_eps in events if kind == "backprop"]
     assert len(calls) == 12
     assert all(d_eps is not None for d_eps in calls)
+
+
+def _log_forward_passes(monkeypatch, config):
+    """Run the loop on the tiny scenario, logging each forward pass's noise
+    level and layer tags, and counting readouts."""
+    log = {"t": [], "layers": [], "readouts": 0}
+    add_noise, forward, readout = (learning.ddim_add_noise, learning.forward_cache,
+                                   learning.readout_eps)
+
+    def logged_noise(z0, eps, t, schedule):
+        log["t"].append(t)
+        return add_noise(z0, eps, t, schedule)
+
+    def logged_forward(z, emb, layers):
+        log["layers"].append([(l.kind, l.attn_type) for l in layers])
+        return forward(z, emb, layers)
+
+    def logged_readout(cache, maps):
+        log["readouts"] += 1
+        return readout(cache, maps)
+
+    monkeypatch.setattr(learning, "ddim_add_noise", logged_noise)
+    monkeypatch.setattr(learning, "forward_cache", logged_forward)
+    monkeypatch.setattr(learning, "readout_eps", logged_readout)
+    result = run_semantic_learning(_tiny_scenario(), config, schedule=toy_schedule(10))
+    return result, log
+
+
+def test_forward_pass_runs_only_what_the_weighted_terms_read(monkeypatch):
+    # Levels 0..4 of 10 carry the attention term; the last 10 iterations
+    # are stage 2, which has none.
+    cfg = dict(lambda_attn=1.0, total_iters=40, stage1_iters=30, coarse_iters=10,
+               t_max_attn=4)
+    every_layer = [("encoder", "CA"), ("decoder", "CA"), ("decoder", "SA")]
+
+    # With the reconstruction term, every iteration runs every layer and
+    # reads the noise out.
+    full, log = _log_forward_passes(monkeypatch, LearningConfig(lambda_rec=1.0, **cfg))
+    assert log["layers"] == [every_layer] * 40
+    assert log["readouts"] == 40
+    assert all(np.isfinite(row.rec_loss) for row in full.trace)
+    levels = log["t"]
+
+    # Without it, only stage-1 iterations inside the attention window run a
+    # forward pass, over the decoder cross-attention layer alone, on the
+    # same noise levels (the random stream is drawn in full either way).
+    attn_only, log = _log_forward_passes(monkeypatch, LearningConfig(lambda_rec=0.0, **cfg))
+    in_window = [t for e, t in enumerate(levels) if e < 30 and t <= 4]
+    assert 0 < len(in_window) < 30
+    assert log["t"] == in_window
+    assert log["layers"] == [[("decoder", "CA")]] * len(in_window)
+    assert log["readouts"] == 0
+    assert all(np.isnan(row.rec_loss) for row in attn_only.trace)
+    assert [row.total for row in attn_only.trace] == \
+        [row.attn_loss for row in attn_only.trace]
+
+    # With no weighted term nothing is evaluated at all.
+    idle, log = _log_forward_passes(
+        monkeypatch, LearningConfig(lambda_rec=0.0, **{**cfg, "lambda_attn": 0.0}))
+    assert log == {"t": [], "layers": [], "readouts": 0}
+    assert all(np.isnan(row.rec_loss) and np.isnan(row.attn_loss) and row.total == 0.0
+               for row in idle.trace)
+
+
+@pytest.mark.parametrize("stage2", [False, True])
+def test_non_finite_update_on_the_last_iteration_raises(monkeypatch, stage2):
+    # The loss of the last iteration is finite; only the update it makes
+    # is not, and the state is checked after every update.
+    cfg = LearningConfig(total_iters=6, stage1_iters=4 if stage2 else 6, coarse_iters=2,
+                         t_max_attn=9, stage2_rate=1e-3)
+    calls = []
+    backprop = learning.backprop
+
+    def poisoned_backprop(cache, d_attn=None, d_eps=None):
+        res = backprop(cache, d_attn=d_attn, d_eps=d_eps)
+        calls.append(None)
+        if len(calls) == cfg.total_iters:
+            if stage2:
+                res.d_wv[0] = np.full_like(res.d_wv[0], np.inf)
+            else:
+                res.d_emb = np.full_like(res.d_emb, np.inf)
+        return res
+
+    monkeypatch.setattr(learning, "backprop", poisoned_backprop)
+    what = "value weights" if stage2 else "embeddings"
+    with pytest.raises(DivergenceError, match=f"{what} became non-finite at iteration 5"):
+        run_semantic_learning(_tiny_scenario(), cfg, schedule=toy_schedule(10))
+    assert len(calls) == cfg.total_iters
+
+
+def test_unused_term_cannot_diverge_an_attention_only_run():
+    # A huge step makes the embeddings large but finite. The readout of
+    # such embeddings squares to inf, which once stopped the run although
+    # lambda_rec = 0 keeps that loss out of every gradient.
+    cfg = LearningConfig(lambda_rec=0.0, learn_rate=1e308, total_iters=12,
+                         stage1_iters=8, coarse_iters=4, t_max_attn=9)
+    result = run_semantic_learning(_tiny_scenario(), cfg, schedule=toy_schedule(10))
+    assert np.isfinite(result.embedding_matrix).all()
+    assert np.abs(result.embedding_matrix).max() > 1e300
