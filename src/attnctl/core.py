@@ -7,7 +7,10 @@ copies.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +52,15 @@ def checked_array(values, name: str, ndim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: contains non-finite values")
     return arr
+
+
+def check_finite_fields(config) -> None:
+    """Raise ConfigurationError naming the first numeric field of the
+    dataclass ``config`` that is nan or infinite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name}: must be a finite number, got {value!r}")
 
 
 def frozen_array(values, name: str, ndim: int | None = None) -> np.ndarray:

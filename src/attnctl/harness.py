@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import BinaryMask
+from .core import BinaryMask, check_finite_fields
 from .denoiser import (
     default_params,
     forward_denoise,
@@ -66,6 +66,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if self.height < 2 or self.width < 2:
             raise ConfigurationError("extents must be at least 2x2")
         if self.instances < 1:

@@ -7,7 +7,10 @@ descends a masked reconstruction loss plus a staged cross-attention loss —
 reward (pull each token's attention toward its scaled mask) for the first
 ``coarse_iters`` iterations, penalty (push attention off everything outside
 the mask) afterwards. A final parameter-refinement stage touches only the
-value projections.
+value projections. Each stage backpropagates into what it updates and no
+further: stage 1 into the embeddings only (no self-attention layer reaches
+them, so its backward pass skips every one), stage 2 into the value
+projections ``Wv`` only (no softmax backward).
 
 The loop evaluates only the terms it weights. A term whose weight is 0 is
 not computed and its trace cell reads nan; with ``lambda_rec = 0`` the
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CROSS, AttentionRecord, BinaryMask, checked_array, gated_layers, mask_at,
-                   matched_arrays)
+from .core import (CROSS, AttentionRecord, BinaryMask, check_finite_fields, checked_array,
+                   gated_layers, mask_at, matched_arrays)
 from .denoiser import (
     DenoiserParams,
     NoiseSchedule,
@@ -148,6 +151,7 @@ class LearningConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha: must lie in (0, 1]")
         # Written so that nan fails too: a nan weight would otherwise read
@@ -403,7 +407,8 @@ def run_semantic_learning(scenario, config: LearningConfig,
 
         # With no active term there is no gradient, so no backprop or update.
         if d_attn is not None or d_eps is not None:
-            res = backprop(cache, d_attn=d_attn, d_eps=d_eps)
+            res = backprop(cache, d_attn=d_attn, d_eps=d_eps,
+                           wrt=("wv",) if stage2 else ("emb",))
             updated: "list[np.ndarray]" = []
             if not stage2:
                 for pid in learnable:

@@ -55,6 +55,7 @@ from .core import (
     SELF,
     AttentionRecord,
     BinaryMask,
+    check_finite_fields,
     check_tokens,
     gated_layers,
     matched_arrays,
@@ -135,6 +136,7 @@ class ScheduleParams:
     horizon: int = 15       # total decayed steps (the optimization phase)
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if not 0.0 < self.alpha_final <= self.alpha_min <= self.alpha_max:
             raise ConfigurationError(
                 "need 0 < alpha_final <= alpha_min <= alpha_max"
@@ -178,6 +180,7 @@ class SynthesisConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if self.beta < 0.0:
             raise ConfigurationError("beta: must be >= 0")
         if self.lambda_sa < 0.0 or self.lambda_ca < 0.0:
@@ -779,7 +782,7 @@ def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
     maps. The gradient buffers are local here and go when it returns."""
     d_attn = _box_loss_grads(run.layers, cache.maps(), run.masks, run.groups,
                              alpha_t, run.config, per_terms)
-    res = backprop(cache, d_attn=d_attn, d_eps=None)
+    res = backprop(cache, d_attn=d_attn, d_eps=None, wrt=("z",))
     return latent_opt_step(z, res.d_z, run.config.beta)
 
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from attnctl.core import (
     AttentionMap,
@@ -126,6 +129,16 @@ def test_binary_mask_text_round_trip():
     assert text.splitlines()[0] == "2 3"
     back = BinaryMask.from_text(text)
     assert np.array_equal(back.bits, m.bits)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 40).flatmap(lambda h: st.integers(1, 40).flatmap(
+    lambda w: hnp.arrays(np.uint8, (h, w), elements=st.integers(0, 1)))))
+def test_binary_mask_text_round_trips_exactly(bits):
+    mask = BinaryMask(bits)
+    back = BinaryMask.from_text(mask.to_text())
+    assert back.bits.shape == mask.bits.shape
+    assert back.bits.tobytes() == mask.bits.tobytes()
 
 
 @pytest.mark.parametrize("bad", [

@@ -4,7 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from attnctl.core import CROSS, DECODER, ENCODER, SELF
 from attnctl.denoiser import (
     DenoiserParams,
     LayerSpec,
@@ -296,3 +300,65 @@ def test_tokens_text_round_trip():
         assert np.array_equal(a.vector, b.vector)
     with pytest.raises(ValueError):
         tokens_from_text("wrong header\n")
+
+
+# Finite float64 values, with the edges of the format drawn often: signed
+# zeros, the smallest subnormals, the largest subnormal, the smallest
+# normal and the largest finite magnitudes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, -2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _random_params(draw):
+    """A stack of 2-5 layers in random order, with a decoder cross-attention
+    and a self-attention layer among them, random extents and weights."""
+    dim = draw(st.integers(1, 5))
+    tags = draw(st.lists(st.tuples(st.sampled_from([ENCODER, DECODER]),
+                                   st.sampled_from([CROSS, SELF])), max_size=3))
+    tags = draw(st.permutations(
+        tags + [(DECODER, CROSS), (draw(st.sampled_from([ENCODER, DECODER])), SELF)]))
+    weights = hnp.arrays(np.float64, (dim, dim), elements=_FLOATS)
+    layers = [LayerSpec(kind, attn_type, draw(st.integers(1, 64)), draw(st.integers(1, 64)),
+                        draw(weights), draw(weights), draw(weights))
+              for kind, attn_type in tags]
+    return DenoiserParams(dim, tuple(layers))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_random_params())
+def test_params_text_round_trips_exactly(params):
+    back = params_from_text(params_to_text(params))
+    assert back.dim == params.dim
+    assert [(l.kind, l.attn_type, l.height, l.width) for l in back.layers] == \
+        [(l.kind, l.attn_type, l.height, l.width) for l in params.layers]
+    for a, b in zip(params.layers, back.layers):
+        for name in ("wq", "wk", "wv"):
+            assert _same_bits(getattr(a, name), getattr(b, name))
+
+
+@st.composite
+def _random_tokens(draw):
+    """1-6 tokens of one random width, with random ids, flags and vectors."""
+    dim = draw(st.integers(1, 8))
+    return [TokenEmbedding(draw(st.integers(0, 2 ** 31 - 1)),
+                           draw(hnp.arrays(np.float64, dim, elements=_FLOATS)),
+                           draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_random_tokens())
+def test_tokens_text_round_trips_exactly(tokens):
+    back = tokens_from_text(tokens_to_text(tokens))
+    assert [(t.token_id, t.learnable) for t in back] == \
+        [(t.token_id, t.learnable) for t in tokens]
+    for a, b in zip(tokens, back):
+        assert _same_bits(a.vector, b.vector)

@@ -1,6 +1,8 @@
 """INI config parsing, experiment orchestration, and run reports."""
+import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -9,12 +11,14 @@ from attnctl.errors import ConfigurationError
 from attnctl.harness import (
     METRICS_HEADER,
     ControlConfig,
+    ScenarioConfig,
     config_from_text,
     parse_config,
     report,
     run_experiment,
 )
-from attnctl.synthesis import BoxSpec
+from attnctl.learning import LearningConfig
+from attnctl.synthesis import BoxSpec, ScheduleParams, SynthesisConfig
 
 TINY_CONFIG = """\
 [scenario]
@@ -86,6 +90,22 @@ def test_coercion_error_names_section_and_key():
         config_from_text("[scenario]\nheight = tall\n")
     with pytest.raises(ConfigurationError, match=r"\[refinement\] enabled"):
         config_from_text("[refinement]\nenabled = maybe\n")
+
+
+_FLOAT_FIELDS = [(cls, f.name) for cls in (ScenarioConfig, LearningConfig,
+                                           SynthesisConfig, ScheduleParams)
+                 for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_validate_rejects_non_finite_numbers(cls, name, value):
+    # Config files cannot carry these (the parser names the section); a
+    # dataclass built in Python is stopped by its own validate().
+    config = cls(**{name: value})
+    with pytest.raises(ConfigurationError, match=f"^{name}: must be a finite number"):
+        config.validate()
 
 
 def test_syntax_error_is_wrapped():

@@ -16,6 +16,7 @@ the masked readout sum in another order and are held to 1e-12 (the energies
 to 1e-13, and bitwise on maps whose sums are exact), and so is a synthesis
 run on the reference kernels.
 """
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -130,7 +131,8 @@ def ref_softmax_rows_backward(attn, d_attn):
     return attn * (d_attn - inner)
 
 
-def ref_backprop(cache, d_attn=None, d_eps=None):
+def ref_backprop(cache, d_attn=None, d_eps=None, wrt=None):
+    """Every gradient, whatever ``wrt`` names."""
     H, W, d = cache.z.shape
     n_layers = len(cache.layers)
     scale = 1.0 / np.sqrt(d)
@@ -430,6 +432,78 @@ def test_backprop_with_readout_gradient_matches_reference_bitwise():
         assert _same_bits(new.d_emb, ref.d_emb)
         for a, b in zip(new.d_wv, ref.d_wv):
             assert _same_bits(a, b)
+
+
+_WRT_SUBSETS = [wrt for size in (1, 2, 3)
+                for wrt in itertools.combinations(gradients.GRADIENTS, size)]
+
+
+def _wrt_upstreams(layers, maps, masks, groups, config, per):
+    """Attention gradients in every form backprop takes: the box loss's
+    dense maps, its own RowGrads on the in-box self-attention rows, a random
+    dense gradient on every layer, encoder included, and none at all."""
+    rng = np.random.default_rng(5)
+    return [ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per),
+            _box_loss_grads(layers, maps, masks, groups, 0.3, config, per),
+            [rng.standard_normal(m.shape) for m in maps],
+            None]
+
+
+@pytest.mark.parametrize("wrt", _WRT_SUBSETS)
+def test_backprop_computes_only_the_requested_gradients(wrt):
+    cache, layers, maps, masks, groups, config, per = _loss_inputs(3, True)
+    d_eps = np.random.default_rng(3).standard_normal(cache.z.shape)
+    for upstream in _wrt_upstreams(layers, maps, masks, groups, config, per):
+        for readout in (d_eps, None):
+            if upstream is None and readout is None:
+                continue
+            full = backprop(cache, d_attn=upstream, d_eps=readout)
+            part = backprop(cache, d_attn=upstream, d_eps=readout, wrt=wrt)
+            assert (part.d_emb is None) == ("emb" not in wrt)
+            assert (part.d_wv is None) == ("wv" not in wrt)
+            assert (part.d_z is None) == (part.dxs is None) == ("z" not in wrt)
+            if "emb" in wrt:
+                assert _same_bits(part.d_emb, full.d_emb)
+            if "wv" in wrt:
+                assert len(part.d_wv) == len(full.d_wv)
+                assert all(_same_bits(a, b) for a, b in zip(part.d_wv, full.d_wv))
+            if "z" in wrt:
+                assert _same_bits(part.d_z, full.d_z)
+                assert [(h, w) for h, w, _ in part.dxs] == [(h, w) for h, w, _ in full.dxs]
+                assert all(_same_bits(a, b) for (*_, a), (*_, b) in zip(part.dxs, full.dxs))
+
+
+@pytest.mark.parametrize("wrt", [(), ("emb", "d_z"), ("latent",), "z"])
+def test_backprop_rejects_unknown_or_empty_wrt(wrt):
+    cache, *_ = _loss_inputs(0, True)
+    with pytest.raises(ValueError, match="wrt"):
+        backprop(cache, d_eps=np.zeros(cache.z.shape), wrt=wrt)
+
+
+def test_embedding_backprop_runs_no_self_attention_softmax_backward(monkeypatch):
+    # Self attention projects its keys and values from the latent, so no
+    # self-attention layer reaches the embeddings: asked for d_emb alone,
+    # backprop must not run the softmax backward of a self-attention map,
+    # even with a readout gradient and an upstream on every layer.
+    cache, layers, maps, masks, groups, config, per = _loss_inputs(3, True)
+    d_eps = np.random.default_rng(3).standard_normal(cache.z.shape)
+    n_tokens = cache.emb.shape[0]
+    assert any(lc.attn.shape[1] != n_tokens for lc in cache.layers)  # an SA map
+    columns = []
+    softmax_backward = gradients.softmax_rows_backward
+
+    def logged(attn, d_attn):
+        columns.append(attn.shape[1])
+        return softmax_backward(attn, d_attn)
+
+    monkeypatch.setattr(gradients, "softmax_rows_backward", logged)
+    for upstream in _wrt_upstreams(layers, maps, masks, groups, config, per):
+        backprop(cache, d_attn=upstream, d_eps=d_eps, wrt=("emb",))
+    assert columns and set(columns) == {n_tokens}
+    # The value gradient alone needs no softmax backward at all.
+    columns.clear()
+    backprop(cache, d_attn=None, d_eps=d_eps, wrt=("wv",))
+    assert columns == []
 
 
 def test_softmax_rows_backward_leaves_inputs_alone():

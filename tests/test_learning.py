@@ -6,6 +6,7 @@ from attnctl import learning
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import default_params, toy_schedule
 from attnctl.errors import ConfigurationError, DivergenceError, ShapeError
+from attnctl.gradients import GRADIENTS
 from attnctl.learning import (
     InstanceSet,
     LearningConfig,
@@ -335,9 +336,9 @@ def _count_backprop_calls(monkeypatch, config):
         events.append(("attn", None))
         return attn_loss_and_grad(*args)
 
-    def logged_backprop(cache, d_attn=None, d_eps=None):
+    def logged_backprop(cache, d_attn=None, d_eps=None, wrt=GRADIENTS):
         events.append(("backprop", d_eps))
-        return backprop(cache, d_attn=d_attn, d_eps=d_eps)
+        return backprop(cache, d_attn=d_attn, d_eps=d_eps, wrt=wrt)
 
     monkeypatch.setattr(learning, "_attn_loss_and_grad", logged_attn)
     monkeypatch.setattr(learning, "backprop", logged_backprop)
@@ -369,6 +370,26 @@ def test_active_rec_weight_backprops_every_iteration(monkeypatch):
     calls = [d_eps for kind, d_eps in events if kind == "backprop"]
     assert len(calls) == 12
     assert all(d_eps is not None for d_eps in calls)
+
+
+@pytest.mark.parametrize("lambda_rec", [0.0, 1.0])
+def test_each_stage_backpropagates_only_into_what_it_updates(monkeypatch, lambda_rec):
+    # Stage 1 updates the embeddings and stage 2 the value weights, so each
+    # asks backprop for that one gradient. Every level of 10 carries the
+    # attention term, so every stage-1 iteration backpropagates.
+    cfg = LearningConfig(lambda_rec=lambda_rec, lambda_attn=1.0, total_iters=12,
+                         stage1_iters=8, coarse_iters=4, t_max_attn=9)
+    requests = []
+    backprop = learning.backprop
+
+    def recorded_backprop(cache, d_attn=None, d_eps=None, wrt=GRADIENTS):
+        requests.append(wrt)
+        return backprop(cache, d_attn=d_attn, d_eps=d_eps, wrt=wrt)
+
+    monkeypatch.setattr(learning, "backprop", recorded_backprop)
+    run_semantic_learning(_tiny_scenario(), cfg, schedule=toy_schedule(10))
+    # Without the reconstruction term stage 2 has no gradient at all.
+    assert requests == [("emb",)] * 8 + [("wv",)] * (4 if lambda_rec else 0)
 
 
 def _log_forward_passes(monkeypatch, config):
@@ -442,8 +463,8 @@ def test_non_finite_update_on_the_last_iteration_raises(monkeypatch, stage2):
     calls = []
     backprop = learning.backprop
 
-    def poisoned_backprop(cache, d_attn=None, d_eps=None):
-        res = backprop(cache, d_attn=d_attn, d_eps=d_eps)
+    def poisoned_backprop(cache, d_attn=None, d_eps=None, wrt=GRADIENTS):
+        res = backprop(cache, d_attn=d_attn, d_eps=d_eps, wrt=wrt)
         calls.append(None)
         if len(calls) == cfg.total_iters:
             if stage2:

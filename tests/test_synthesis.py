@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from attnctl import synthesis
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import default_params, toy_schedule
 from attnctl.refine import RefinementConfig
@@ -15,6 +16,7 @@ from attnctl.errors import (
     DivergenceError,
     ShapeError,
 )
+from attnctl.gradients import GRADIENTS
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     BoxSpec,
@@ -316,6 +318,21 @@ def test_run_synthesis_step_metrics_layout():
             assert s.alpha_t == pytest.approx(alpha_decay(5, sched))
     assert result.z_final.shape == (4, 4, 4)
     assert np.all(np.isfinite(result.z_final))
+
+
+def test_latent_steps_backpropagate_into_the_latent_only(monkeypatch):
+    sc, tokens, params = _loop_fixture()
+    requests = []
+    backprop = synthesis.backprop
+
+    def recorded_backprop(cache, d_attn=None, d_eps=None, wrt=GRADIENTS):
+        requests.append(wrt)
+        return backprop(cache, d_attn=d_attn, d_eps=d_eps, wrt=wrt)
+
+    monkeypatch.setattr(synthesis, "backprop", recorded_backprop)
+    run_synthesis(tokens, params, sc.boxes(), SynthesisConfig(total_steps=20, bound_steps=5),
+                  sched=ScheduleParams(horizon=5), schedule=toy_schedule(20))
+    assert requests == [("z",)] * 5
 
 
 def test_run_synthesis_is_deterministic_and_seed_sensitive():
