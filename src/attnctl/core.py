@@ -11,6 +11,8 @@ import dataclasses
 import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +36,65 @@ def row_blocks(n_rows: int, n_cols: int) -> "tuple[slice, ...]":
     """Consecutive slices covering range(n_rows), each of at least one row
     and at most ROW_BLOCK entries of an n_cols-wide array. The kernels that
     walk a 64x64 grid's self-attention map use them to bound their
-    temporaries; a map of up to ROW_BLOCK entries is one block. Cached:
-    the learning loop asks for the same few shapes thousands of times."""
+    temporaries; a map of up to ROW_BLOCK entries is one block. Blocks
+    write disjoint rows, so ``map_row_blocks`` may run them at once: the
+    forward logits and softmax and the masked readout's raw ``A V`` do.
+    Cached: the learning loop asks for the same few shapes thousands of
+    times."""
     step = max(1, ROW_BLOCK // n_cols)
     return tuple(slice(start, min(start + step, n_rows))
                  for start in range(0, n_rows, step))
+
+
+_pool_lock = threading.Lock()
+_pool: "ThreadPoolExecutor | None" = None
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_pool() -> "ThreadPoolExecutor":
+    """The process's row-block workers, one per CPU, created on first use.
+    concurrent.futures is imported here, so a process that never needs the
+    workers does not pay for the import."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpu_count(),
+                                       thread_name_prefix="attnctl-rows")
+        return _pool
+
+
+def map_row_blocks(fn, n_rows: int, n_cols: int) -> list:
+    """``[fn(blk) for blk in row_blocks(n_rows, n_cols)]``, the results in
+    block order. A map of one block, or a process on one CPU, runs inline;
+    otherwise the blocks run on the row-block workers. Numpy releases the
+    interpreter lock in its products and ufuncs, so blocks overlap, and as
+    each block computes its own rows with the same calls the results are
+    bit-identical to the inline run. Rules for ``fn``:
+
+    - write only into arrays the calling thread allocated (a worker's own
+      large temporaries would grow its malloc arena, and the peak memory);
+    - call no function that the benchmark's tracer wraps
+      (``perfbench/spans.py``): its span stack is not thread-safe;
+    - raise no warning: a degenerate case goes back in its result, and the
+      caller warns;
+    - not call ``map_row_blocks``: a worker waiting on its own pool can
+      deadlock it.
+
+    A caller that reduces across blocks adds the results in block order."""
+    blocks = row_blocks(n_rows, n_cols)
+    if len(blocks) == 1:  # the learning loop's maps: keep the call cheap
+        return [fn(blocks[0])]
+    if _cpu_count() == 1:
+        return [fn(blk) for blk in blocks]
+    return list(_row_pool().map(fn, blocks))
 
 
 def checked_array(values, name: str, ndim: int | None = None) -> np.ndarray:
@@ -221,9 +277,30 @@ def softmax_rows(logits) -> AttentionMap:
     return AttentionMap(softmax_rows_inplace(z))
 
 
+NARROW_COLS = 8  # below this width softmax reduces column by column
+
+
 def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction, written over ``z`` and
-    returned; callers pass a finite 2-D float64 array they own."""
+    returned; callers pass a finite 2-D float64 array they own. A map
+    narrower than NARROW_COLS (a cross-attention map of a few tokens)
+    takes its row maxima and sums column by column, in column order: numpy
+    reduces rows that short in the same order, so the result is
+    bit-identical, without the reduction's per-row overhead."""
+    width = z.shape[1]
+    if width < NARROW_COLS:
+        cols = z.T  # cols[j] is column j, a view
+        acc = cols[0].copy()
+        for j in range(1, width):
+            np.maximum(acc, cols[j], out=acc)
+        per_row = acc[:, None]
+        z -= per_row
+        np.exp(z, out=z)
+        acc[:] = cols[0]
+        for j in range(1, width):
+            acc += cols[j]
+        z /= per_row
+        return z
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)

@@ -19,6 +19,7 @@ hand-written gradients tractable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .core import (
     check_layer_tags,
     checked_array,
     frozen_array,
+    map_row_blocks,
     matched_arrays,
     softmax_rows_inplace,
 )
@@ -236,6 +238,9 @@ class LayerCache:
 class ForwardCache:
     """Everything the hand-written backward pass needs.
 
+    A layer at the grid's own resolution keeps a view of ``z`` as its
+    features ``x``, so ``z`` must not be written while the cache is in use.
+
     ``readout_eps(cache, cache.maps())`` is the noise prediction. Synthesis
     masks the cached maps in place once it has read them raw (the
     cross-attention maps on every masked step, the self-attention maps on a
@@ -268,16 +273,18 @@ def _blocks(grid: np.ndarray, h: int, w: int) -> np.ndarray:
 def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
     """Raw-array forward pass retaining per-layer intermediates. ``layers``
     are ``LayerSpec``s, or the ``workspace`` copies of a loop that writes
-    its weights."""
+    its weights. A layer at the grid's own resolution takes ``z`` itself as
+    its features (a view, when ``z`` is C-ordered). Each map's logits and
+    softmax run one row block at a time (``map_row_blocks``)."""
     d = z.shape[2]
     cache = ForwardCache(z=z, emb=emb)
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / math.sqrt(d)  # a float: no numpy scalar per call
     pooled: "dict[tuple[int, int], np.ndarray]" = {}  # one pool per resolution
     for work in layers:
         res = (work.height, work.width)
         x = pooled.get(res)
         if x is None:
-            x = pooled[res] = _blocks(z, *res).mean(axis=(1, 3)).reshape(-1, d)
+            x = pooled[res] = _cell_rows(z, *res, np.ndarray.mean)
         q = x @ work.wq
         if work.attn_type == CROSS:
             src = emb
@@ -285,11 +292,27 @@ def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
             src = x
         k = src @ work.wk
         v = src @ work.wv
-        attn = q @ k.T
-        attn *= scale
-        softmax_rows_inplace(attn)
+        attn = np.empty((q.shape[0], k.shape[0]))
+
+        def logits_softmax(blk):
+            block = attn[blk]
+            np.matmul(q[blk], k.T, out=block)
+            block *= scale
+            softmax_rows_inplace(block)
+
+        map_row_blocks(logits_softmax, *attn.shape)
         cache.layers.append(LayerCache(work, x, q, k, v, attn))
     return cache
+
+
+def _cell_rows(grid: np.ndarray, h: int, w: int, reduce) -> np.ndarray:
+    """``reduce`` (``np.ndarray.mean`` or ``np.ndarray.sum``) over each
+    block of ``_blocks(grid, h, w)``, as (h * w, d) rows. At the grid's own
+    resolution the grid itself, reshaped, with no copy: either reduction of
+    a 1 x 1 block is its one value."""
+    if grid.shape[:2] == (h, w):
+        return grid.reshape(h * w, -1)
+    return reduce(_blocks(grid, h, w), axis=(1, 3)).reshape(h * w, -1)
 
 
 def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
@@ -446,6 +469,12 @@ def tokens_to_text(tokens: "list[TokenEmbedding]") -> str:
     if not tokens:
         raise ConfigurationError("no tokens to serialize")
     dim = tokens[0].vector.size
+    for t in tokens:
+        if t.vector.size != dim:
+            raise ShapeError(
+                f"token {t.token_id} has dim {t.vector.size}, "
+                f"token {tokens[0].token_id} has dim {dim}: one file holds one width"
+            )
     lines = ["token-embeddings v1", f"dim {dim}", f"count {len(tokens)}"]
     for t in tokens:
         tag = "learnable" if t.learnable else "fixed"

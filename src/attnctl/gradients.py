@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CROSS, row_blocks
-from .denoiser import ForwardCache, _blocks
+from .denoiser import ForwardCache, _blocks, _cell_rows
 
 GRADIENTS = ("emb", "wv", "z")
 _GRADIENT_SET = frozenset(GRADIENTS)
@@ -83,8 +83,9 @@ def _spread_latent_grad(shape: "tuple[int, int, int]",
     H, W, _ = shape
     d_z = np.zeros(shape)
     for h, w, dx in dxs:
+        size = (H // h) * (W // w)
         blocks = _blocks(d_z, h, w)
-        blocks += dx.reshape(h, 1, w, 1, -1) / ((H // h) * (W // w))
+        blocks += (dx if size == 1 else dx / size).reshape(h, 1, w, 1, -1)
     return d_z
 
 
@@ -135,6 +136,7 @@ def backprop(cache: ForwardCache,
     d_emb = np.zeros_like(cache.emb) if want_emb else None
     d_wv: "list[np.ndarray] | None" = [] if want_wv else None
     dxs: "list[tuple[int, int, np.ndarray]] | None" = [] if want_z else None
+    d_outs: "dict[tuple[int, int], np.ndarray]" = {}  # dO, one per resolution
 
     for idx, lc in enumerate(cache.layers):
         work = lc.work
@@ -152,8 +154,10 @@ def backprop(cache: ForwardCache,
 
         d_out = None
         if d_eps is not None:
-            blocks = _blocks(d_eps, work.height, work.width)
-            d_out = blocks.sum(axis=(1, 3)).reshape(-1, d) / n_layers
+            res = (work.height, work.width)
+            d_out = d_outs.get(res)
+            if d_out is None:
+                d_out = d_outs[res] = _cell_rows(d_eps, *res, np.ndarray.sum) / n_layers
 
         d_src = dx = None
         if through_softmax:

@@ -20,8 +20,10 @@ runs in this order:
    masks, masking happens inside the readout: the cross-attention maps are
    masked in place, and a self-attention layer's output is its raw ``A V``
    with the in-box rows recomputed from their permitted columns alone, so
-   its map is never written or divided. On a refresh step the maps are
-   masked in place and read out;
+   its map is never written or divided. The raw ``A V`` runs one row block
+   per task on the row-block workers (``core.map_row_blocks``), as the
+   forward pass's softmax does. On a refresh step the maps are masked in
+   place and read out;
 5. on a refresh step, the mask refresh from those masked maps;
 6. the DDIM step.
 
@@ -58,6 +60,7 @@ from .core import (
     check_finite_fields,
     check_tokens,
     gated_layers,
+    map_row_blocks,
     matched_arrays,
     resample_mask_nearest,
     row_blocks,
@@ -506,7 +509,12 @@ def _masked_readout(cache, masks, groups) -> np.ndarray:
             attn, = _mask_maps([lc.work], [lc.attn], masks, groups)
             outputs.append(attn @ lc.v)
             continue
-        out = lc.attn @ lc.v
+        out = np.empty((lc.attn.shape[0], lc.v.shape[1]))
+
+        def raw_readout(blk):
+            np.matmul(lc.attn[blk], lc.v, out=out[blk])
+
+        map_row_blocks(raw_readout, *lc.attn.shape)
         any_dead = False
         for rows, allowed in _permitted_columns(_flat_masks(masks, lc.work) > 0.5):
             cols = np.flatnonzero(allowed)

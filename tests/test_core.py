@@ -1,5 +1,6 @@
 """Attention-map and mask primitives: validation, oracles, invariants."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,15 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from attnctl import core
 from attnctl.core import (
+    NARROW_COLS,
+    ROW_BLOCK,
     AttentionMap,
     AttentionRecord,
     BinaryMask,
     LayerAttention,
     downsample_mask,
+    map_row_blocks,
     resample_mask_nearest,
+    row_blocks,
     scaled_dot_attention,
     softmax_rows,
+    softmax_rows_inplace,
 )
 from attnctl.errors import ResampleError, ShapeError
 
@@ -78,6 +85,51 @@ def test_softmax_rows_extreme_logits_stay_finite():
     assert np.all(np.isfinite(amap.weights))
     assert amap.weights[0, 0] == pytest.approx(1.0)
     assert amap.weights[1, 1] == pytest.approx(1.0)
+
+
+def _row_reduced_softmax(z):
+    """The softmax with numpy's row reductions, the form every width used
+    before narrow maps reduced column by column."""
+    z = z - z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return z / z.sum(axis=1, keepdims=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, NARROW_COLS - 1).flatmap(lambda w: st.tuples(
+    st.integers(1, 300), st.just(w), st.integers(0, 2 ** 32 - 1), st.floats(0.1, 30.0))))
+def test_narrow_softmax_matches_the_row_reduction_bitwise(problem):
+    rows, width, seed, spread = problem
+    logits = np.random.default_rng(seed).standard_normal((rows, width)) * spread
+    got = softmax_rows_inplace(logits.copy())
+    want = _row_reduced_softmax(logits)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_map_row_blocks_returns_results_in_block_order():
+    n_cols = 1024
+    blocks = row_blocks(1024, n_cols)
+    assert len(blocks) == 1024 * n_cols // ROW_BLOCK
+    assert map_row_blocks(lambda blk: blk, 1024, n_cols) == list(blocks)
+
+
+def test_map_row_blocks_runs_a_single_block_inline(monkeypatch):
+    def no_pool():
+        raise AssertionError("a one-block map reached the pool")
+
+    monkeypatch.setattr(core, "_row_pool", no_pool)
+    threads = map_row_blocks(lambda blk: threading.current_thread(), 64, 64)
+    assert threads == [threading.current_thread()]
+
+
+def test_map_row_blocks_raises_a_block_error():
+    def fail_on_third(blk):
+        if blk.start == row_blocks(1024, 1024)[2].start:
+            raise ValueError("block 2")
+        return blk
+
+    with pytest.raises(ValueError, match="block 2"):
+        map_row_blocks(fail_on_third, 1024, 1024)
 
 
 def test_scaled_dot_attention_hand_value():

@@ -291,6 +291,13 @@ def test_load_params_names_the_path(tmp_path):
         load_params(str(path))
 
 
+def test_tokens_to_text_refuses_mixed_widths():
+    tokens = _tokens(2, seed=1)
+    tokens[2] = TokenEmbedding(2, np.ones(3), learnable=True)
+    with pytest.raises(ShapeError, match=r"token 2 has dim 3, token 0 has dim 2"):
+        tokens_to_text(tokens)
+
+
 def test_tokens_text_round_trip():
     tokens = _tokens(5, seed=4)
     back = tokens_from_text(tokens_to_text(tokens))

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from attnctl import core
 from attnctl.errors import ConfigurationError
 from attnctl.harness import (
     METRICS_HEADER,
@@ -234,3 +235,16 @@ def test_report_flags_tampered_config(experiment, tmp_path):
 def test_report_requires_run_directory(tmp_path):
     with pytest.raises(ConfigurationError, match="manifest.json"):
         report(str(tmp_path))
+
+
+def test_experiment_at_16x16_runs_every_row_block_inline(monkeypatch, tmp_path):
+    # A 16x16 grid's largest map, the 8x8 decoder self attention, is one row
+    # block, so the default experiment never requests the row-block pool.
+    def no_pool():
+        raise AssertionError("the row-block pool was requested")
+
+    monkeypatch.setattr(core, "_row_pool", no_pool)
+    config = tmp_path / "exp.ini"
+    config.write_text("[scenario]\nheight = 16\nwidth = 16\n")
+    run_experiment(str(config), str(tmp_path / "run"))
+    assert (tmp_path / "run" / "manifest.json").is_file()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from attnctl import learning
+from attnctl import core, learning
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import default_params, toy_schedule
 from attnctl.errors import ConfigurationError, DivergenceError, ShapeError
@@ -489,3 +489,18 @@ def test_unused_term_cannot_diverge_an_attention_only_run():
     result = run_semantic_learning(_tiny_scenario(), cfg, schedule=toy_schedule(10))
     assert np.isfinite(result.embedding_matrix).all()
     assert np.abs(result.embedding_matrix).max() > 1e300
+
+
+def _no_pool():
+    raise AssertionError("the row-block pool was requested")
+
+
+def test_learning_at_8x8_runs_every_row_block_inline(monkeypatch):
+    # Every map of an 8x8 grid is one row block, so no block reaches the
+    # row-block workers.
+    monkeypatch.setattr(core, "_row_pool", _no_pool)
+    sc = generate_scenario((8, 8), 2, rho=0.8, seed=0, dim=16)
+    cfg = LearningConfig(total_iters=40, stage1_iters=30, coarse_iters=10,
+                         lambda_rec=1.0, seed=0)
+    result = run_semantic_learning(sc, cfg)
+    assert len(result.trace) == 40

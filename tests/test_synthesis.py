@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from attnctl import synthesis
+from attnctl import core, synthesis
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
-from attnctl.denoiser import default_params, toy_schedule
+from attnctl.denoiser import _token_matrix, default_params, forward_cache, toy_schedule
 from attnctl.refine import RefinementConfig
 from attnctl.errors import (
     ConfigurationError,
@@ -411,19 +411,34 @@ def test_write_steps_csv(tmp_path):
         write_steps_csv([], str(path))
 
 
-def test_run_synthesis_keeps_about_one_self_attention_map_alive():
-    # At 64x64 the decoder self attention is a 1024 x 1024 map of 8 MB. A
-    # step holds that map and, while it optimizes, the loss gradient on its
-    # in-box rows (384 of 1024 here) plus row-block buffers of the backward
-    # pass; the previous forward pass's maps, masked copies and gradients
-    # must be gone by then, and K-means builds no copy of the map. Steps 1-4
-    # optimize, all mask, and steps 6 and 8 refresh the masks.
+def _synthesis_64x64():
+    """The benchmark's 64x64 inputs on 8 steps: steps 1-4 optimize, all
+    mask, and steps 6 and 8 refresh the masks."""
     sc = generate_scenario((64, 64), 2, rho=0.8, seed=0, dim=16)
     tokens = synthesis_tokens(sc, gain=10.0)
     params = default_params(16, 64, 64, seed=7)
     cfg = SynthesisConfig(beta=128.0, total_steps=8, bound_steps=4,
                           update_interval=2, seed=3)
     latent = np.random.default_rng(0).standard_normal((64, 64, 16))
+    return sc, tokens, params, cfg, latent
+
+
+def _run_64x64(sc, tokens, params, cfg, latent):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        return run_synthesis(tokens, params, sc.boxes(), cfg,
+                             sched=ScheduleParams(horizon=4),
+                             refinement=RefinementConfig(),
+                             initial_latent=latent)
+
+
+def test_run_synthesis_keeps_about_one_self_attention_map_alive():
+    # At 64x64 the decoder self attention is a 1024 x 1024 map of 8 MB. A
+    # step holds that map and, while it optimizes, the loss gradient on its
+    # in-box rows (384 of 1024 here) plus row-block buffers of the backward
+    # pass; the previous forward pass's maps, masked copies and gradients
+    # must be gone by then, and K-means builds no copy of the map.
+    inputs = _synthesis_64x64()
     sa_map_bytes = (32 * 32) ** 2 * 8
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -431,12 +446,7 @@ def test_run_synthesis_keeps_about_one_self_attention_map_alive():
     try:
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateInputWarning)
-            result = run_synthesis(tokens, params, sc.boxes(), cfg,
-                                   sched=ScheduleParams(horizon=4),
-                                   refinement=RefinementConfig(),
-                                   initial_latent=latent)
+        result = _run_64x64(*inputs)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         if not was_tracing:
@@ -444,3 +454,71 @@ def test_run_synthesis_keeps_about_one_self_attention_map_alive():
     assert result.refined
     assert result.steps[0].total_after != result.steps[0].total
     assert peak <= 2.5 * sa_map_bytes, f"peak {peak / sa_map_bytes:.2f} maps"
+
+
+# ---------------------------------------------------------------------------
+# Row blocks on the row-block workers
+# ---------------------------------------------------------------------------
+
+class _InlinePool:
+    """Stands in for the row-block pool: runs every block in the caller."""
+
+    map = staticmethod(map)
+
+
+def _masks_64x64(sc, params):
+    resolutions = sorted({(l.height, l.width) for l in params.layers})
+    return instance_masks_from_boxes(sc.boxes(), resolutions)
+
+
+def _threaded_outputs(sc, tokens, params, cfg, latent):
+    """Everything a 64x64 run computes in row blocks: the forward maps, the
+    masked readout and a whole synthesis run."""
+    cache = forward_cache(latent, _token_matrix(tokens, params.dim), params.layers)
+    maps = [m.copy() for m in cache.maps()]
+    eps = synthesis._masked_readout(cache, _masks_64x64(sc, params), [[1], [2]])
+    return maps, eps, _run_64x64(sc, tokens, params, cfg, latent)
+
+
+def test_threaded_row_blocks_match_the_inline_run_bitwise(monkeypatch):
+    # The 1024 x 1024 self-attention map is 8 row blocks. On a machine with
+    # one CPU both runs are inline and the test compares a run with itself.
+    inputs = _synthesis_64x64()
+    pool_requests = []
+    real_pool = core._row_pool
+
+    def counted_pool():
+        pool_requests.append(1)
+        return real_pool()
+
+    monkeypatch.setattr(core, "_row_pool", counted_pool)
+    maps, eps, result = _threaded_outputs(*inputs)
+    assert pool_requests or core._cpu_count() == 1
+    monkeypatch.setattr(core, "_row_pool", lambda: _InlinePool)
+    maps_1, eps_1, result_1 = _threaded_outputs(*inputs)
+
+    assert [m.tobytes() for m in maps] == [m.tobytes() for m in maps_1]
+    assert eps.tobytes() == eps_1.tobytes()
+    assert result.z_final.tobytes() == result_1.z_final.tobytes()
+    assert result.steps == result_1.steps
+    assert result.refined == result_1.refined
+    for mset, mset_1 in zip(result.masks, result_1.masks):
+        assert mset.keys() == mset_1.keys()
+        assert all(np.array_equal(mset[r].bits, mset_1[r].bits) for r in mset)
+
+
+def test_threaded_readout_warns_once_from_the_caller_on_a_dead_row():
+    sc, tokens, params, _, latent = _synthesis_64x64()
+    masks = _masks_64x64(sc, params)
+    cache = forward_cache(latent, _token_matrix(tokens, params.dim), params.layers)
+    sa = cache.layers[2]
+    assert sa.work.attn_type == "SA" and len(core.row_blocks(*sa.attn.shape)) > 1
+    rows, allowed = next(synthesis._permitted_columns(
+        synthesis._flat_masks(masks, sa.work) > 0.5))
+    sa.attn[rows[0], allowed] = 0.0  # an in-box row with no permitted mass
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eps = synthesis._masked_readout(cache, masks, [[1], [2]])
+    assert [w.category for w in caught] == [DegenerateInputWarning]
+    assert caught[0].filename == __file__
+    assert np.all(np.isfinite(eps))
