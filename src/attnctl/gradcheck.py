@@ -133,7 +133,7 @@ def _learning_losses(fx: _Fixture, branch: str):
                                     fx.draw.m_rec)
     attn, d_attn = _attn_loss_and_grad(
         cache.maps(), _gated_masks(fx.layers, fx.instances.masks),
-        fx.instances, fx.draw, branch, fx.config.alpha, fx.config.pixel_norm,
+        fx.instances, fx.draw, branch, fx.config.alpha,
     )
     return cache, rec, d_eps, attn, d_attn
 
@@ -185,7 +185,7 @@ def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
                            central_diff(total_value, fx.emb)))
 
     # --- combined box-control loss wrt latent ------------------------------
-    alpha_t = alpha_decay(fx.decay_step, fx.sched)
+    alpha_t = alpha_decay(fx.decay_step, fx.sched, fx.syn.bound_steps)
     cache = forward_cache(fx.z, fx.emb, fx.layers)
     maps = cache.maps()
     per_terms, _ = _box_loss_terms(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn)

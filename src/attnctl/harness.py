@@ -29,7 +29,6 @@ from .denoiser import (
     load_tokens,
     save_params,
     save_tokens,
-    toy_schedule,
 )
 from .errors import ConfigurationError
 from .fileio import atomic_write_text, write_csv, write_json
@@ -99,9 +98,9 @@ class ControlConfig:
         self.synthesis.validate()
         self.schedule.validate()
         self.refinement.validate()
-        if self.schedule.horizon != self.synthesis.bound_steps:
+        if self.schedule.linear_end >= self.synthesis.bound_steps:
             raise ConfigurationError(
-                "[schedule] horizon must equal [synthesis] bound_steps"
+                "[schedule] linear_end must be < [synthesis] bound_steps"
             )
         if (self.boxes is None) != (self.groups is None):
             raise ConfigurationError("[boxes] must define box_i and group_i together")
@@ -130,8 +129,6 @@ def _coerce(section: str, key: str, raw: str, target_type) -> object:
             raise ValueError(raw)
         if target_type is int:
             return int(raw)
-        if target_type is not float:
-            return raw
         value = float(raw)
     except ValueError as exc:
         raise ConfigurationError(
@@ -309,8 +306,7 @@ def _synthesize(run: RunDir, cfg: ControlConfig, scenario: Scenario, tokens,
     boxes = cfg.boxes if cfg.boxes is not None else scenario.boxes()
     groups = cfg.groups if cfg.groups is not None else default_groups(tokens, len(boxes))
     synth = run_synthesis(
-        tokens, params, boxes, cfg.synthesis, sched=cfg.schedule,
-        schedule=toy_schedule(cfg.synthesis.total_steps), groups=groups,
+        tokens, params, boxes, cfg.synthesis, sched=cfg.schedule, groups=groups,
         refinement=cfg.refinement,
     )
     write_steps_csv(synth.steps, run.file("synth_steps.csv"))
@@ -412,37 +408,58 @@ def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
                             files=sorted(set(run.files) | {"manifest.json"}))
 
 
-def _read_csv(path: str) -> "tuple[list[str], list[list[str]]]":
-    """Header and rows of a run-directory CSV; an empty file or a row whose
-    width differs from the header's raises ValueError naming the file."""
-    with open(path) as fh:
+def _read_csv(path: str, columns: "dict[str, type]") -> "list[dict]":
+    """Each row of a run-directory CSV as its ``columns``, by name, converted
+    to str or float. A malformed file raises ValueError naming the file and,
+    where there is one, the line."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         lines = [(i + 1, ln.rstrip("\n")) for i, ln in enumerate(fh) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file, expected a CSV header line")
     header = lines[0][1].split(",")
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ValueError(f"{path}: line {lines[0][0]}: no column {', '.join(missing)}")
     rows = []
     for lineno, ln in lines[1:]:
-        row = ln.split(",")
-        if len(row) != len(header):
+        cells = ln.split(",")
+        if len(cells) != len(header):
             raise ValueError(
-                f"{path}: line {lineno} has {len(row)} fields, the header {len(header)}"
+                f"{path}: line {lineno} has {len(cells)} fields, the header {len(header)}"
             )
+        row = {}
+        for name, kind in columns.items():
+            cell = cells[header.index(name)]
+            try:
+                row[name] = kind(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: {name} {cell!r} is not a number") from None
         rows.append(row)
-    return header, rows
+    return rows
 
 
 def report(run_dir: str) -> str:
-    """Human-readable summary of a finished run directory."""
+    """Human-readable summary of a finished run directory; a malformed file
+    raises an error naming it (and the line, where there is one)."""
     import json
 
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ConfigurationError(f"{run_dir}: no manifest.json (not a run directory?)")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ValueError(f"{manifest_path}: not a JSON manifest: {exc}") from None
+    versions = manifest.get("versions", {}) if isinstance(manifest, dict) else None
+    outputs = manifest.get("outputs", []) if isinstance(manifest, dict) else None
+    if not (isinstance(versions, dict) and isinstance(outputs, list)
+            and all(isinstance(name, str) for name in outputs)):
+        raise ValueError(f"{manifest_path}: expected a JSON object with a 'versions' "
+                         "object and an 'outputs' list of file names")
 
     lines = [f"run directory: {run_dir}"]
-    versions = manifest.get("versions", {})
     lines.append("versions: " + ", ".join(f"{k} {v}" for k, v in sorted(versions.items())))
 
     config_copy = os.path.join(run_dir, "config.ini")
@@ -454,35 +471,32 @@ def report(run_dir: str) -> str:
 
     trace_path = os.path.join(run_dir, "learn_trace.csv")
     if os.path.exists(trace_path):
-        header, rows = _read_csv(trace_path)
+        rows = _read_csv(trace_path, {"total": float})
         if rows:
-            first, last = rows[0], rows[-1]
             lines.append(
                 f"learning: {len(rows)} iterations, total loss "
-                f"{float(first[-1]):.6g} -> {float(last[-1]):.6g}"
+                f"{rows[0]['total']:.6g} -> {rows[-1]['total']:.6g}"
             )
 
     steps_path = os.path.join(run_dir, "synth_steps.csv")
     if os.path.exists(steps_path):
-        header, rows = _read_csv(steps_path)
+        rows = _read_csv(steps_path, {"total": float})
         if rows:
-            idx = header.index("total")
             lines.append(
                 f"synthesis: {len(rows)} steps, control loss "
-                f"{float(rows[0][idx]):.6g} -> {float(rows[-1][idx]):.6g}"
+                f"{rows[0]['total']:.6g} -> {rows[-1]['total']:.6g}"
             )
 
     metrics_path = os.path.join(run_dir, "metrics.csv")
     if os.path.exists(metrics_path):
-        header, rows = _read_csv(metrics_path)
-        for row in rows:
-            stage, inst = row[0], row[1]
-            leak, iou = float(row[2]), float(row[3])
+        for row in _read_csv(metrics_path, {"stage": str, "instance": str,
+                                            "leakage_mass": float, "argmax_iou": float}):
             lines.append(
-                f"{stage} instance {inst}: leakage {leak:.4f}, argmax IoU {iou:.4f}"
+                f"{row['stage']} instance {row['instance']}: leakage "
+                f"{row['leakage_mass']:.4f}, argmax IoU {row['argmax_iou']:.4f}"
             )
 
-    missing = [name for name in manifest.get("outputs", [])
+    missing = [name for name in outputs
                if not os.path.exists(os.path.join(run_dir, name))]
     if missing:
         lines.append("MISSING outputs: " + ", ".join(sorted(missing)))

@@ -147,7 +147,6 @@ class LearningConfig:
     t_min_attn: int = 0
     learn_rate: float = 5e-3
     stage2_rate: float = 2e-6     # value-projection refinement rate
-    pixel_norm: bool = False      # divide per-layer attention terms by pixel count
     seed: int = 0
 
     def validate(self) -> None:
@@ -166,8 +165,11 @@ class LearningConfig:
             raise ConfigurationError("total_iters: must be >= 1")
         if self.t_min_attn < 0 or self.t_max_attn < self.t_min_attn:
             raise ConfigurationError("need 0 <= t_min_attn <= t_max_attn")
-        if not (self.learn_rate > 0.0 and self.stage2_rate >= 0.0):
-            raise ConfigurationError("learn_rate must be > 0 and stage2_rate >= 0")
+        if not self.learn_rate > 0.0:
+            raise ConfigurationError("learn_rate: must be > 0")
+        if not self.stage2_rate > 0.0:
+            raise ConfigurationError(
+                "stage2_rate: must be > 0 (stage1_iters = total_iters skips stage 2)")
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
 
@@ -186,29 +188,27 @@ def _attn_branch(iteration: int, config: LearningConfig) -> str:
 
 
 def _record_ca_loss(instances: InstanceSet, draw: SampleDraw,
-                    record: AttentionRecord, branch: str, alpha: float,
-                    pixel_norm: bool) -> float:
+                    record: AttentionRecord, branch: str, alpha: float) -> float:
     """The loop's attention loss on a record's maps, after checking that
     every sampled token has a column in each gated layer."""
     record.token_layers([instances.placeholder_ids[i] for i in draw.instance_indices])
     gated_masks = _gated_masks(record.layers, instances.masks)
     return _attn_loss_and_grad(record.maps(), gated_masks, instances, draw,
-                               branch, alpha, pixel_norm)[0]
+                               branch, alpha)[0]
 
 
 def reward_ca_loss(instances: InstanceSet, draw: SampleDraw,
-                   record: AttentionRecord, alpha: float,
-                   pixel_norm: bool = False) -> float:
+                   record: AttentionRecord, alpha: float) -> float:
     """Sum over sampled instances and gated cross-attention layers of
     ||alpha * M_i - A_i||^2, where A_i is the instance token's column."""
-    return _record_ca_loss(instances, draw, record, BRANCH_REWARD, alpha, pixel_norm)
+    return _record_ca_loss(instances, draw, record, BRANCH_REWARD, alpha)
 
 
 def penalty_ca_loss(instances: InstanceSet, draw: SampleDraw,
-                    record: AttentionRecord, pixel_norm: bool = False) -> float:
+                    record: AttentionRecord) -> float:
     """Sum over sampled instances and gated cross-attention layers of
     ||(1 - M_i) * A_i||^2: squared attention mass leaking off each mask."""
-    return _record_ca_loss(instances, draw, record, BRANCH_PENALTY, 0.0, pixel_norm)
+    return _record_ca_loss(instances, draw, record, BRANCH_PENALTY, 0.0)
 
 
 def staged_attn_loss(instances: InstanceSet, draw: SampleDraw,
@@ -218,7 +218,7 @@ def staged_attn_loss(instances: InstanceSet, draw: SampleDraw,
     if iteration < 0:
         raise ConfigurationError("iteration must be >= 0")
     return _record_ca_loss(instances, draw, record, _attn_branch(iteration, config),
-                           config.alpha, config.pixel_norm)
+                           config.alpha)
 
 
 def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray, m_rec: BinaryMask,
@@ -284,8 +284,7 @@ class LearningResult:
     emb_at_coarse_end: np.ndarray | None = None
 
 
-def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha,
-                        pixel_norm):
+def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha):
     """Loss value and per-layer dL/dA for the staged attention loss.
 
     maps holds every layer's attention weights in layer order; gated_masks
@@ -296,7 +295,6 @@ def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha,
     d_attn: "list[np.ndarray | None]" = [None] * len(maps)
     for li, flat_masks in gated_masks.items():
         attn = maps[li]
-        norm = attn.shape[0] if pixel_norm else 1
         grad = np.zeros_like(attn)
         for i in draw.instance_indices:
             token = instances.placeholder_ids[i]
@@ -304,12 +302,12 @@ def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha,
             col = attn[:, token]
             if branch == BRANCH_REWARD:
                 diff = col - alpha * m
-                loss += float((diff ** 2).sum()) / norm
-                grad[:, token] += 2.0 * diff / norm
+                loss += float((diff ** 2).sum())
+                grad[:, token] += 2.0 * diff
             else:
                 off = (1.0 - m) * col
-                loss += float((off ** 2).sum()) / norm
-                grad[:, token] += 2.0 * (1.0 - m) * off / norm
+                loss += float((off ** 2).sum())
+                grad[:, token] += 2.0 * (1.0 - m) * off
         d_attn[li] = grad
     return loss, d_attn
 
@@ -394,7 +392,7 @@ def run_semantic_learning(scenario, config: LearningConfig,
             if attn_now:
                 attn, grads = _attn_loss_and_grad(
                     cache.maps(), gated_masks, instances,
-                    draw, branch, config.alpha, config.pixel_norm,
+                    draw, branch, config.alpha,
                 )
                 d_attn = [None if g is None else config.lambda_attn * g
                           for g in grads]
@@ -409,12 +407,11 @@ def run_semantic_learning(scenario, config: LearningConfig,
         if d_attn is not None or d_eps is not None:
             res = backprop(cache, d_attn=d_attn, d_eps=d_eps,
                            wrt=("wv",) if stage2 else ("emb",))
-            updated: "list[np.ndarray]" = []
             if not stage2:
                 for pid in learnable:
                     emb[pid] -= config.learn_rate * res.d_emb[pid]
                 updated = [emb]
-            elif config.stage2_rate > 0.0:
+            else:
                 for lw, d_wv in zip(run_layers, res.d_wv):
                     lw.wv -= config.stage2_rate * d_wv
                 updated = [lw.wv for lw in run_layers]

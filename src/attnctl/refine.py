@@ -26,7 +26,6 @@ class RefinementConfig:
     smoothing: int = 1          # box-blur radius for the CA maps
     sigma_noun: float = 0.3     # threshold on the normalized CA map
     sigma_cluster: float = 0.5  # minimum cluster-overlap ratio
-    clusters: int = 0           # 0 = instances + 1
 
     def validate(self) -> None:
         if self.smoothing < 0:
@@ -35,8 +34,6 @@ class RefinementConfig:
             raise ConfigurationError("sigma_noun: must lie in [0, 1]")
         if not 0.0 < self.sigma_cluster <= 1.0:
             raise ConfigurationError("sigma_cluster: must lie in (0, 1]")
-        if self.clusters < 0:
-            raise ConfigurationError("clusters: must be >= 0")
 
 
 def box_blur(grid: np.ndarray, radius: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 A reverse sampling loop steers instance tokens into user-supplied boxes. For
 the first ``bound_steps`` sampling steps the latent is nudged down the
 gradient of a combined cross/self-attention loss whose penalty share decays
-linearly-then-cosine; every step, attention masking suppresses out-of-box
-interactions in the maps used for the noise readout; in the remaining steps
-the control masks are periodically refined from the attention itself.
+linearly-then-cosine over those same steps; every step, attention masking
+suppresses out-of-box interactions in the maps used for the noise readout;
+in the remaining steps, with refinement enabled, the control masks are
+refreshed from the attention itself every ``update_interval`` steps.
 
 Control losses and their latent gradients are always evaluated on the raw
 (unmasked) maps — the masked maps have zeros exactly where the penalty term
@@ -136,7 +137,6 @@ class ScheduleParams:
     alpha_min: float = 0.2
     alpha_final: float = 0.1
     linear_end: int = 3     # last step of the linear phase
-    horizon: int = 15       # total decayed steps (the optimization phase)
 
     def validate(self) -> None:
         check_finite_fields(self)
@@ -144,26 +144,29 @@ class ScheduleParams:
             raise ConfigurationError(
                 "need 0 < alpha_final <= alpha_min <= alpha_max"
             )
-        if not 1 <= self.linear_end < self.horizon:
-            raise ConfigurationError("need 1 <= linear_end < horizon")
+        if self.linear_end < 1:
+            raise ConfigurationError("linear_end: must be >= 1")
 
 
-def alpha_decay(t: int, params: ScheduleParams) -> float:
-    """Penalty weight at optimization step t (1-based).
+def alpha_decay(t: int, params: ScheduleParams, horizon: int) -> float:
+    """Penalty weight at optimization step t (1-based) of a decay over
+    ``horizon`` steps, the optimization phase (``bound_steps``).
 
     Steps 1..linear_end interpolate alpha_max -> alpha_min linearly; steps
     linear_end..horizon follow a half-cosine from alpha_min to alpha_final.
     """
     params.validate()
+    if not params.linear_end < horizon:
+        raise ConfigurationError(f"need linear_end {params.linear_end} < horizon {horizon}")
     t = int(t)
-    if not 1 <= t <= params.horizon:
-        raise ValueError(f"step {t} outside decay range [1, {params.horizon}]")
+    if not 1 <= t <= horizon:
+        raise ValueError(f"step {t} outside decay range [1, {horizon}]")
     if t == 1:
         return params.alpha_max
     if t <= params.linear_end:
         frac = (t - 1) / (params.linear_end - 1)
         return params.alpha_max + frac * (params.alpha_min - params.alpha_max)
-    phase = np.pi * (t - params.linear_end) / (params.horizon - params.linear_end)
+    phase = np.pi * (t - params.linear_end) / (horizon - params.linear_end)
     weight = (1.0 + np.cos(phase)) / 2.0
     return params.alpha_final + weight * (params.alpha_min - params.alpha_final)
 
@@ -178,7 +181,6 @@ class SynthesisConfig:
     bound_steps: int = 15       # latent-optimization phase length
     update_interval: int = 5    # mask-refinement cadence after the phase
     total_steps: int = 50
-    use_masking: bool = True
     use_out_of_box: bool = True  # penalty (out-of-box) term on/off
     seed: int = 0
 
@@ -192,8 +194,8 @@ class SynthesisConfig:
             raise ConfigurationError("need 1 <= bound_steps <= total_steps")
         if self.total_steps < 2:
             raise ConfigurationError("total_steps: must be >= 2")
-        if self.update_interval < 0:
-            raise ConfigurationError("update_interval: must be >= 0")
+        if self.update_interval < 1:
+            raise ConfigurationError("update_interval: must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
 
@@ -406,7 +408,8 @@ def _sa_row_grad(attn: np.ndarray, coefs) -> RowGrad:
 def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
                        sched: ScheduleParams,
                        config: SynthesisConfig) -> "tuple[list[float], float]":
-    """Per-instance combined scores and their squared sum at decay step t.
+    """Per-instance combined scores and their squared sum at decay step t
+    of a decay over ``config.bound_steps`` steps.
 
     masks: one resolution-indexed mask dict per instance (see
     instance_masks_from_boxes); groups: one token-id list per instance.
@@ -414,7 +417,7 @@ def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
     config.validate()
     if len(masks) != len(groups):
         raise ConfigurationError("need one mask set and one token group per instance")
-    alpha_t = alpha_decay(t, sched)
+    alpha_t = alpha_decay(t, sched, config.bound_steps)
     record.token_layers([token for group in groups for token in group])
     per_instance, total = _box_loss_terms(record.layers, record.maps(), masks,
                                           groups, alpha_t, config)
@@ -637,21 +640,18 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
 
     Returns the predicted clean latent, per-step metrics, and the final
     control masks. Steps 1..bound_steps carry one latent-optimization
-    iteration each (decay step = sampling step); later steps apply masking
-    only and refresh the masks every ``update_interval`` steps. Within a
-    step the raw maps are read first (box loss, its gradient, leakage), then
-    the noise is read out of the masked maps, which are masked in place only
-    for a refresh; see the module docstring. Raises DivergenceError naming
-    the step once the control loss or the latent goes non-finite.
+    iteration each; the penalty weight (``sched``, by default
+    ``ScheduleParams()``) decays over them and then holds. Later steps apply
+    masking only and, with ``refinement`` enabled, refresh the masks every
+    ``update_interval`` steps. Within a step the raw maps are read first
+    (box loss, its gradient, leakage), then the noise is read out of the
+    masked maps, which are masked in place only for a refresh; see the
+    module docstring. Raises DivergenceError naming the step once the
+    control loss or the latent goes non-finite.
     """
     config.validate()
     if sched is None:
-        sched = ScheduleParams(horizon=config.bound_steps)
-    sched.validate()
-    if sched.horizon != config.bound_steps:
-        raise ConfigurationError(
-            "decay horizon must equal the optimization phase length"
-        )
+        sched = ScheduleParams()
     if schedule is None:
         schedule = toy_schedule(config.total_steps)
     if schedule.total_steps != config.total_steps:
@@ -693,15 +693,12 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     else:
         z = rng.standard_normal((*latent_shape, params.dim))
 
-    n_clusters = 0
     if refinement is not None:
         refinement.validate()
-        if refinement.enabled:
-            n_clusters = refinement.clusters if refinement.clusters > 0 else len(boxes) + 1
     run = _SamplingRun(emb=emb, layers=layers, groups=groups, masks=masks,
                        resolutions=resolutions, config=config, sched=sched,
-                       schedule=schedule, refinement=refinement,
-                       n_clusters=n_clusters)
+                       schedule=schedule,
+                       refinement=refinement if refinement and refinement.enabled else None)
     steps: "list[StepMetrics]" = []
     for step in range(1, config.total_steps + 1):
         z, metrics = _sampling_step(run, z, step)
@@ -713,7 +710,8 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
 @dataclass
 class _SamplingRun:
     """What a run carries from step to step: its fixed inputs, the control
-    masks (replaced at a refresh) and the last refresh's K-means centers."""
+    masks (replaced at a refresh) and the last refresh's K-means centers;
+    ``refinement`` is None when the masks are never refreshed."""
 
     emb: np.ndarray
     layers: tuple
@@ -724,7 +722,6 @@ class _SamplingRun:
     sched: ScheduleParams
     schedule: NoiseSchedule
     refinement: "refine.RefinementConfig | None"
-    n_clusters: int               # 0: no refresh
     prev_centers: np.ndarray | None = None
     refined: bool = False         # True once refinement replaced a box mask
 
@@ -737,7 +734,7 @@ def _sampling_step(run: _SamplingRun, z: np.ndarray,
     config, layers, masks, groups = run.config, run.layers, run.masks, run.groups
     t = config.total_steps - step
     optimizing = step <= config.bound_steps
-    alpha_t = alpha_decay(min(step, run.sched.horizon), run.sched)
+    alpha_t = alpha_decay(min(step, config.bound_steps), run.sched, config.bound_steps)
 
     cache = forward_cache(z, run.emb, layers)
     per_terms, total = _box_loss_terms(layers, cache.maps(), masks, groups,
@@ -760,20 +757,14 @@ def _sampling_step(run: _SamplingRun, z: np.ndarray,
         total_after=float(total_after), leakage=tuple(leakage),
     )
 
-    due = (
-        run.n_clusters > 0
-        and not optimizing
-        and config.update_interval > 0
-        and (step - config.bound_steps) % config.update_interval == 0
-    )
-    if config.use_masking and not due:
+    due = (run.refinement is not None and not optimizing
+           and (step - config.bound_steps) % config.update_interval == 0)
+    if not due:
         eps_hat = _masked_readout(cache, masks, groups)
-    else:
-        if config.use_masking:  # the refresh clusters the masked maps
-            maps = _mask_maps(layers, maps, masks, groups)
+    else:  # the refresh clusters the masked maps
+        maps = _mask_maps(layers, maps, masks, groups)
         eps_hat = readout_eps(cache, maps)
-        if due:
-            _refresh_masks(run, maps)
+        _refresh_masks(run, maps)
 
     if t > 0:
         z = ddim_step(z, eps_hat, t, t - 1, run.schedule)
@@ -807,8 +798,8 @@ def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
     if not sa_layers:
         return
     state = refine.kmeans_self_attention(
-        maps[sa_layers[0]], run.n_clusters, prev_centers=run.prev_centers,
-        seed=run.config.seed,
+        maps[sa_layers[0]], len(run.groups) + 1,  # one cluster more than boxes
+        prev_centers=run.prev_centers, seed=run.config.seed,
     )
     run.prev_centers = state.centers
     new_masks = refine.assign_clusters(ca_masks, state, refinement.sigma_cluster)

@@ -117,7 +117,7 @@ def test_criterion_3_gradient_suite(capsys):
 
 def test_criterion_4_schedule_identities(capsys):
     sched = ScheduleParams()  # 0.5 / 0.2 / 0.1, linear end 3, horizon 15
-    values = [alpha_decay(t, sched) for t in range(1, 16)]
+    values = [alpha_decay(t, sched, 15) for t in range(1, 16)]
 
     anchors = (values[0] == 0.5 and values[2] == 0.2 and values[14] == 0.1)
     mid = values[8] == pytest.approx(0.15, abs=1e-15)

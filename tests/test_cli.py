@@ -290,3 +290,73 @@ def test_report_on_malformed_csv_exits_one(capsys, workspace, tmp_path, name, te
     assert err.startswith("error: ")
     assert name in err
     assert "Traceback" not in err
+
+
+
+def _set_cell(path, lineno, column, value):
+    lines = path.read_text().splitlines()
+    cells = lines[lineno - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name,edit,where", [
+    ("manifest.json", "[]\n", "expected a JSON object"),
+    ("manifest.json", '{"outputs": 3}\n', "an 'outputs' list"),
+    ("manifest.json", "not json\n", "line 1 column 1"),
+    ("metrics.csv", "stage,instance\nlearning,0\n", "line 1: no column leakage_mass"),
+    ("metrics.csv", (2, "leakage_mass", "abc"), "line 2: leakage_mass 'abc'"),
+    ("metrics.csv", (3, "argmax_iou", ""), "line 3: argmax_iou ''"),
+    ("learn_trace.csv", (5, "total", "x"), "line 5: total 'x'"),
+    ("synth_steps.csv", (3, "total", "q"), "line 3: total 'q'"),
+    ("synth_steps.csv", (1, "total", "sum"), "line 1: no column total"),
+], ids=["manifest-list", "manifest-outputs-number", "manifest-not-json",
+        "metrics-two-columns", "metrics-leakage-text", "metrics-iou-empty",
+        "trace-total-text", "steps-total-text", "steps-no-total"])
+def test_report_on_malformed_run_file_names_the_file_and_line(
+        capsys, workspace, tmp_path, name, edit, where):
+    # A [] manifest, a two-column metrics.csv and a missing total column
+    # once ended in tracebacks; a non-numeric cell or invalid JSON printed
+    # the parser's message with no path.
+    exp_out = workspace / "exp_run"
+    if not exp_out.exists():  # ordering safety: rebuild the run
+        assert main(["experiment", str(workspace / "run.ini"),
+                     "--out", str(exp_out)]) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    shutil.copytree(exp_out, run_dir)
+    path = run_dir / name
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        _set_cell(path, *edit)
+    assert main(["report", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section,line,message", [
+    ("schedule", "horizon = 15", "[schedule] unknown key 'horizon'"),
+    ("synthesis", "use_masking = false", "[synthesis] unknown key 'use_masking'"),
+    ("learning", "pixel_norm = true", "[learning] unknown key 'pixel_norm'"),
+    ("refinement", "clusters = 3", "[refinement] unknown key 'clusters'"),
+    ("synthesis", "update_interval = 0", "update_interval: must be >= 1"),
+    ("learning", "stage2_rate = 0", "stage2_rate: must be > 0"),
+], ids=["horizon", "use_masking", "pixel_norm", "clusters", "update_interval-0",
+        "stage2_rate-0"])
+def test_removed_and_narrowed_config_keys_exit_one(capsys, tmp_path, section, line,
+                                                   message):
+    # The decay horizon is bound_steps, masking is always on, the attention
+    # loss has one scale and refinement clusters into boxes + 1; refresh is
+    # switched off by [refinement] enabled and stage 2 by stage1_iters.
+    config = tmp_path / "run.ini"
+    text = CONFIG if f"[{section}]\n" in CONFIG else CONFIG + f"\n[{section}]\n"
+    config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert main(["learn", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()

@@ -145,12 +145,13 @@ def test_boxes_section_rejects(body):
         config_from_text(f"[boxes]\n{body}\n")
 
 
-def test_horizon_must_match_bound_steps():
-    with pytest.raises(ConfigurationError, match="horizon"):
-        config_from_text("[synthesis]\nbound_steps = 10\n")
-    cfg = config_from_text("[synthesis]\nbound_steps = 10\n"
-                           "[schedule]\nhorizon = 10\n")
-    assert cfg.schedule.horizon == 10
+def test_decay_horizon_is_bound_steps():
+    # The penalty weight decays over the optimization phase, so bound_steps
+    # alone sets its horizon; the linear phase must end before it.
+    cfg = config_from_text("[synthesis]\nbound_steps = 10\n")
+    assert cfg.synthesis.bound_steps == 10
+    with pytest.raises(ConfigurationError, match="linear_end"):
+        config_from_text("[synthesis]\nbound_steps = 3\n")
 
 
 def test_parse_config_missing_file(tmp_path):

@@ -164,15 +164,6 @@ def test_loss_rejects_missing_token_column():
         reward_ca_loss(instances, SampleDraw((0,), instances.masks[0]), record, 0.5)
 
 
-def test_pixel_norm_divides_by_layer_pixels():
-    instances = _one_instance()
-    record = _record_1x2([1.0, 1.0])
-    draw = _draw_all(instances)
-    plain = reward_ca_loss(instances, draw, record, 0.5)
-    normed = reward_ca_loss(instances, draw, record, 0.5, pixel_norm=True)
-    assert normed == pytest.approx(plain / 2.0)
-
-
 def test_staged_attn_loss_switches_branches():
     instances = _one_instance()
     record = _record_1x2([0.3, 0.7])

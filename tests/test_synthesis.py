@@ -78,29 +78,31 @@ def test_instance_masks_from_boxes_all_resolutions():
 
 def test_alpha_decay_anchor_values():
     sched = ScheduleParams()
-    assert alpha_decay(1, sched) == pytest.approx(0.5, abs=1e-15)
-    assert alpha_decay(3, sched) == pytest.approx(0.2, abs=1e-15)
-    assert alpha_decay(15, sched) == pytest.approx(0.1, abs=1e-12)
+    assert alpha_decay(1, sched, 15) == pytest.approx(0.5, abs=1e-15)
+    assert alpha_decay(3, sched, 15) == pytest.approx(0.2, abs=1e-15)
+    assert alpha_decay(15, sched, 15) == pytest.approx(0.1, abs=1e-12)
     # Cosine midpoint between linear_end = 3 and horizon = 15.
-    assert alpha_decay(9, sched) == pytest.approx(0.15, abs=1e-12)
+    assert alpha_decay(9, sched, 15) == pytest.approx(0.15, abs=1e-12)
 
 
 def test_alpha_decay_monotone_nonincreasing():
     sched = ScheduleParams()
-    values = [alpha_decay(t, sched) for t in range(1, 16)]
+    values = [alpha_decay(t, sched, 15) for t in range(1, 16)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_alpha_decay_range_checks():
     sched = ScheduleParams()
     with pytest.raises(ValueError):
-        alpha_decay(0, sched)
+        alpha_decay(0, sched, 15)
     with pytest.raises(ValueError):
-        alpha_decay(16, sched)
+        alpha_decay(16, sched, 15)
     with pytest.raises(ConfigurationError):
         ScheduleParams(alpha_final=0.3, alpha_min=0.2).validate()
     with pytest.raises(ConfigurationError):
-        ScheduleParams(linear_end=15, horizon=15).validate()
+        ScheduleParams(linear_end=0).validate()
+    with pytest.raises(ConfigurationError, match="linear_end"):
+        alpha_decay(1, ScheduleParams(linear_end=15), 15)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,7 @@ def test_combined_attn_loss_matches_manual_assembly():
     sched = ScheduleParams()
     cfg = SynthesisConfig(lambda_ca=1.5, lambda_sa=0.5)
     per, total = combined_attn_loss(record, masks, [[0]], 2, sched, cfg)
-    alpha_t = alpha_decay(2, sched)
+    alpha_t = alpha_decay(2, sched, cfg.bound_steps)
     expected = 1.5 * (reward_box_score(0.36, 0.04)
                       + alpha_t * penalty_box_score(0.04))
     assert per[0] == pytest.approx(expected, abs=1e-12)
@@ -302,7 +304,7 @@ def _loop_fixture():
 def test_run_synthesis_step_metrics_layout():
     sc, tokens, params = _loop_fixture()
     cfg = SynthesisConfig(total_steps=20, bound_steps=5, seed=0)
-    sched = ScheduleParams(horizon=5)
+    sched = ScheduleParams()
     result = run_synthesis(tokens, params, sc.boxes(), cfg, sched=sched,
                            schedule=toy_schedule(20))
     assert len(result.steps) == 20
@@ -314,8 +316,8 @@ def test_run_synthesis_step_metrics_layout():
         assert all(0.0 <= v <= 1.0 for v in s.leakage)
         if i > 5:      # outside the optimization phase nothing moves in-step
             assert s.total_after == s.total
-        if i >= 5:     # decay step is clamped at the horizon
-            assert s.alpha_t == pytest.approx(alpha_decay(5, sched))
+        if i >= 5:     # decay step is clamped at bound_steps
+            assert s.alpha_t == pytest.approx(alpha_decay(5, sched, 5))
     assert result.z_final.shape == (4, 4, 4)
     assert np.all(np.isfinite(result.z_final))
 
@@ -331,14 +333,14 @@ def test_latent_steps_backpropagate_into_the_latent_only(monkeypatch):
 
     monkeypatch.setattr(synthesis, "backprop", recorded_backprop)
     run_synthesis(tokens, params, sc.boxes(), SynthesisConfig(total_steps=20, bound_steps=5),
-                  sched=ScheduleParams(horizon=5), schedule=toy_schedule(20))
+                  sched=ScheduleParams(), schedule=toy_schedule(20))
     assert requests == [("z",)] * 5
 
 
 def test_run_synthesis_is_deterministic_and_seed_sensitive():
     sc, tokens, params = _loop_fixture()
     cfg = SynthesisConfig(total_steps=20, bound_steps=5, seed=0)
-    kw = dict(sched=ScheduleParams(horizon=5), schedule=toy_schedule(20))
+    kw = dict(sched=ScheduleParams(), schedule=toy_schedule(20))
     a = run_synthesis(tokens, params, sc.boxes(), cfg, **kw)
     b = run_synthesis(tokens, params, sc.boxes(), cfg, **kw)
     assert np.array_equal(a.z_final, b.z_final)
@@ -350,7 +352,7 @@ def test_run_synthesis_is_deterministic_and_seed_sensitive():
 def test_run_synthesis_initial_latent_override():
     sc, tokens, params = _loop_fixture()
     cfg = SynthesisConfig(total_steps=20, bound_steps=5)
-    kw = dict(sched=ScheduleParams(horizon=5), schedule=toy_schedule(20))
+    kw = dict(sched=ScheduleParams(), schedule=toy_schedule(20))
     z0 = np.zeros((4, 4, 4))
     a = run_synthesis(tokens, params, sc.boxes(), cfg, initial_latent=z0, **kw)
     b = run_synthesis(tokens, params, sc.boxes(), cfg, initial_latent=z0, **kw)
@@ -365,12 +367,12 @@ def test_run_synthesis_config_cross_checks():
     with pytest.raises(ConfigurationError):
         run_synthesis(tokens, params, sc.boxes(),
                       SynthesisConfig(total_steps=20, bound_steps=5),
-                      sched=ScheduleParams(horizon=15),
+                      sched=ScheduleParams(linear_end=5),
                       schedule=toy_schedule(20))
     with pytest.raises(ConfigurationError):
         run_synthesis(tokens, params, sc.boxes(),
                       SynthesisConfig(total_steps=20, bound_steps=5),
-                      sched=ScheduleParams(horizon=5),
+                      sched=ScheduleParams(),
                       schedule=toy_schedule(30))
     with pytest.raises(ConfigurationError):
         run_synthesis(tokens, params, [], SynthesisConfig())
@@ -378,12 +380,12 @@ def test_run_synthesis_config_cross_checks():
     with pytest.raises(ConfigurationError):
         run_synthesis(tokens, params, [BoxSpec(0.4, 0.4, 0.45, 0.45)],
                       SynthesisConfig(total_steps=20, bound_steps=5),
-                      sched=ScheduleParams(horizon=5),
+                      sched=ScheduleParams(),
                       schedule=toy_schedule(20), groups=[[1]])
     with pytest.raises(ConfigurationError):
         run_synthesis(tokens, params, sc.boxes(),
                       SynthesisConfig(total_steps=20, bound_steps=5),
-                      sched=ScheduleParams(horizon=5),
+                      sched=ScheduleParams(),
                       schedule=toy_schedule(20), groups=[[1]])
 
 
@@ -398,7 +400,7 @@ def test_write_steps_csv(tmp_path):
     sc, tokens, params = _loop_fixture()
     cfg = SynthesisConfig(total_steps=20, bound_steps=5)
     result = run_synthesis(tokens, params, sc.boxes(), cfg,
-                           sched=ScheduleParams(horizon=5),
+                           sched=ScheduleParams(),
                            schedule=toy_schedule(20))
     path = tmp_path / "steps.csv"
     write_steps_csv(result.steps, str(path))
@@ -427,7 +429,7 @@ def _run_64x64(sc, tokens, params, cfg, latent):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateInputWarning)
         return run_synthesis(tokens, params, sc.boxes(), cfg,
-                             sched=ScheduleParams(horizon=4),
+                             sched=ScheduleParams(),
                              refinement=RefinementConfig(),
                              initial_latent=latent)
 
