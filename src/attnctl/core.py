@@ -290,14 +290,17 @@ def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
     width = z.shape[1]
     if width < NARROW_COLS:
         cols = z.T  # cols[j] is column j, a view
-        acc = cols[0].copy()
-        for j in range(1, width):
+        acc = np.maximum(cols[0], cols[1]) if width > 1 else cols[0].copy()
+        for j in range(2, width):
             np.maximum(acc, cols[j], out=acc)
         per_row = acc[:, None]
         z -= per_row
         np.exp(z, out=z)
-        acc[:] = cols[0]
-        for j in range(1, width):
+        if width > 1:
+            np.add(cols[0], cols[1], out=acc)
+        else:
+            acc[:] = cols[0]
+        for j in range(2, width):
             acc += cols[j]
         z /= per_row
         return z

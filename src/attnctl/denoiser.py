@@ -8,9 +8,15 @@ embeddings (cross attention) or itself (self attention):
     X = blockmean(z) @ Wq ...    A = softmax(Q K^T / sqrt(d)),   O = A V
 
 The noise prediction is the mean over layers of each layer's output replicated
-back to the full grid. ``forward_cache`` keeps the attention maps and values,
-and ``readout_eps`` reads the prediction out of given maps: the cached ones,
-or, in synthesis, the same maps once masked. ``readout_from_outputs`` reads
+back to the full grid. ``forward_cache`` keeps the attention maps and values.
+It is two parts composed: ``frozen_pass`` runs, for a batch of latents,
+everything fixed weights settle (pools, queries, self-attention maps and
+values, and cross-attention too when the embeddings are fixed), and
+``iteration_cache`` completes one latent's cache on the current embeddings
+and value weights; the learning loop runs the first once per chunk of
+iterations. ``readout_eps`` reads the prediction out of given maps: the
+cached ones, or, in synthesis, the same maps once masked.
+``readout_from_outputs`` reads
 it out of given layer outputs, which synthesis's masked readout computes
 without masking the self-attention map. Keys and values of
 cross-attention layers depend only on the token embeddings, never on the
@@ -28,6 +34,7 @@ from .core import (
     CROSS,
     DECODER,
     ENCODER,
+    ROW_BLOCK,
     SELF,
     AttentionMap,
     AttentionRecord,
@@ -169,8 +176,24 @@ def ddim_add_noise(z0: np.ndarray, eps: np.ndarray, t: int,
                    schedule: NoiseSchedule) -> np.ndarray:
     """z_t = sqrt(abar_t) z0 + sqrt(1 - abar_t) eps."""
     z0, eps = matched_arrays(z0, eps, "z0", "eps")
-    ab = schedule.abar(t)
-    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
+    return _mix(z0, eps, schedule.abar(t))
+
+
+def noised_latents(z0: np.ndarray, eps: np.ndarray, levels,
+                   schedule: NoiseSchedule) -> np.ndarray:
+    """``ddim_add_noise`` for a batch: ``eps`` is (C, *z0.shape) and
+    ``levels`` holds C timesteps, which the caller has drawn in range. Latent
+    c is bit for bit ``ddim_add_noise(z0, eps[c], levels[c], schedule)``."""
+    ab = schedule.alphas_cumprod[levels].reshape(-1, *(1,) * z0.ndim)
+    return _mix(z0, eps, ab)
+
+
+def _mix(z0: np.ndarray, eps: np.ndarray, ab) -> np.ndarray:
+    """sqrt(ab) z0 + sqrt(1 - ab) eps, for one level (a float) or one per
+    latent of a batch (an array that broadcasts against ``eps``)."""
+    out = np.sqrt(ab) * z0
+    out += np.sqrt(1.0 - ab) * eps
+    return out
 
 
 def predict_clean(z_t: np.ndarray, eps_hat: np.ndarray, t: int,
@@ -230,7 +253,7 @@ class LayerCache:
     x: np.ndarray      # pooled latent features, (n_l, d), shared per resolution
     q: np.ndarray
     k: np.ndarray
-    v: np.ndarray
+    v: "np.ndarray | None"  # None where the caller reads no readout
     attn: np.ndarray   # raw softmax output, (n_l, targets)
 
 
@@ -258,61 +281,156 @@ class ForwardCache:
 
 
 def _blocks(grid: np.ndarray, h: int, w: int) -> np.ndarray:
-    """An (h, bh, w, bw, d) view of an (H, W, d) grid, one (bh, bw) block
-    per cell of an h x w layer; ShapeError unless the extents divide. A mean
-    over axes 1 and 3 pools the grid to the layer, a sum is the adjoint of
-    replicating a layer output onto it. On a C-ordered grid the view is
-    writable: adding an (h, 1, w, 1, d) array into it adds each cell's value
-    to every grid cell of its block, with no full-grid temporary."""
-    H, W, d = grid.shape
+    """An (..., h, bh, w, bw, d) view of an (..., H, W, d) grid, one (bh, bw)
+    block per cell of an h x w layer; ShapeError unless the extents divide.
+    A sum over axes -4 and -2 pools the grid to the layer, and is the
+    adjoint of replicating a layer output onto it. On a C-ordered grid the
+    view is writable: adding an (h, 1, w, 1, d) array into it adds each
+    cell's value to every grid cell of its block, with no full-grid
+    temporary."""
+    *lead, H, W, d = grid.shape
     if H % h or W % w:
         raise ShapeError(f"cannot pool {H}x{W} to {h}x{w}")
-    return grid.reshape(h, H // h, w, W // w, d)
+    return grid.reshape(*lead, h, H // h, w, W // w, d)
 
 
-def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
-    """Raw-array forward pass retaining per-layer intermediates. ``layers``
-    are ``LayerSpec``s, or the ``workspace`` copies of a loop that writes
-    its weights. A layer at the grid's own resolution takes ``z`` itself as
-    its features (a view, when ``z`` is C-ordered). Each map's logits and
-    softmax run one row block at a time (``map_row_blocks``)."""
-    d = z.shape[2]
-    cache = ForwardCache(z=z, emb=emb)
-    scale = 1.0 / math.sqrt(d)  # a float: no numpy scalar per call
+def _cell_sums(grid: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The sum over each block of ``_blocks(grid, h, w)``, as (..., h * w, d)
+    rows. At the grid's own resolution the grid itself, reshaped, with no
+    copy: the sum of a 1 x 1 block is its one value."""
+    *lead, H, W, d = grid.shape
+    if (H, W) == (h, w):
+        return grid.reshape(*lead, h * w, d)
+    return _blocks(grid, h, w).sum(axis=(-4, -2)).reshape(*lead, h * w, d)
+
+
+def _pool(grid: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Each block's mean as (..., h * w, d) rows: its sum divided by the
+    block size, which is the arithmetic of ``np.mean``."""
+    size = (grid.shape[-3] // h) * (grid.shape[-2] // w)
+    sums = _cell_sums(grid, h, w)
+    if size > 1:
+        sums /= size
+    return sums
+
+
+def _attention(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(scale q k^T) for (..., n, d) queries and (..., m, d) keys, or
+    (m, d) keys shared by a batch. A map of one row block is computed
+    inline, batch and all; a larger one runs one row block at a time
+    (``map_row_blocks``), one latent after another."""
+    n, m = q.shape[-2], k.shape[-2]
+    kt = k.swapaxes(-1, -2)
+    if n * m <= ROW_BLOCK:
+        attn = np.matmul(q, kt)
+        attn *= scale
+        softmax_rows_inplace(attn.reshape(-1, m))
+        return attn
+    attn = np.empty(q.shape[:-1] + (m,))
+    for c in np.ndindex(q.shape[:-2]):
+        qc, ac = q[c], attn[c]
+        kc = kt[c] if kt.ndim == q.ndim else kt
+
+        def logits_softmax(blk):
+            block = ac[blk]
+            np.matmul(qc[blk], kc, out=block)
+            block *= scale
+            softmax_rows_inplace(block)
+
+        map_row_blocks(logits_softmax, n, m)
+    return attn
+
+
+@dataclass
+class FrozenPass:
+    """The part of C forward passes, over the same layers, that their
+    latents and fixed weights settle: each resolution's pooled features and
+    each layer's queries, and the keys, maps and values of the layers whose
+    sources are fixed. A None entry is left to ``iteration_cache``. Arrays
+    carry the batch axis first; keys shared by the batch are broadcast."""
+
+    z: np.ndarray                          # (C, H, W, d) latents
+    layers: list
+    xs: "list[np.ndarray]"                 # (C, n_l, d), one per resolution
+    qs: "list[np.ndarray]"
+    ks: "list[np.ndarray | None]"
+    attns: "list[np.ndarray | None]"       # (C, n_l, targets)
+    vs: "list[np.ndarray | None]"
+
+
+def frozen_pass(z: np.ndarray, layers, emb: "np.ndarray | None" = None,
+                values: bool = True) -> FrozenPass:
+    """The forward pass of a batch of latents ``z`` (C, H, W, d) as far as
+    it does not depend on what the caller updates. Self-attention layers,
+    which attend from the latent to itself, run to their maps, and to their
+    values unless ``values`` is False; cross-attention layers do the same
+    only when the embeddings ``emb`` are given (fixed), and otherwise stop
+    at their queries. Latent c's arrays are bit for bit those of a pass on
+    ``z[c]`` alone."""
+    scale = 1.0 / math.sqrt(z.shape[-1])  # a float: no numpy scalar per call
+    out = FrozenPass(z, list(layers), [], [], [], [], [])
     pooled: "dict[tuple[int, int], np.ndarray]" = {}  # one pool per resolution
     for work in layers:
         res = (work.height, work.width)
         x = pooled.get(res)
         if x is None:
-            x = pooled[res] = _cell_rows(z, *res, np.ndarray.mean)
+            x = pooled[res] = _pool(z, *res)
         q = x @ work.wq
-        if work.attn_type == CROSS:
-            src = emb
+        src = x if work.attn_type == SELF else emb
+        k = attn = v = None
+        if src is not None:
+            k = src @ work.wk
+            attn = _attention(q, k, scale)
+            if values:
+                v = src @ work.wv
+            if k.ndim == 2:  # the embeddings' keys and values serve the batch
+                k = np.broadcast_to(k, (z.shape[0], *k.shape))
+                v = None if v is None else np.broadcast_to(v, (z.shape[0], *v.shape))
+        out.xs.append(x)
+        out.qs.append(q)
+        out.ks.append(k)
+        out.attns.append(attn)
+        out.vs.append(v)
+    return out
+
+
+def iteration_cache(frozen: FrozenPass, c: int, emb: np.ndarray,
+                    values: bool = True) -> ForwardCache:
+    """Latent c's forward cache: the frozen part, completed with the keys
+    and maps of the cross-attention layers it left out (on ``emb``) and with
+    the values it left out (on the layers' current ``wv``). With ``values``
+    False no value is added: for a caller that reads no readout."""
+    z = frozen.z[c]
+    cache = ForwardCache(z=z, emb=emb)
+    scale = 1.0 / math.sqrt(z.shape[-1])
+    for li, work in enumerate(frozen.layers):
+        x, q = frozen.xs[li][c], frozen.qs[li][c]
+        src = emb if work.attn_type == CROSS else x
+        attn = frozen.attns[li]
+        if attn is None:
+            k = src @ work.wk
+            attn = _attention(q, k, scale)
         else:
-            src = x
-        k = src @ work.wk
-        v = src @ work.wv
-        attn = np.empty((q.shape[0], k.shape[0]))
-
-        def logits_softmax(blk):
-            block = attn[blk]
-            np.matmul(q[blk], k.T, out=block)
-            block *= scale
-            softmax_rows_inplace(block)
-
-        map_row_blocks(logits_softmax, *attn.shape)
+            k, attn = frozen.ks[li][c], attn[c]
+        v = frozen.vs[li]
+        if v is not None:
+            v = v[c]
+        elif values:
+            v = src @ work.wv
         cache.layers.append(LayerCache(work, x, q, k, v, attn))
     return cache
 
 
-def _cell_rows(grid: np.ndarray, h: int, w: int, reduce) -> np.ndarray:
-    """``reduce`` (``np.ndarray.mean`` or ``np.ndarray.sum``) over each
-    block of ``_blocks(grid, h, w)``, as (h * w, d) rows. At the grid's own
-    resolution the grid itself, reshaped, with no copy: either reduction of
-    a 1 x 1 block is its one value."""
-    if grid.shape[:2] == (h, w):
-        return grid.reshape(h * w, -1)
-    return reduce(_blocks(grid, h, w), axis=(1, 3)).reshape(h * w, -1)
+def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
+    """Raw-array forward pass retaining per-layer intermediates: the frozen
+    part of a batch of one (the self-attention layers whole), completed by
+    ``iteration_cache`` (the cross-attention layers on ``emb``). ``layers``
+    are ``LayerSpec``s, or the ``workspace`` copies of a loop that writes
+    its weights. A layer at the grid's own resolution takes ``z`` itself as
+    its features (a view, when ``z`` is C-ordered). A map larger than one
+    row block runs its logits and softmax one row block at a time
+    (``map_row_blocks``)."""
+    return iteration_cache(frozen_pass(z[None], layers), 0, emb)
 
 
 def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:

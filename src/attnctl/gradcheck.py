@@ -130,7 +130,7 @@ def _learning_losses(fx: _Fixture, branch: str):
     forward cache, then (rec, d_eps) and (attn, d_attn)."""
     cache = forward_cache(fx.z, fx.emb, fx.layers)
     rec, d_eps = _rec_loss_and_grad(fx.eps, readout_eps(cache, cache.maps()),
-                                    fx.draw.m_rec)
+                                    fx.draw.rec_weight)
     attn, d_attn = _attn_loss_and_grad(
         cache.maps(), _gated_masks(fx.layers, fx.instances.masks),
         fx.instances, fx.draw, branch, fx.config.alpha,

@@ -51,12 +51,13 @@ done in one block, in exactly the arithmetic of the unblocked formulas.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CROSS, row_blocks
-from .denoiser import ForwardCache, _blocks, _cell_rows
+from .core import CROSS, NARROW_COLS, row_blocks
+from .denoiser import ForwardCache, _blocks, _cell_sums
 
 GRADIENTS = ("emb", "wv", "z")
 _GRADIENT_SET = frozenset(GRADIENTS)
@@ -105,9 +106,20 @@ class RowGrad:
 
 
 def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
-    """Gradient through a row softmax: maps dL/dA to dL/dlogits."""
+    """Gradient through a row softmax: maps dL/dA to dL/dlogits. A map
+    narrower than NARROW_COLS sums its rows column by column, in column
+    order, as ``softmax_rows_inplace`` does: bit-identical to the row
+    reduction, without its per-row overhead."""
     out = d_attn * attn
-    inner = out.sum(axis=1, keepdims=True)
+    width = out.shape[1]
+    if width < NARROW_COLS:
+        cols = out.T  # cols[j] is column j, a view
+        acc = cols[0] + 0.0  # numpy's sum starts at +0.0: -0.0 sums to +0.0
+        for j in range(1, width):
+            acc += cols[j]
+        inner = acc[:, None]
+    else:
+        inner = out.sum(axis=1, keepdims=True)
     np.subtract(d_attn, inner, out=out)
     out *= attn
     return out
@@ -132,8 +144,8 @@ def backprop(cache: ForwardCache,
     want_emb, want_wv, want_z = "emb" in wrt, "wv" in wrt, "z" in wrt
     d = cache.z.shape[2]
     n_layers = len(cache.layers)
-    scale = 1.0 / np.sqrt(d)
-    d_emb = np.zeros_like(cache.emb) if want_emb else None
+    scale = 1.0 / math.sqrt(d)
+    d_emb = np.zeros(cache.emb.shape) if want_emb else None
     d_wv: "list[np.ndarray] | None" = [] if want_wv else None
     dxs: "list[tuple[int, int, np.ndarray]] | None" = [] if want_z else None
     d_outs: "dict[tuple[int, int], np.ndarray]" = {}  # dO, one per resolution
@@ -157,7 +169,7 @@ def backprop(cache: ForwardCache,
             res = (work.height, work.width)
             d_out = d_outs.get(res)
             if d_out is None:
-                d_out = d_outs[res] = _cell_rows(d_eps, *res, np.ndarray.sum) / n_layers
+                d_out = d_outs[res] = _cell_sums(d_eps, *res) / n_layers
 
         d_src = dx = None
         if through_softmax:

@@ -66,8 +66,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         check_finite_fields(self)
-        if self.height < 2 or self.width < 2:
-            raise ConfigurationError("extents must be at least 2x2")
+        for name in ("height", "width"):
+            if getattr(self, name) < 2:
+                raise ConfigurationError(f"{name}: must be >= 2")
         if self.instances < 1:
             raise ConfigurationError("instances: must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
@@ -93,11 +94,13 @@ class ControlConfig:
     groups: "list[list[int]] | None" = None
 
     def validate(self) -> None:
-        self.scenario.validate()
-        self.learning.validate()
-        self.synthesis.validate()
-        self.schedule.validate()
-        self.refinement.validate()
+        """Each section's own checks, their messages prefixed with the
+        section's name, then the checks across sections."""
+        for section in _SECTIONS:
+            try:
+                getattr(self, section).validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"[{section}] {exc}") from exc
         if self.schedule.linear_end >= self.synthesis.bound_steps:
             raise ConfigurationError(
                 "[schedule] linear_end must be < [synthesis] bound_steps"

@@ -19,24 +19,40 @@ the attention loss reads) and never reads the noise out, and an iteration
 with no active term runs no forward or backward pass at all. Every iteration
 still draws its subset, level and noise, so the random stream does not
 depend on the weights.
+
+The loop runs in chunks of iterations. Much of a forward pass does not
+depend on what its stage updates: the noised latent, its pools and every
+layer's queries depend only on the draw; in stage 1 the self-attention
+layers (map, values and output) are fixed too, and in stage 2 every map. A
+chunk draws its iterations' subsets, levels and noise in the per-iteration
+order, then computes that frozen half once, with a leading batch axis, for
+the iterations it will evaluate (``denoiser.frozen_pass``); each iteration
+then completes its own cache (``denoiser.iteration_cache``), takes its
+losses and updates. A chunk never straddles ``stage1_iters``, and its
+buffers hold at most ``CHUNK_ENTRIES`` float64 entries, so a grid whose one
+iteration needs more runs one iteration per chunk. Every output is bit for
+bit that of the one-iteration-at-a-time loop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CROSS, AttentionRecord, BinaryMask, check_finite_fields, checked_array,
-                   gated_layers, mask_at, matched_arrays)
+from .core import (CROSS, ROW_BLOCK, SELF, AttentionRecord, BinaryMask, check_finite_fields,
+                   checked_array, gated_layers, mask_at, matched_arrays)
 from .denoiser import (
     DenoiserParams,
     NoiseSchedule,
     TokenEmbedding,
     default_params,
-    ddim_add_noise,
-    forward_cache,
+    frozen_pass,
+    iteration_cache,
+    noised_latents,
     params_from_workspace,
-    readout_eps,
+    readout_from_outputs,
     toy_schedule,
     workspace,
 )
@@ -47,6 +63,14 @@ from .gradients import backprop
 BRANCH_REWARD = "reward"
 BRANCH_PENALTY = "penalty"
 BRANCH_STAGE2 = "stage2"
+
+# A chunk of iterations holds at most this many float64 entries of
+# per-iteration buffers (512 KiB); a grid whose one iteration needs more
+# runs one iteration per chunk. Half a row block: chunks of a whole one
+# (1 MiB) raised an 8x8 learning process's peak resident memory by about
+# 0.4 MB more, as the C heap keeps the freed chunk arrays; a quarter was
+# no lower than half, and slower.
+CHUNK_ENTRIES = ROW_BLOCK // 2
 
 
 @dataclass(frozen=True)
@@ -104,6 +128,8 @@ class SampleDraw:
 
     instance_indices: "tuple[int, ...]"
     m_rec: BinaryMask
+    # m_rec as the reconstruction loss's weight, built once per draw.
+    rec_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = tuple(sorted(int(i) for i in self.instance_indices))
@@ -112,6 +138,12 @@ class SampleDraw:
             raise ConfigurationError("SampleDraw: subset must be nonempty")
         if len(set(idx)) != len(idx):
             raise ConfigurationError("SampleDraw: duplicate instance indices")
+        object.__setattr__(self, "rec_weight", _rec_weight(self.m_rec))
+
+
+def _rec_weight(mask: BinaryMask) -> np.ndarray:
+    """A mask as the reconstruction loss's (H, W, 1) float weight."""
+    return mask.bits.astype(np.float64)[:, :, None]
 
 
 def joint_sample(instances: InstanceSet, rng: np.random.Generator) -> SampleDraw:
@@ -182,6 +214,24 @@ def _gated_masks(layers, masks) -> "dict[int, list[np.ndarray]]":
             for li in gated_layers(layers, CROSS)}
 
 
+class _MaskTerms(NamedTuple):
+    """One flat instance mask m in the forms the attention losses read."""
+
+    target: np.ndarray   # alpha * m, the reward loss's target column
+    off: np.ndarray      # 1 - m, the penalty's weight
+    off2: np.ndarray     # 2 (1 - m), the penalty gradient's weight
+
+
+class _LossMasks(dict):
+    """``_gated_masks``'s output as ``_MaskTerms``: layer index -> one
+    per instance. The loop builds it once per run."""
+
+    def __init__(self, gated_masks, alpha: float):
+        super().__init__({li: [_MaskTerms(alpha * m, 1.0 - m, 2.0 * (1.0 - m))
+                               for m in flat_masks]
+                          for li, flat_masks in gated_masks.items()})
+
+
 def _attn_branch(iteration: int, config: LearningConfig) -> str:
     """Reward while iteration < coarse_iters, penalty afterwards."""
     return BRANCH_REWARD if iteration < config.coarse_iters else BRANCH_PENALTY
@@ -221,11 +271,11 @@ def staged_attn_loss(instances: InstanceSet, draw: SampleDraw,
                            config.alpha)
 
 
-def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray, m_rec: BinaryMask,
+def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray, m3: np.ndarray,
                        with_grad: bool = True) -> "tuple[float, np.ndarray | None]":
     """||M * eps - M * eps_hat||^2 and, if with_grad, its gradient with
-    respect to eps_hat (None otherwise)."""
-    m3 = m_rec.bits.astype(np.float64)[:, :, None]
+    respect to eps_hat (None otherwise); ``m3`` is M as an (H, W, 1) float
+    array (``SampleDraw.rec_weight``)."""
     loss = float(((m3 * (eps - eps_hat)) ** 2).sum())
     return loss, (2.0 * m3 * (eps_hat - eps) if with_grad else None)
 
@@ -238,7 +288,7 @@ def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
         raise ShapeError(
             f"mask extent {m_rec.height}x{m_rec.width} does not match grid {eps.shape[:2]}"
         )
-    return _rec_loss_and_grad(eps, eps_hat, m_rec, with_grad=False)[0]
+    return _rec_loss_and_grad(eps, eps_hat, _rec_weight(m_rec), with_grad=False)[0]
 
 
 def total_learning_loss(rec_loss: float, attn_loss: float,
@@ -289,27 +339,43 @@ def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha):
 
     maps holds every layer's attention weights in layer order; gated_masks
     maps layer index -> per-instance flat masks at that layer's resolution
-    (decoder cross-attention layers only, see _gated_masks).
+    (decoder cross-attention layers only, see _gated_masks), or is their
+    ``_LossMasks`` for this alpha, built once by the caller.
     """
+    terms = gated_masks if isinstance(gated_masks, _LossMasks) \
+        else _LossMasks(gated_masks, alpha)
     loss = 0.0
     d_attn: "list[np.ndarray | None]" = [None] * len(maps)
-    for li, flat_masks in gated_masks.items():
+    for li, layer_terms in terms.items():
         attn = maps[li]
-        grad = np.zeros_like(attn)
+        grad = np.zeros(attn.shape)
         for i in draw.instance_indices:
             token = instances.placeholder_ids[i]
-            m = flat_masks[i]
+            term = layer_terms[i]
             col = attn[:, token]
             if branch == BRANCH_REWARD:
-                diff = col - alpha * m
+                diff = col - term.target
                 loss += float((diff ** 2).sum())
                 grad[:, token] += 2.0 * diff
             else:
-                off = (1.0 - m) * col
+                off = term.off * col
                 loss += float((off ** 2).sum())
-                grad[:, token] += 2.0 * (1.0 - m) * off
+                grad[:, token] += term.off2 * off
         d_attn[li] = grad
     return loss, d_attn
+
+
+def _iteration_entries(shape, layers, n_tokens: int) -> int:
+    """An upper bound on the float64 entries one iteration adds to a
+    chunk's buffers: its noise, noised latent and the noising's temporary,
+    and per layer its features, queries, output, keys, values and map."""
+    height, width, dim = shape
+    total = 3 * height * width * dim
+    for l in layers:
+        n = l.height * l.width
+        m = n if l.attn_type == SELF else n_tokens
+        total += 3 * n * dim + 2 * m * dim + n * m
+    return total
 
 
 def run_semantic_learning(scenario, config: LearningConfig,
@@ -360,68 +426,102 @@ def run_semantic_learning(scenario, config: LearningConfig,
     # without the reconstruction term the forward pass runs the decoder
     # cross-attention layers alone; masks are keyed by position in that list.
     run_layers = layers if rec_active else [layers[i] for i in gated_layers(layers, CROSS)]
-    gated_masks = _gated_masks(run_layers, instances.masks)
+    loss_masks = _LossMasks(_gated_masks(run_layers, instances.masks), config.alpha)
+    chunk = max(1, CHUNK_ENTRIES // _iteration_entries(z0.shape, run_layers, n_tokens))
+    noise = np.empty((chunk, *z0.shape))
+    levels = np.empty(chunk, dtype=np.intp)
 
     trace: "list[TraceRow]" = []
     emb_at_coarse_end: np.ndarray | None = None
 
-    for e in range(config.total_iters):
-        if e == config.coarse_iters:
-            emb_at_coarse_end = emb.copy()
-        stage2 = e >= config.stage1_iters
-        branch = BRANCH_STAGE2 if stage2 else _attn_branch(e, config)
+    start = 0
+    while start < config.total_iters:
+        stage2 = start >= config.stage1_iters
+        stop = min(start + chunk, config.total_iters if stage2 else config.stage1_iters)
 
-        # Drawn on every iteration, evaluated or not, so that the random
-        # stream does not depend on the weights.
-        draw = joint_sample(instances, rng)
-        t = int(rng.integers(0, schedule.total_steps))
-        eps = rng.standard_normal(z0.shape)
+        # Each iteration draws its subset, level and noise, evaluated or
+        # not, so that the random stream does not depend on the weights. An
+        # evaluated iteration's noise takes the next row of the chunk; an
+        # unevaluated one's is drawn into the row after them, and dropped.
+        plan = []
+        rows = 0
+        for e in range(start, stop):
+            draw = joint_sample(instances, rng)
+            t = int(rng.integers(0, schedule.total_steps))
+            rng.standard_normal(out=noise[rows])
+            attn_now = (attn_active and not stage2
+                        and config.t_min_attn <= t <= config.t_max_attn)
+            row = None
+            if rec_active or attn_now:
+                row = rows
+                levels[row] = t
+                rows += 1
+            plan.append((e, draw, row, attn_now))
 
-        # A zero-weighted term is not evaluated and reads nan; a weighted
-        # attention term outside its window or in stage 2 reads 0.
-        rec = np.nan
-        attn = 0.0 if attn_active else np.nan
-        attn_now = attn_active and not stage2 and config.t_min_attn <= t <= config.t_max_attn
-        d_eps = d_attn = None
-        if rec_active or attn_now:
-            cache = forward_cache(ddim_add_noise(z0, eps, t, schedule), emb, run_layers)
-            if rec_active:
-                rec, d_eps = _rec_loss_and_grad(eps, readout_eps(cache, cache.maps()),
-                                                draw.m_rec)
-                d_eps = config.lambda_rec * d_eps
-            if attn_now:
-                attn, grads = _attn_loss_and_grad(
-                    cache.maps(), gated_masks, instances,
-                    draw, branch, config.alpha,
-                )
-                d_attn = [None if g is None else config.lambda_attn * g
-                          for g in grads]
+        # Free the last chunk's arrays (the cache holds views of them)
+        # before this chunk's are built. Its frozen half is computed once,
+        # with a batch axis: the noised latents, their pools and queries,
+        # and in stage 1 (which updates emb) every self-attention layer with
+        # its output A V, in stage 2 (which updates wv) every map.
+        frozen = outs = cache = None
+        if rows:
+            frozen = frozen_pass(noised_latents(z0, noise[:rows], levels[:rows], schedule),
+                                 run_layers, emb if stage2 else None, values=not stage2)
+            outs = [None if v is None else np.matmul(attn, v)
+                    for attn, v in zip(frozen.attns, frozen.vs)] \
+                if rec_active else None
 
-        total = total_learning_loss(rec, attn, config)
-        if not np.isfinite(total):
-            raise DivergenceError(
-                f"loss became non-finite at iteration {e} (branch {branch})"
-            )
+        for e, draw, row, attn_now in plan:
+            if e == config.coarse_iters:
+                emb_at_coarse_end = emb.copy()
+            branch = BRANCH_STAGE2 if stage2 else _attn_branch(e, config)
 
-        # With no active term there is no gradient, so no backprop or update.
-        if d_attn is not None or d_eps is not None:
-            res = backprop(cache, d_attn=d_attn, d_eps=d_eps,
-                           wrt=("wv",) if stage2 else ("emb",))
-            if not stage2:
-                for pid in learnable:
-                    emb[pid] -= config.learn_rate * res.d_emb[pid]
-                updated = [emb]
-            else:
-                for lw, d_wv in zip(run_layers, res.d_wv):
-                    lw.wv -= config.stage2_rate * d_wv
-                updated = [lw.wv for lw in run_layers]
-            if not all(np.isfinite(a).all() for a in updated):
+            # A zero-weighted term is not evaluated and reads nan; a weighted
+            # attention term outside its window or in stage 2 reads 0.
+            rec = np.nan
+            attn = 0.0 if attn_active else np.nan
+            d_eps = d_attn = None
+            if row is not None:
+                cache = iteration_cache(frozen, row, emb, values=rec_active)
+                if rec_active:
+                    eps_hat = readout_from_outputs(cache, [
+                        lc.attn @ lc.v if out is None else out[row]
+                        for lc, out in zip(cache.layers, outs)])
+                    rec, d_eps = _rec_loss_and_grad(noise[row], eps_hat, draw.rec_weight)
+                    d_eps *= config.lambda_rec
+                if attn_now:
+                    attn, d_attn = _attn_loss_and_grad(
+                        cache.maps(), loss_masks, instances, draw, branch, config.alpha)
+                    for g in d_attn:
+                        if g is not None:
+                            g *= config.lambda_attn
+
+            total = total_learning_loss(rec, attn, config)
+            if not math.isfinite(total):
                 raise DivergenceError(
-                    f"{'value weights' if stage2 else 'embeddings'} became non-finite "
-                    f"at iteration {e} (branch {branch})"
+                    f"loss became non-finite at iteration {e} (branch {branch})"
                 )
 
-        trace.append(TraceRow(e, branch, rec, attn, total))
+            # With no active term there is no gradient, so no backprop or update.
+            if d_attn is not None or d_eps is not None:
+                res = backprop(cache, d_attn=d_attn, d_eps=d_eps,
+                               wrt=("wv",) if stage2 else ("emb",))
+                if not stage2:
+                    for pid in learnable:
+                        emb[pid] -= config.learn_rate * res.d_emb[pid]
+                    finite = np.isfinite(emb).all()
+                else:
+                    for lw, d_wv in zip(run_layers, res.d_wv):
+                        lw.wv -= config.stage2_rate * d_wv
+                    finite = all(np.isfinite(lw.wv).all() for lw in run_layers)
+                if not finite:
+                    raise DivergenceError(
+                        f"{'value weights' if stage2 else 'embeddings'} became non-finite "
+                        f"at iteration {e} (branch {branch})"
+                    )
+
+            trace.append(TraceRow(e, branch, rec, attn, total))
+        start = stop
 
     if emb_at_coarse_end is None and config.coarse_iters >= config.total_iters:
         emb_at_coarse_end = emb.copy()

@@ -108,6 +108,21 @@ def test_non_finite_config_number_exits_one(capsys, tmp_path, section, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,line,message", [
+    ("synthesis", "seed = -1", "error: [synthesis] seed: must be >= 0"),
+    ("scenario", "height = 1", "error: [scenario] height: must be >= 2"),
+], ids=["synthesis-seed", "scenario-height"])
+def test_config_validation_error_names_section_and_key(capsys, tmp_path, section, line,
+                                                        message):
+    # [scenario], [learning] and [synthesis] each have a seed, so a bare
+    # "seed" would not say which one is wrong.
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{line}\n")
+    assert main(["learn", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_exits_two(capsys, workspace, tmp_path):
     code = main(["learn", str(workspace / "diverge.ini"),

@@ -1,7 +1,10 @@
 """Finite-difference verification of the hand-written backward pass."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attnctl.core import NARROW_COLS, softmax_rows_inplace
 from attnctl.gradcheck import (
     REL_TOL,
     central_diff,
@@ -9,6 +12,7 @@ from attnctl.gradcheck import (
     format_results,
     run_gradcheck,
 )
+from attnctl.gradients import softmax_rows_backward
 
 
 def test_central_diff_on_quadratic():
@@ -45,3 +49,28 @@ def test_format_results_mentions_verdict():
     text = format_results(run_gradcheck(0))
     assert "all gradients verified" in text
     assert "tolerance" in text
+
+
+def _row_reduced_softmax_backward(attn, d_attn):
+    """The softmax backward with numpy's row reduction, the form every width
+    used before narrow maps reduced column by column."""
+    out = d_attn * attn
+    inner = out.sum(axis=1, keepdims=True)
+    return (d_attn - inner) * attn
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, NARROW_COLS - 1).flatmap(lambda w: st.tuples(
+    st.integers(1, 300), st.just(w), st.integers(0, 2 ** 32 - 1), st.floats(0.1, 30.0))))
+def test_narrow_softmax_backward_matches_the_row_reduction_bitwise(problem):
+    # Some upstream entries are +0 and -0, as a loss gradient's columns
+    # outside the sampled tokens are.
+    rows, width, seed, spread = problem
+    rng = np.random.default_rng(seed)
+    attn = softmax_rows_inplace(rng.standard_normal((rows, width)) * spread)
+    d_attn = rng.standard_normal((rows, width))
+    zeros = rng.random((rows, width)) < 0.3
+    d_attn[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    got = softmax_rows_backward(attn, d_attn)
+    want = _row_reduced_softmax_backward(attn, d_attn)
+    assert got.tobytes() == want.tobytes()

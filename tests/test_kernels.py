@@ -953,9 +953,8 @@ LEARNING_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse", LEARNING_CONFIGS)
-def test_run_semantic_learning_matches_reference_loop_bitwise(
-        grid, seed, lambda_rec, lambda_attn, coarse):
+def _learning_case(grid, seed, lambda_rec, lambda_attn, coarse):
+    """The scenario, config, schedule and params of a LEARNING_CONFIGS case."""
     scen = generate_scenario((grid, grid), 2, rho=0.8, seed=seed, dim=8)
     params = default_params(8, grid, grid, seed=7)
     schedule = toy_schedule(50, 0.9999, 0.9)
@@ -968,6 +967,14 @@ def test_run_semantic_learning_matches_reference_loop_bitwise(
         stage1_iters=stage1, coarse_iters=coarse,
         learn_rate=2000.0 if lambda_rec == 0.0 else 0.5, stage2_rate=1e-5,
         seed=seed)
+    return scen, config, schedule, params
+
+
+@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse", LEARNING_CONFIGS)
+def test_run_semantic_learning_matches_reference_loop_bitwise(
+        grid, seed, lambda_rec, lambda_attn, coarse):
+    scen, config, schedule, params = _learning_case(grid, seed, lambda_rec, lambda_attn,
+                                                    coarse)
     new = learning.run_semantic_learning(scen, config, schedule=schedule, params=params)
     emb, emb_at_coarse_end, wv, trace = ref_run_semantic_learning(
         scen, config, schedule, params)
@@ -994,6 +1001,67 @@ def test_run_semantic_learning_matches_reference_loop_bitwise(
     if lambda_rec > 0.0 and coarse < 800:
         assert not all(_same_bits(a.wv, b.wv)
                        for a, b in zip(new.params.layers, params.layers))
+
+
+@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse", LEARNING_CONFIGS)
+def test_run_semantic_learning_is_bitwise_equal_at_any_chunk_size(
+        monkeypatch, grid, seed, lambda_rec, lambda_attn, coarse):
+    # The chunk bound is set to hold one iteration, then seven; each run
+    # must equal the default-bound run bit for bit. With the reconstruction
+    # term every iteration is evaluated, so each frozen pass is one chunk:
+    # one chunk ends at stage1_iters (cut short where 7 does not divide it),
+    # and at seven some chunk straddles coarse_iters unless 7 divides it or
+    # it is stage1_iters itself.
+    scen, config, schedule, params = _learning_case(grid, seed, lambda_rec, lambda_attn,
+                                                    coarse)
+
+    def run():
+        res = learning.run_semantic_learning(scen, config, schedule=schedule, params=params)
+        return (res.embedding_matrix, res.emb_at_coarse_end,
+                [layer.wv for layer in res.params.layers],
+                [(r.iteration, r.branch, r.rec_loss, r.attn_loss, r.total)
+                 for r in res.trace])
+
+    default = run()
+    layers = params.layers if lambda_rec else \
+        [params.layers[i] for i in gated_layers(params.layers, CROSS)]
+    per_iteration = learning._iteration_entries(scen.z0.shape, layers, 3)
+    frozen_pass = learning.frozen_pass
+    for chunk in (1, 7):
+        batches = []
+
+        def logged_frozen_pass(z, *args, **kwargs):
+            batches.append(z.shape[0])
+            return frozen_pass(z, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(learning, "CHUNK_ENTRIES", chunk * per_iteration)
+            mp.setattr(learning, "frozen_pass", logged_frozen_pass)
+            chunked = run()
+        assert _same_bits(chunked[0], default[0])
+        assert _same_bits(chunked[1], default[1])
+        assert all(_same_bits(a, b) for a, b in zip(chunked[2], default[2]))
+        assert [row[:2] for row in chunked[3]] == [row[:2] for row in default[3]]
+        assert _same_bits([row[2:] for row in chunked[3]], [row[2:] for row in default[3]])
+        assert all(size <= chunk for size in batches)
+        if lambda_rec:
+            ends = list(itertools.accumulate(batches))
+            assert ends[-1] == config.total_iters
+            assert config.stage1_iters in ends
+            if chunk == 7:
+                assert max(batches) == 7
+                straddled = any(end - size < coarse < end
+                                for end, size in zip(ends, batches))
+                assert straddled == (coarse < config.stage1_iters and coarse % 7 != 0)
+
+
+def test_a_64x64_iteration_fills_a_chunk_alone():
+    # One 64x64 iteration's buffers exceed the chunk bound, so the loop runs
+    # one iteration per chunk and holds no more than the unchunked loop.
+    params = default_params(16, 64, 64, seed=0)
+    assert learning._iteration_entries((64, 64, 16), params.layers, 3) \
+        > learning.CHUNK_ENTRIES
+
 
 def _ref_sa_box_energies(attn, flats):
     return np.array([ref_sa_energies(attn, m) for m in flats]).reshape(len(flats), 2)

@@ -1,4 +1,6 @@
 """Embedding learning: losses with hand-checked values, sampling, the loop."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -384,27 +386,30 @@ def test_each_stage_backpropagates_only_into_what_it_updates(monkeypatch, lambda
 
 
 def _log_forward_passes(monkeypatch, config):
-    """Run the loop on the tiny scenario, logging each forward pass's noise
-    level and layer tags, and counting readouts."""
+    """Run the loop on the tiny scenario, logging the noise level of each
+    latent it noises (a chunk noises its evaluated iterations' latents in
+    one call), the layer tags of each iteration's forward cache, and
+    counting readouts."""
     log = {"t": [], "layers": [], "readouts": 0}
-    add_noise, forward, readout = (learning.ddim_add_noise, learning.forward_cache,
-                                   learning.readout_eps)
+    noised, complete, readout = (learning.noised_latents, learning.iteration_cache,
+                                 learning.readout_from_outputs)
 
-    def logged_noise(z0, eps, t, schedule):
-        log["t"].append(t)
-        return add_noise(z0, eps, t, schedule)
+    def logged_noise(z0, eps, levels, schedule):
+        log["t"].extend(int(t) for t in levels)
+        return noised(z0, eps, levels, schedule)
 
-    def logged_forward(z, emb, layers):
-        log["layers"].append([(l.kind, l.attn_type) for l in layers])
-        return forward(z, emb, layers)
+    def logged_cache(frozen, c, emb, values=True):
+        cache = complete(frozen, c, emb, values)
+        log["layers"].append([(lc.work.kind, lc.work.attn_type) for lc in cache.layers])
+        return cache
 
-    def logged_readout(cache, maps):
+    def logged_readout(cache, outputs):
         log["readouts"] += 1
-        return readout(cache, maps)
+        return readout(cache, outputs)
 
-    monkeypatch.setattr(learning, "ddim_add_noise", logged_noise)
-    monkeypatch.setattr(learning, "forward_cache", logged_forward)
-    monkeypatch.setattr(learning, "readout_eps", logged_readout)
+    monkeypatch.setattr(learning, "noised_latents", logged_noise)
+    monkeypatch.setattr(learning, "iteration_cache", logged_cache)
+    monkeypatch.setattr(learning, "readout_from_outputs", logged_readout)
     result = run_semantic_learning(_tiny_scenario(), config, schedule=toy_schedule(10))
     return result, log
 
@@ -495,3 +500,24 @@ def test_learning_at_8x8_runs_every_row_block_inline(monkeypatch):
                          lambda_rec=1.0, seed=0)
     result = run_semantic_learning(sc, cfg)
     assert len(result.trace) == 40
+
+
+def test_chunked_learning_peak_stays_within_one_chunk_bound(monkeypatch):
+    # A chunk's buffers hold at most CHUNK_ENTRIES float64 entries, so a
+    # default 16x16 run peaks at most one row block (1 MiB) above the run
+    # that holds one iteration per chunk.
+    scen = generate_scenario((16, 16), 2, rho=0.8, seed=0, dim=4)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            run_semantic_learning(scen, LearningConfig())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 8 * core.ROW_BLOCK
+    chunked = traced_peak()
+    monkeypatch.setattr(learning, "CHUNK_ENTRIES", 1)
+    one_per_chunk = traced_peak()
+    assert chunked <= one_per_chunk + bound
