@@ -38,9 +38,9 @@ def row_blocks(n_rows: int, n_cols: int) -> "tuple[slice, ...]":
     walk a 64x64 grid's self-attention map use them to bound their
     temporaries; a map of up to ROW_BLOCK entries is one block. Blocks
     write disjoint rows, so ``map_row_blocks`` may run them at once: the
-    forward logits and softmax and the masked readout's raw ``A V`` do.
-    Cached: the learning loop asks for the same few shapes thousands of
-    times."""
+    forward pass's logits and softmax, and everything a synthesis pass
+    reads from those rows, do. Cached: the learning loop asks for the same
+    few shapes thousands of times."""
     step = max(1, ROW_BLOCK // n_cols)
     return tuple(slice(start, min(start + step, n_rows))
                  for start in range(0, n_rows, step))
@@ -71,16 +71,39 @@ def _row_pool() -> "ThreadPoolExecutor":
         return _pool
 
 
-def map_row_blocks(fn, n_rows: int, n_cols: int) -> list:
+SCRATCH_LANES = 2  # most row blocks that run at once on scratch
+
+
+def row_scratch(n_rows: int, n_cols: int) -> "list[np.ndarray]":
+    """Scratch for ``map_row_blocks`` over an n_rows x n_cols map: one
+    buffer of one row block per lane, as many lanes as blocks can run at
+    once: one per CPU and per block, and at most SCRATCH_LANES, so that the
+    scratch, which lives as long as its caller's run, stays within two row
+    blocks (a quarter of a 64x64 grid's self-attention map) on any machine.
+    The calling thread allocates them, once, and every later call may
+    reuse them."""
+    blocks = row_blocks(n_rows, n_cols)
+    lanes = max(1, min(_cpu_count(), len(blocks), SCRATCH_LANES))
+    rows = blocks[0].stop if blocks else 1
+    return [np.empty((rows, n_cols)) for _ in range(lanes)]
+
+
+def map_row_blocks(fn, n_rows: int, n_cols: int,
+                   scratch: "list[np.ndarray] | None" = None) -> list:
     """``[fn(blk) for blk in row_blocks(n_rows, n_cols)]``, the results in
-    block order. A map of one block, or a process on one CPU, runs inline;
-    otherwise the blocks run on the row-block workers. Numpy releases the
+    block order; with ``scratch`` (from ``row_scratch``), ``fn(blk, buf)``,
+    where ``buf`` is the scratch buffer of the lane that runs the block. A
+    map of one block, or a process on one CPU, runs inline; otherwise the
+    blocks run on the row-block workers, with scratch in lanes: lane i runs
+    blocks i, i + L, ... in turn, on its own buffer. Numpy releases the
     interpreter lock in its products and ufuncs, so blocks overlap, and as
     each block computes its own rows with the same calls the results are
     bit-identical to the inline run. Rules for ``fn``:
 
-    - write only into arrays the calling thread allocated (a worker's own
-      large temporaries would grow its malloc arena, and the peak memory);
+    - write only into arrays the calling thread allocated: its outputs and
+      the lane's scratch buffer, which holds its temporaries of a block's
+      size (a worker's own large temporaries would grow its malloc arena,
+      and the peak memory);
     - call no function that the benchmark's tracer wraps
       (``perfbench/spans.py``): its span stack is not thread-safe;
     - raise no warning: a degenerate case goes back in its result, and the
@@ -88,13 +111,27 @@ def map_row_blocks(fn, n_rows: int, n_cols: int) -> list:
     - not call ``map_row_blocks``: a worker waiting on its own pool can
       deadlock it.
 
-    A caller that reduces across blocks adds the results in block order."""
+    A sum across blocks goes back as one partial per block, and the caller
+    adds the partials in block order, so that it does not depend on which
+    lane ran which block."""
     blocks = row_blocks(n_rows, n_cols)
-    if len(blocks) == 1:  # the learning loop's maps: keep the call cheap
-        return [fn(blocks[0])]
-    if _cpu_count() == 1:
-        return [fn(blk) for blk in blocks]
-    return list(_row_pool().map(fn, blocks))
+    if scratch is None:
+        if len(blocks) == 1:  # the learning loop's maps: keep the call cheap
+            return [fn(blocks[0])]
+        if _cpu_count() == 1:
+            return [fn(blk) for blk in blocks]
+        return list(_row_pool().map(fn, blocks))
+    lanes = min(len(scratch), len(blocks))
+    if lanes <= 1 or _cpu_count() == 1:
+        return [fn(blk, scratch[0]) for blk in blocks]
+
+    def lane(i):
+        return [fn(blk, scratch[i]) for blk in blocks[i::lanes]]
+
+    results = [None] * len(blocks)
+    for i, part in enumerate(_row_pool().map(lane, range(lanes))):
+        results[i::lanes] = part
+    return results
 
 
 def checked_array(values, name: str, ndim: int | None = None) -> np.ndarray:

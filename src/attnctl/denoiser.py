@@ -14,11 +14,12 @@ everything fixed weights settle (pools, queries, self-attention maps and
 values, and cross-attention too when the embeddings are fixed), and
 ``iteration_cache`` completes one latent's cache on the current embeddings
 and value weights; the learning loop runs the first once per chunk of
-iterations. ``readout_eps`` reads the prediction out of given maps: the
-cached ones, or, in synthesis, the same maps once masked.
-``readout_from_outputs`` reads
-it out of given layer outputs, which synthesis's masked readout computes
-without masking the self-attention map. Keys and values of
+iterations. ``readout_eps`` reads the prediction out of given maps;
+``readout_from_outputs`` reads it out of given layer outputs, which
+synthesis computes from the masked maps. A self-attention map larger than
+one row block is computed a row block at a time, and a row plan
+(``_attention``'s ``plan``, synthesis's ``sapass.SAPass``) may read each
+block as it is computed and keep only some rows. Keys and values of
 cross-attention layers depend only on the token embeddings, never on the
 timestep; the whole forward pass is in fact timestep-independent, which keeps
 hand-written gradients tractable.
@@ -201,7 +202,10 @@ def predict_clean(z_t: np.ndarray, eps_hat: np.ndarray, t: int,
     """Invert the forward mix: zhat0 = (z_t - sqrt(1-abar_t) eps_hat) / sqrt(abar_t)."""
     z_t, eps_hat = matched_arrays(z_t, eps_hat, "z_t", "eps_hat")
     ab = schedule.abar(t)
-    return (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+    out = np.sqrt(1.0 - ab) * eps_hat
+    np.subtract(z_t, out, out=out)
+    out /= np.sqrt(ab)
+    return out
 
 
 def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
@@ -209,9 +213,11 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
     """One deterministic (eta = 0) sampling step from level t to t_prev."""
     if t_prev >= t:
         raise ValueError(f"t_prev ({t_prev}) must be < t ({t})")
-    zhat0 = predict_clean(z_t, eps_hat, t, schedule)
+    out = predict_clean(z_t, eps_hat, t, schedule)
     ab_prev = schedule.abar(t_prev)
-    return np.sqrt(ab_prev) * zhat0 + np.sqrt(1.0 - ab_prev) * eps_hat
+    out *= np.sqrt(ab_prev)
+    out += np.sqrt(1.0 - ab_prev) * eps_hat
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +260,8 @@ class LayerCache:
     q: np.ndarray
     k: np.ndarray
     v: "np.ndarray | None"  # None where the caller reads no readout
-    attn: np.ndarray   # raw softmax output, (n_l, targets)
+    attn: np.ndarray   # raw softmax output, (n_l, targets), or the rows ``rows`` names
+    rows: "np.ndarray | None" = None  # the map rows ``attn`` holds, in order; None: all
 
 
 @dataclass
@@ -264,11 +271,11 @@ class ForwardCache:
     A layer at the grid's own resolution keeps a view of ``z`` as its
     features ``x``, so ``z`` must not be written while the cache is in use.
 
-    ``readout_eps(cache, cache.maps())`` is the noise prediction. Synthesis
-    masks the cached maps in place once it has read them raw (the
-    cross-attention maps on every masked step, the self-attention maps on a
-    mask refresh): from then on they are no longer the softmax output, so
-    ``backprop`` on the cache is stale.
+    ``readout_eps(cache, cache.maps())`` is the noise prediction of a plain
+    pass. A synthesis pass keeps a self-attention layer's in-box rows alone
+    (``LayerCache.rows``), or, on a mask refresh, the masked map, and its
+    readout masks the cross-attention maps in place: masked maps are no
+    longer the softmax output, so ``backprop`` on the cache is stale.
     """
 
     z: np.ndarray          # (H, W, d)
@@ -297,11 +304,24 @@ def _blocks(grid: np.ndarray, h: int, w: int) -> np.ndarray:
 def _cell_sums(grid: np.ndarray, h: int, w: int) -> np.ndarray:
     """The sum over each block of ``_blocks(grid, h, w)``, as (..., h * w, d)
     rows. At the grid's own resolution the grid itself, reshaped, with no
-    copy: the sum of a 1 x 1 block is its one value."""
+    copy: the sum of a 1 x 1 block is its one value. With d >= 2 numpy's
+    multi-axis sum adds a block's cells one after another in row-major
+    order, one inner loop of d per grid cell, so one strided add per cell
+    of a block, in that order, gives its bits; from 256 grid cells (batch
+    included) up that costs less than the sum's loops. At d = 1 the sum
+    adds a block row pairwise, and is kept."""
     *lead, H, W, d = grid.shape
     if (H, W) == (h, w):
         return grid.reshape(*lead, h * w, d)
-    return _blocks(grid, h, w).sum(axis=(-4, -2)).reshape(*lead, h * w, d)
+    blocks = _blocks(grid, h, w)
+    if d == 1 or grid.size < 256 * d:
+        return blocks.sum(axis=(-4, -2)).reshape(*lead, h * w, d)
+    acc = blocks[..., 0, :, 0, :] + 0.0  # numpy's sum starts at +0.0: -0.0 sums to +0.0
+    for i in range(H // h):
+        for j in range(W // w):
+            if i or j:
+                acc += blocks[..., i, :, j, :]
+    return acc.reshape(*lead, h * w, d)
 
 
 def _pool(grid: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -314,31 +334,69 @@ def _pool(grid: np.ndarray, h: int, w: int) -> np.ndarray:
     return sums
 
 
-def _attention(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+class _WholeMap:
+    """The row plan of a plain forward pass: every row, written into one
+    whole map, and nothing read from the rows while they are hot."""
+
+    rows = None
+    scratch = None
+
+    def __init__(self, attn: np.ndarray):
+        self.attn = attn
+
+    def target(self, blk, buf) -> np.ndarray:
+        return self.attn[blk]
+
+    def read(self, blk, block, buf):
+        return None
+
+    def finish(self, results) -> np.ndarray:
+        return self.attn
+
+
+def _attention(q: np.ndarray, k: np.ndarray, scale: float, plan=None) -> np.ndarray:
     """softmax(scale q k^T) for (..., n, d) queries and (..., m, d) keys, or
     (m, d) keys shared by a batch. A map of one row block is computed
     inline, batch and all; a larger one runs one row block at a time
-    (``map_row_blocks``), one latent after another."""
+    (``map_row_blocks``), one latent after another.
+
+    ``plan`` (one latent only) chooses the rows and where they go, and reads
+    each block while it is hot. It has ``rows``, the map rows to compute
+    (None: all) in blocks of ``row_blocks(len(rows), m)``, and ``scratch``
+    for ``map_row_blocks``; in a block's task, ``target(blk, buf)`` is the
+    array its softmax rows are written to and ``read(blk, block, buf)``
+    returns the block's result; the caller's ``finish(results)``, given
+    them in block order, returns what the pass keeps as the map. The plain
+    pass is the plan ``_WholeMap``: every row, into one whole map."""
     n, m = q.shape[-2], k.shape[-2]
     kt = k.swapaxes(-1, -2)
-    if n * m <= ROW_BLOCK:
+    if plan is None and n * m <= ROW_BLOCK:
         attn = np.matmul(q, kt)
         attn *= scale
         softmax_rows_inplace(attn.reshape(-1, m))
         return attn
+    if plan is not None:
+        return _row_softmax(q[0], kt[0] if kt.ndim == q.ndim else kt, scale, plan)[None]
     attn = np.empty(q.shape[:-1] + (m,))
     for c in np.ndindex(q.shape[:-2]):
-        qc, ac = q[c], attn[c]
-        kc = kt[c] if kt.ndim == q.ndim else kt
-
-        def logits_softmax(blk):
-            block = ac[blk]
-            np.matmul(qc[blk], kc, out=block)
-            block *= scale
-            softmax_rows_inplace(block)
-
-        map_row_blocks(logits_softmax, n, m)
+        _row_softmax(q[c], kt[c] if kt.ndim == q.ndim else kt, scale, _WholeMap(attn[c]))
     return attn
+
+
+def _row_softmax(q: np.ndarray, kt: np.ndarray, scale: float, plan) -> np.ndarray:
+    """One latent's map rows under ``plan`` (see ``_attention``): the logits
+    and softmax of each row block, and the plan's read of it, in one task."""
+    rows = plan.rows
+
+    def task(blk, buf=None):
+        block = plan.target(blk, buf)
+        np.matmul(q[blk if rows is None else rows[blk]], kt, out=block)
+        block *= scale
+        softmax_rows_inplace(block)
+        return plan.read(blk, block, buf)
+
+    n_rows = q.shape[0] if rows is None else rows.size
+    return plan.finish(map_row_blocks(task, n_rows, kt.shape[1], plan.scratch))
 
 
 @dataclass
@@ -359,18 +417,21 @@ class FrozenPass:
 
 
 def frozen_pass(z: np.ndarray, layers, emb: "np.ndarray | None" = None,
-                values: bool = True) -> FrozenPass:
+                values: bool = True, plans=None) -> FrozenPass:
     """The forward pass of a batch of latents ``z`` (C, H, W, d) as far as
     it does not depend on what the caller updates. Self-attention layers,
     which attend from the latent to itself, run to their maps, and to their
     values unless ``values`` is False; cross-attention layers do the same
     only when the embeddings ``emb`` are given (fixed), and otherwise stop
     at their queries. Latent c's arrays are bit for bit those of a pass on
-    ``z[c]`` alone."""
+    ``z[c]`` alone. ``plans`` maps a self-attention layer's index to its
+    row plan (see ``_attention``), for a batch of one: the plan gets the
+    layer's values (``plan.start(v)``) before its rows are computed."""
     scale = 1.0 / math.sqrt(z.shape[-1])  # a float: no numpy scalar per call
     out = FrozenPass(z, list(layers), [], [], [], [], [])
     pooled: "dict[tuple[int, int], np.ndarray]" = {}  # one pool per resolution
-    for work in layers:
+    for li, work in enumerate(layers):
+        plan = None if plans is None else plans.get(li)
         res = (work.height, work.width)
         x = pooled.get(res)
         if x is None:
@@ -380,8 +441,11 @@ def frozen_pass(z: np.ndarray, layers, emb: "np.ndarray | None" = None,
         k = attn = v = None
         if src is not None:
             k = src @ work.wk
-            attn = _attention(q, k, scale)
-            if values:
+            if plan is not None:
+                v = src @ work.wv
+                plan.start(v[0])
+            attn = _attention(q, k, scale, plan)
+            if values and v is None:
                 v = src @ work.wv
             if k.ndim == 2:  # the embeddings' keys and values serve the batch
                 k = np.broadcast_to(k, (z.shape[0], *k.shape))
@@ -421,7 +485,7 @@ def iteration_cache(frozen: FrozenPass, c: int, emb: np.ndarray,
     return cache
 
 
-def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
+def forward_cache(z: np.ndarray, emb: np.ndarray, layers, plans=None) -> ForwardCache:
     """Raw-array forward pass retaining per-layer intermediates: the frozen
     part of a batch of one (the self-attention layers whole), completed by
     ``iteration_cache`` (the cross-attention layers on ``emb``). ``layers``
@@ -429,8 +493,14 @@ def forward_cache(z: np.ndarray, emb: np.ndarray, layers) -> ForwardCache:
     its weights. A layer at the grid's own resolution takes ``z`` itself as
     its features (a view, when ``z`` is C-ordered). A map larger than one
     row block runs its logits and softmax one row block at a time
-    (``map_row_blocks``)."""
-    return iteration_cache(frozen_pass(z[None], layers), 0, emb)
+    (``map_row_blocks``). ``plans`` maps self-attention layer indices to
+    row plans (synthesis's passes, see ``_attention``): such a layer's
+    cached map is what its plan keeps, and its ``rows`` the plan's
+    ``kept``, the map rows it holds (None: all)."""
+    cache = iteration_cache(frozen_pass(z[None], layers, plans=plans), 0, emb)
+    for li, plan in (plans or {}).items():
+        cache.layers[li].rows = plan.kept
+    return cache
 
 
 def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
@@ -448,7 +518,8 @@ def readout_from_outputs(cache: ForwardCache, outputs) -> np.ndarray:
         h, w = lc.work.height, lc.work.width
         blocks = _blocks(acc, h, w)
         blocks += out.reshape(h, 1, w, 1, -1)
-    return acc / len(cache.layers)
+    acc /= len(cache.layers)
+    return acc
 
 
 def record_from_maps(layers, maps: "list[np.ndarray]") -> AttentionRecord:

@@ -48,6 +48,12 @@ and dQ is zero, and dK sums over the named rows alone. A dense dA is the
 all-rows case of the same pass; a map whose blocks hold all its rows at
 once (every cross-attention map, and self attention up to 32x32 grids) is
 done in one block, in exactly the arithmetic of the unblocked formulas.
+
+Synthesis's forward pass keeps a self-attention map on its in-box rows
+alone (``LayerCache.rows``): one compact (rows x n) array, in the layout of
+a ``RowGrad``'s values. Its box-loss gradient is a ``RowGrad`` on those
+same rows (``sapass.SARowGrad``, which computes each block from the compact
+rows as it is read), and the row path reads the compact rows in place.
 """
 from __future__ import annotations
 
@@ -90,18 +96,29 @@ def _spread_latent_grad(shape: "tuple[int, int, int]",
     return d_z
 
 
-@dataclass(frozen=True)
 class RowGrad:
     """dL/dA on some rows of an attention map: row ``rows[j]`` of the
     gradient is ``values[j]``, and every other row is zero. ``rows`` is
-    sorted, without repeats."""
+    sorted, without repeats. ``backprop`` reads the values one row block at
+    a time (``block``), so a subclass may compute each block when it is
+    read instead of storing them all."""
 
-    rows: np.ndarray    # (r,) row indices
-    values: np.ndarray  # (r, columns)
+    def __init__(self, rows: np.ndarray, values: "np.ndarray | None"):
+        self.rows = rows      # (r,) row indices
+        self.values = values  # (r, columns)
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    def block(self, blk: slice) -> np.ndarray:
+        """The values of rows[blk]."""
+        return self.values[blk]
 
     def dense(self, n_rows: int) -> np.ndarray:
-        out = np.zeros((n_rows, self.values.shape[1]))
-        out[self.rows] = self.values
+        out = np.zeros((n_rows, self.width))
+        for blk in row_blocks(self.rows.size, self.width):
+            out[self.rows[blk]] = self.block(blk)
         return out
 
 
@@ -173,13 +190,19 @@ def backprop(cache: ForwardCache,
 
         d_src = dx = None
         if through_softmax:
-            n = lc.attn.shape[0]
+            n = lc.q.shape[0]
             rows = None  # None: every row of dA can be non-zero
             if isinstance(upstream, RowGrad):
                 if d_out is None:
-                    rows, upstream = upstream.rows, upstream.values
+                    rows = upstream.rows
                 else:  # the readout gradient reaches every row
                     upstream = upstream.dense(n)
+            # A cache that keeps some rows of the map (synthesis's in-box
+            # rows) is read in place, on a gradient of exactly those rows.
+            held = lc.rows is not None
+            if held and not (rows is not None and np.array_equal(rows, lc.rows)):
+                raise ValueError("a map cached on some rows backpropagates only "
+                                 "a RowGrad on those rows, with no readout gradient")
             dq = np.zeros((n, d)) if want_z else None  # rows outside ``rows`` stay zero
             dk = None
             for blk in row_blocks(n if rows is None else rows.size, lc.attn.shape[1]):
@@ -187,17 +210,18 @@ def backprop(cache: ForwardCache,
                 if d_out is None:
                     # No readout gradient: dO = 0, so dA is the upstream alone
                     # and dV, dWv are zero.
-                    da = upstream[blk]
+                    da = upstream[blk] if rows is None else upstream.block(blk)
                 else:
                     da = d_out[blk] @ lc.v.T
                     if upstream is not None:
                         da = da + upstream[blk]
-                dz_logits = softmax_rows_backward(lc.attn[r], da)
+                dz_logits = softmax_rows_backward(lc.attn[blk if held else r], da)
                 if dq is not None:
                     dq[r] = scale * (dz_logits @ lc.k)
                 if want_src:
                     part = dz_logits.T @ lc.q[r]
                     dk = part if dk is None else dk + part
+                del da, dz_logits  # before the next block's are built
             if dq is not None:
                 dx = dq @ work.wq.T
             if want_src:

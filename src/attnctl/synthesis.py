@@ -9,41 +9,44 @@ in the remaining steps, with refinement enabled, the control masks are
 refreshed from the attention itself every ``update_interval`` steps.
 
 Control losses and their latent gradients are always evaluated on the raw
-(unmasked) maps — the masked maps have zeros exactly where the penalty term
-needs support, which would kill the gradient. Each sampling step therefore
-runs in this order:
+(unmasked) maps: the masked maps have zeros exactly where the penalty term
+needs support, which would kill the gradient. Each sampling step runs in
+this order:
 
-1. forward pass; box loss on the raw maps;
-2. in the optimization phase: the loss gradient, backprop and a latent step,
-   then a fresh forward pass and the loss again, on the new raw maps;
-3. leakage on the raw maps;
-4. the noise readout of the masked maps. On a step that does not refresh the
-   masks, masking happens inside the readout: the cross-attention maps are
-   masked in place, and a self-attention layer's output is its raw ``A V``
-   with the in-box rows recomputed from their permitted columns alone, so
-   its map is never written or divided. The raw ``A V`` runs one row block
-   per task on the row-block workers (``core.map_row_blocks``), as the
-   forward pass's softmax does. On a refresh step the maps are masked in
-   place and read out;
-5. on a refresh step, the mask refresh from those masked maps;
+1. a forward pass, and the box loss on its raw maps;
+2. while optimizing: the loss gradient, backprop and a latent step, then a
+   second forward pass and the loss again;
+3. leakage on the raw cross-attention maps;
+4. the noise readout of the masked maps;
+5. on a refresh step, the mask refresh from the masked maps;
 6. the DDIM step.
 
-Masking in place and the masked readout permit each in-box row the same
-columns (``_permitted_columns``): the union of the boxes that contain it.
+A self-attention layer's map is computed one row block at a time, and each
+block's task reads from the block all that the step needs of it
+(``sapass.SAPass``); what each forward pass computes and keeps:
 
-The self-attention box energies read only in-box rows. Each layer's
-energies for every instance come from one pass over the union of those
-rows, one row block at a time: a block is squared once, and one product
-with a (pixels x 2 instances) 0/1 matrix of the columns ``[m_i, 1 - m_i]``
-gives every instance's in-box and out-of-box sums.
+- the first pass of an optimizing step computes the in-box rows alone, the
+  only rows the box energies and their gradient read, with the energies,
+  and keeps them in one compact (rows x n) array, from which the gradient
+  (``sapass.SARowGrad``) and the backward pass read them in place;
+- any other pass computes every row, and from each block the energies,
+  the raw ``A V`` of rows in no box and the masked readout of in-box rows.
+  It keeps the in-box rows alone, and never stores a row in no box;
+- a refresh step's pass also writes the whole map, its in-box rows masked,
+  for K-means.
 
-A step keeps one set of maps alive at a time: each forward pass's maps are
-dropped before the next pass builds new ones, masking writes into them
-instead of copying, and the mask refresh clusters them without a copy. The
-optimization adds the box-loss gradient and the backward pass's row-block
-buffers. The self-attention gradient covers only the in-box rows, the only
-rows the box energies read, and the backward runs over those rows alone, so
-no second map-sized array is built.
+The cross-attention maps are small and whole; the readout masks them in
+place. Masking permits each in-box row the columns of the boxes that hold
+it (``_permitted_columns``) and divides it by its permitted mass; a row in
+no box is left as the softmax wrote it, on every step. ``_mask_maps``,
+which ``apply_attention_masking`` runs, masks whole maps in place and
+divides every row by its sum.
+
+A step keeps one pass's rows alive at a time: each pass writes what it
+keeps into the run's one store per layer, which a step's next pass
+overwrites once the step has dropped the previous cache, and the
+self-attention passes' per-block temporaries go in scratch allocated once
+per run.
 """
 from __future__ import annotations
 
@@ -65,6 +68,7 @@ from .core import (
     matched_arrays,
     resample_mask_nearest,
     row_blocks,
+    row_scratch,
 )
 from .denoiser import (
     DenoiserParams,
@@ -74,7 +78,6 @@ from .denoiser import (
     ddim_step,
     forward_cache,
     predict_clean,
-    readout_eps,
     readout_from_outputs,
     record_from_maps,
     toy_schedule,
@@ -82,6 +85,18 @@ from .denoiser import (
 from .errors import ConfigurationError, DegenerateInputWarning, DivergenceError, ShapeError
 from .fileio import write_csv
 from .gradients import RowGrad, backprop
+from .sapass import (
+    INBOX,
+    REFRESH,
+    STREAM,
+    RowLayout,
+    SAPass,
+    SARowGrad,
+    block_energies,
+    energy_targets,
+    own_energies,
+    permitted_columns as _permitted_columns,
+)
 from . import refine
 
 
@@ -225,19 +240,16 @@ def _sa_box_energies(attn: np.ndarray, flats: np.ndarray) -> np.ndarray:
     rows summed over its in-box (fg) and out-of-box (bg) targets. One pass
     over the union of the in-box rows, one row block at a time: each block
     is squared once, and one product with the 0/1 columns [m_i, 1 - m_i]
-    sums every instance's targets, since (a m)^2 = a^2 m for m in {0, 1}."""
-    n_inst = flats.shape[0]
-    targets = np.empty((attn.shape[1], 2 * n_inst))
-    targets[:, 0::2] = flats.T
-    targets[:, 1::2] = 1.0 - flats.T
+    sums every instance's targets, since (a m)^2 = a^2 m for m in {0, 1}.
+    A synthesis pass sums the same block partials as it computes the rows
+    (``sapass.SAPass``); this form serves a whole map."""
+    targets = energy_targets(flats)
     union = np.flatnonzero((flats > 0.5).any(axis=0))
-    sums = np.zeros((n_inst, 2 * n_inst))
+    sums = np.zeros((flats.shape[0], targets.shape[1]))
     for blk in row_blocks(union.size, attn.shape[1]):
-        sq = attn[union[blk]]
-        np.square(sq, out=sq)
-        sums += flats[:, union[blk]] @ (sq @ targets)
-    own = np.arange(n_inst)
-    return sums.reshape(n_inst, n_inst, 2)[own, own]
+        rows = attn[union[blk]]
+        sums += block_energies(rows, flats[:, union[blk]], targets, rows)
+    return own_energies(sums)
 
 
 def fg_bg_energies(record: AttentionRecord, layer_index: int, mask: BinaryMask,
@@ -315,14 +327,20 @@ def _typed_terms(gated, config: SynthesisConfig, terms: _InstanceTerms):
 
 
 def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
-                    config: SynthesisConfig) -> "tuple[list[_InstanceTerms], float]":
+                    config: SynthesisConfig,
+                    sa_energies=None) -> "tuple[list[_InstanceTerms], float]":
     """Per-instance energies and scores, and their squared sum. The kernels
     here take the layer objects (``LayerSpec`` or a ``workspace`` copy,
     ``LayerAttention`` from a record) for their tags and extents, and the
-    maps as raw arrays in layer order. Callers check the token ids."""
+    maps as raw arrays in layer order. ``sa_energies`` maps each gated
+    self-attention layer to its ``_sa_box_energies``, as a synthesis pass
+    computes them; without it they are computed from ``maps``. Callers
+    check the token ids."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
-    sa_energies = {li: _sa_box_energies(maps[li], _flat_masks(masks, layers[li])).tolist()
-                   for li in gated[1]}
+    if sa_energies is None:
+        sa_energies = {li: _sa_box_energies(maps[li], _flat_masks(masks, layers[li]))
+                       for li in gated[1]}
+    sa_energies = {li: sa_energies[li].tolist() for li in gated[1]}
     per_instance: "list[_InstanceTerms]" = []
     total = 0.0
     for i, group in enumerate(groups):
@@ -351,11 +369,13 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
 
 
 def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
-                    config: SynthesisConfig,
-                    per_instance: "list[_InstanceTerms]") -> "list[np.ndarray | RowGrad | None]":
+                    config: SynthesisConfig, per_instance: "list[_InstanceTerms]",
+                    scratch=None) -> "list[np.ndarray | RowGrad | None]":
     """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms. A
     cross-attention gradient is dense; a self-attention one is a ``RowGrad``
-    on the union of the in-box rows, the only rows its energies read."""
+    on the union of the in-box rows, the only rows its energies read
+    (``sapass.SARowGrad``). ``scratch``, a run's ``row_scratch`` by map width,
+    gives a self-attention gradient a buffer for the block it computes."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
     d_attn: "list[np.ndarray | RowGrad | None]" = [None] * len(layers)
     sa_coefs: "dict[int, list]" = {}  # layer -> (in-box rows, coefficient row) per instance
@@ -384,25 +404,9 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                     sa_coefs.setdefault(li, []).append(
                         (m > 0.5, cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]))
     for li, coefs in sa_coefs.items():
-        d_attn[li] = _sa_row_grad(maps[li], coefs)
+        lanes = (scratch or {}).get(maps[li].shape[1])
+        d_attn[li] = SARowGrad(maps[li], coefs, None if lanes is None else lanes[0])
     return d_attn
-
-
-def _sa_row_grad(attn: np.ndarray, coefs) -> RowGrad:
-    """The sum over instances of each in-box row of ``attn`` times the
-    instance's coefficient row, on the union of the in-box rows, built one
-    row block at a time."""
-    inside = np.array([rows for rows, _ in coefs], dtype=bool)
-    union = np.flatnonzero(inside.any(axis=0))
-    values = np.zeros((union.size, attn.shape[1]))
-    for blk in row_blocks(union.size, attn.shape[1]):
-        raw = attn[union[blk]]
-        part = np.empty_like(raw)
-        out = values[blk]
-        for sel, (_, coef) in zip(inside[:, union[blk]], coefs):
-            np.multiply(raw, coef, out=part, where=sel[:, None])
-            np.add(out, part, out=out, where=sel[:, None])
-    return RowGrad(union, values)
 
 
 def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
@@ -480,66 +484,45 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
     return maps
 
 
-def _permitted_columns(inside: np.ndarray):
-    """Which targets each in-box pixel may attend to under self-attention
-    masking: the union of the boxes containing it. ``inside`` is (boxes,
-    pixels). Yields one row group per distinct set of containing boxes: its
-    pixel indices and its boolean column selector. Pixels in no box are in
-    no group; masking leaves their rows alone."""
-    if inside.shape[0] == 0:
-        return
-    keys = np.ascontiguousarray(inside.T).view(np.dtype((np.void, inside.shape[0])))
-    _, first, group_of = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    for g, pixel in enumerate(first):
-        boxes_in = inside[:, pixel]
-        if boxes_in.any():
-            yield np.nonzero(group_of.ravel() == g)[0], inside[boxes_in].any(axis=0)
-
-
-def _masked_readout(cache, masks, groups) -> np.ndarray:
-    """The noise prediction from the masked maps, ``readout_eps(cache,
-    _mask_maps(...))`` up to rounding, without writing the self-attention
-    maps. The small cross-attention maps are masked in place. A
-    self-attention layer's output is the raw ``A V`` with the rows of each
-    ``_permitted_columns`` group, permitted columns C, overwritten by
-    ``A[rows, C] V[C] / rowsum(A[rows, C])``, one row block at a time; a row
-    with no mass on C falls back to the mean of ``V[C]`` (diagnostic
-    warning). Rows in no box keep their output: a softmax row sums to one.
-    Callers check the token ids."""
-    outputs = []
-    for lc in cache.layers:
+def _masked_readout(cache, masks, groups, passes=None) -> np.ndarray:
+    """The noise prediction from the masked maps: ``readout_eps(cache,
+    _mask_maps(...))`` up to rounding, but for rows in no box, which keep
+    their softmax rows undivided. A self-attention layer's output is its
+    pass's (``passes``, by layer index, from ``_forward``); without passes,
+    the cache's whole map is read out one row block at a time by the same
+    kernel, and left as it was. A warning goes out per layer with a row
+    that masking empties. The small cross-attention maps are masked in
+    place (and the masked map put back in the cache) as the readout reads
+    them. Callers check the token ids."""
+    sa_outputs = {}
+    for li, lc in enumerate(cache.layers):
         if lc.work.attn_type == CROSS:
-            attn, = _mask_maps([lc.work], [lc.attn], masks, groups)
-            outputs.append(attn @ lc.v)
             continue
-        out = np.empty((lc.attn.shape[0], lc.v.shape[1]))
-
-        def raw_readout(blk):
-            np.matmul(lc.attn[blk], lc.v, out=out[blk])
-
-        map_row_blocks(raw_readout, *lc.attn.shape)
-        any_dead = False
-        for rows, allowed in _permitted_columns(_flat_masks(masks, lc.work) > 0.5):
-            cols = np.flatnonzero(allowed)
-            v_allowed = lc.v[cols]
-            for blk in row_blocks(rows.size, cols.size):
-                sub = lc.attn[np.ix_(rows[blk], cols)]
-                sums = sub.sum(axis=1)
-                part = sub @ v_allowed
-                dead = sums <= 0.0
-                if dead.any():
-                    any_dead = True
-                    part[dead] = v_allowed.mean(axis=0)
-                    sums[dead] = 1.0
-                part /= sums[:, None]
-                out[rows[blk]] = part
-        if any_dead:
+        if passes is None:
+            n = lc.attn.shape[0]
+            sa = SAPass(RowLayout(_flat_masks(masks, lc.work)), STREAM,
+                         row_scratch(n, n), gated=False)
+            sa.start(lc.v)
+            sa.finish(map_row_blocks(lambda blk, buf: sa.read(blk, lc.attn[blk], buf),
+                                     n, n, sa.scratch))
+        else:
+            sa = passes[li]
+        if sa.dead:
             warnings.warn(
                 "attention masking zeroed entire rows; using uniform fallback",
                 DegenerateInputWarning, stacklevel=2,
             )
-        outputs.append(out)
-    return readout_from_outputs(cache, outputs)
+        sa_outputs[li] = sa.out
+
+    def outputs():
+        for li, lc in enumerate(cache.layers):
+            if li in sa_outputs:
+                yield sa_outputs[li]
+            else:
+                lc.attn, = _mask_maps([lc.work], [lc.attn], masks, groups)
+                yield lc.attn @ lc.v
+
+    return readout_from_outputs(cache, outputs())
 
 
 def apply_attention_masking(record: AttentionRecord, masks, groups) -> AttentionRecord:
@@ -698,19 +681,20 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     run = _SamplingRun(emb=emb, layers=layers, groups=groups, masks=masks,
                        resolutions=resolutions, config=config, sched=sched,
                        schedule=schedule,
-                       refinement=refinement if refinement and refinement.enabled else None)
-    steps: "list[StepMetrics]" = []
-    for step in range(1, config.total_steps + 1):
-        z, metrics = _sampling_step(run, z, step)
-        steps.append(metrics)
-    return SynthesisResult(z_final=z, steps=steps, masks=run.masks,
+                       refinement=refinement if refinement and refinement.enabled else None,
+                       z=z)
+    del z  # the run holds the latent; a step drops the old one once it has a new one
+    steps = [_sampling_step(run, step) for step in range(1, config.total_steps + 1)]
+    return SynthesisResult(z_final=run.z, steps=steps, masks=run.masks,
                            refined=run.refined)
 
 
 @dataclass
 class _SamplingRun:
     """What a run carries from step to step: its fixed inputs, the control
-    masks (replaced at a refresh) and the last refresh's K-means centers;
+    masks (replaced at a refresh), the latent, the last refresh's K-means
+    centers, the self-attention row layouts of the current masks, and the
+    self-attention passes' scratch and stores, allocated once;
     ``refinement`` is None when the masks are never refreshed."""
 
     emb: np.ndarray
@@ -724,47 +708,47 @@ class _SamplingRun:
     refinement: "refine.RefinementConfig | None"
     prev_centers: np.ndarray | None = None
     refined: bool = False         # True once refinement replaced a box mask
+    z: np.ndarray | None = None   # the latent between steps
+    layouts: dict = field(default_factory=dict)  # (h, w) -> sapass.RowLayout of the masks
+    scratch: dict = field(default_factory=dict)  # pixels -> the SA passes' row_scratch
+    stores: dict = field(default_factory=dict)   # SA layer -> what its passes keep
 
 
-def _sampling_step(run: _SamplingRun, z: np.ndarray,
-                   step: int) -> "tuple[np.ndarray, StepMetrics]":
-    """One sampling step, in the order the module docstring gives: the
-    latent after it and the step's metrics. The step's maps are local here,
-    so none of them outlives the step."""
+def _sampling_step(run: _SamplingRun, step: int) -> StepMetrics:
+    """One sampling step, in the order the module docstring gives: moves
+    ``run.z`` to the latent after it and returns the step's metrics. The
+    step's maps are local here, so none of them outlives the step."""
     config, layers, masks, groups = run.config, run.layers, run.masks, run.groups
+    z, run.z = run.z, None
     t = config.total_steps - step
     optimizing = step <= config.bound_steps
     alpha_t = alpha_decay(min(step, config.bound_steps), run.sched, config.bound_steps)
+    due = (run.refinement is not None and not optimizing
+           and (step - config.bound_steps) % config.update_interval == 0)
+    descend = optimizing and config.beta > 0.0
 
-    cache = forward_cache(z, run.emb, layers)
+    cache, passes = _forward(run, z, INBOX if descend else REFRESH if due else STREAM)
     per_terms, total = _box_loss_terms(layers, cache.maps(), masks, groups,
-                                       alpha_t, config)
+                                       alpha_t, config, _pass_energies(passes))
     total_after = total
-    if optimizing and config.beta > 0.0:
+    if descend:
         z = _latent_step(z, cache, run, alpha_t, per_terms)
-        del cache  # drop the old maps before the forward pass builds new ones
-        cache = forward_cache(z, run.emb, layers)
+        del cache, passes  # drop the old rows before the forward pass builds new ones
+        cache, passes = _forward(run, z, STREAM)
         _, total_after = _box_loss_terms(layers, cache.maps(), masks, groups,
-                                         alpha_t, config)
+                                         alpha_t, config, _pass_energies(passes))
         if not np.isfinite(total_after):
             raise DivergenceError(f"synthesis loss non-finite at step {step}")
 
-    maps = cache.maps()
-    leakage = _leakage_from_maps(layers, maps, masks, groups)
+    leakage = _leakage_from_maps(layers, cache.maps(), masks, groups)
     metrics = StepMetrics(
         step=step, t=t, alpha_t=float(alpha_t),
         per_instance=tuple(p.loss for p in per_terms), total=float(total),
         total_after=float(total_after), leakage=tuple(leakage),
     )
-
-    due = (run.refinement is not None and not optimizing
-           and (step - config.bound_steps) % config.update_interval == 0)
-    if not due:
-        eps_hat = _masked_readout(cache, masks, groups)
-    else:  # the refresh clusters the masked maps
-        maps = _mask_maps(layers, maps, masks, groups)
-        eps_hat = readout_eps(cache, maps)
-        _refresh_masks(run, maps)
+    eps_hat = _masked_readout(cache, masks, groups, passes)
+    if due:  # the refresh clusters the masked maps
+        _refresh_masks(run, cache.maps())
 
     if t > 0:
         z = ddim_step(z, eps_hat, t, t - 1, run.schedule)
@@ -772,7 +756,38 @@ def _sampling_step(run: _SamplingRun, z: np.ndarray,
         z = predict_clean(z, eps_hat, 0, run.schedule)
     if not np.all(np.isfinite(z)):
         raise DivergenceError(f"synthesis latent non-finite after step {step}")
-    return z, metrics
+    run.z = z
+    return metrics
+
+
+def _forward(run: _SamplingRun, z: np.ndarray, mode: str):
+    """A step's forward pass, every self-attention layer in ``mode`` (see
+    ``sapass.SAPass``): the cache, and the passes by layer index. What a pass
+    keeps of a layer's map goes in the run's one store for that layer,
+    which each pass overwrites: a step drops its cache before its next
+    pass, and the cache does not outlive the step."""
+    gated = gated_layers(run.layers, SELF)
+    passes = {}
+    for li, layer in enumerate(run.layers):
+        if layer.attn_type != SELF:
+            continue
+        res = (layer.height, layer.width)
+        if res not in run.layouts:
+            run.layouts[res] = RowLayout(_flat_masks(run.masks, layer))
+        n = layer.height * layer.width
+        if n not in run.scratch:
+            run.scratch[n] = row_scratch(n, n)
+        if li not in run.stores:  # room for the whole map, if a refresh may need it
+            rows = n if run.refinement is not None else run.layouts[res].union.size
+            run.stores[li] = np.empty((rows, n))
+        passes[li] = SAPass(run.layouts[res], mode, run.scratch[n], li in gated,
+                             run.stores[li])
+    return forward_cache(z, run.emb, run.layers, passes), passes
+
+
+def _pass_energies(passes) -> dict:
+    """The gated self-attention layers' energies, by layer index."""
+    return {li: sa.energies for li, sa in passes.items() if sa.gated}
 
 
 def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
@@ -780,7 +795,7 @@ def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
     """The latent after one gradient step on the box loss of ``cache``'s raw
     maps. The gradient buffers are local here and go when it returns."""
     d_attn = _box_loss_grads(run.layers, cache.maps(), run.masks, run.groups,
-                             alpha_t, run.config, per_terms)
+                             alpha_t, run.config, per_terms, scratch=run.scratch)
     res = backprop(cache, d_attn=d_attn, d_eps=None, wrt=("z",))
     return latent_opt_step(z, res.d_z, run.config.beta)
 
@@ -812,4 +827,5 @@ def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
             )
             continue
         run.masks[i] = masks_at_all_resolutions(nm, run.resolutions)
+        run.layouts.clear()
         run.refined = True

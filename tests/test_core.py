@@ -1,5 +1,6 @@
 """Attention-map and mask primitives: validation, oracles, invariants."""
 import math
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from attnctl.core import (
     map_row_blocks,
     resample_mask_nearest,
     row_blocks,
+    row_scratch,
     scaled_dot_attention,
     softmax_rows,
     softmax_rows_inplace,
@@ -130,6 +132,43 @@ def test_map_row_blocks_raises_a_block_error():
 
     with pytest.raises(ValueError, match="block 2"):
         map_row_blocks(fail_on_third, 1024, 1024)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_map_row_blocks_gives_each_lane_its_own_scratch(monkeypatch, cpus):
+    # Lanes take turns over the blocks: every buffer is one row block of the
+    # map, there are at most SCRATCH_LANES of them, and the blocks that share
+    # a buffer run one after another on one thread. A fresh pool of `cpus`
+    # workers (more than this machine may have) switches threads often, so
+    # two blocks writing one buffer at once would show.
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(core, "_pool", None)
+    scratch = row_scratch(1024, 1024)
+    blocks = row_blocks(1024, 1024)
+    assert len(scratch) == min(cpus, core.SCRATCH_LANES)
+    assert all(buf.shape == (blocks[0].stop, 1024) for buf in scratch)
+
+    def record(blk, buf):
+        for _ in range(20):
+            buf[:blk.stop - blk.start] = blk.start
+            if not np.all(buf == blk.start):
+                return None
+        return blk, id(buf), threading.get_ident()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = map_row_blocks(record, 1024, 1024, scratch)
+    finally:
+        sys.setswitchinterval(interval)
+        if core._pool is not None:
+            core._pool.shutdown(wait=True)
+    assert None not in out
+    assert [blk for blk, *_ in out] == list(blocks)
+    assert {buf for _, buf, _ in out} == {id(buf) for buf in scratch}
+    lanes = {}
+    for _, buf, thread in out:
+        assert lanes.setdefault(buf, thread) == thread
 
 
 def test_scaled_dot_attention_hand_value():

@@ -14,6 +14,8 @@ from attnctl.denoiser import (
     LayerSpec,
     NoiseSchedule,
     TokenEmbedding,
+    _blocks,
+    _cell_sums,
     ddim_add_noise,
     ddim_step,
     default_params,
@@ -36,6 +38,40 @@ def _tokens(dim, seed=0):
         TokenEmbedding(1, rng.standard_normal(dim), learnable=True),
         TokenEmbedding(2, rng.standard_normal(dim), learnable=True),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Pooling
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _pooled_grids(draw):
+    """A grid of h x w blocks of bh x bw cells, d channels and 0-2 batch
+    axes, and the layer extents (h, w) it pools to. Values span magnitudes
+    and include signed zeros, so that a sum in another order shows."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    bh, bw = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    d = draw(st.sampled_from([1, 2, 4, 16]))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (*lead, h * bh, w * bw, d)
+    grid = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    grid[rng.random(shape) < 0.1] = 0.0
+    grid[rng.random(shape) < 0.1] = -0.0
+    return grid, h, w
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_pooled_grids())
+def test_cell_sums_match_numpys_block_sum_bitwise(problem):
+    grid, h, w = problem
+    *lead, H, W, d = grid.shape
+    got = _cell_sums(grid, h, w)
+    if (H, W) == (h, w):  # a block of one cell sums to its value, -0.0 included
+        assert np.shares_memory(got, grid) and got.tobytes() == grid.tobytes()
+        return
+    ref = _blocks(grid, h, w).sum(axis=(-4, -2)).reshape(*lead, h * w, d)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

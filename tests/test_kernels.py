@@ -63,6 +63,7 @@ from attnctl.synthesis import (
     masks_at_all_resolutions,
     run_synthesis,
 )
+from test_synthesis import _synthesis_64x64
 
 
 def _same_bits(a, b) -> bool:
@@ -1067,9 +1068,25 @@ def _ref_sa_box_energies(attn, flats):
     return np.array([ref_sa_energies(attn, m) for m in flats]).reshape(len(flats), 2)
 
 
-def _ref_masked_readout(cache, masks, groups):
-    layers = [lc.work for lc in cache.layers]
-    return readout_eps(cache, ref_mask_maps(layers, cache.maps(), masks, groups))
+def _ref_synthesis_forward(z, emb, layers, passes=None):
+    """A synthesis step's forward pass on the reference kernels: the whole
+    cache, and for each self-attention pass (``sapass.SAPass``) what it
+    computes from its rows, from the whole map: the energies of a gated
+    layer, the output of the masked map and, on a refresh, the masked map
+    in the cache."""
+    cache, _ = ref_forward_cache(z, emb, layers)
+    for li, sa in (passes or {}).items():
+        lc = cache.layers[li]
+        flats = sa.layout.flats
+        masks = [{(lc.work.height, lc.work.width):
+                  BinaryMask(m.reshape(lc.work.height, lc.work.width))} for m in flats]
+        if sa.gated:
+            sa.energies = _ref_sa_box_energies(lc.attn, flats)
+        masked, = ref_mask_maps([lc.work], [lc.attn], masks, [[0]] * len(masks))
+        sa.out = masked @ lc.v
+        if sa.mode == synthesis.REFRESH:
+            lc.attn = masked
+    return cache
 
 
 def _steps_close(a, b) -> bool:
@@ -1082,34 +1099,40 @@ def _steps_close(a, b) -> bool:
         [(t.step, t.t, t.alpha_t) for t in b]
 
 
-def test_run_synthesis_with_reference_kernels_matches_to_rounding(monkeypatch):
+@pytest.mark.parametrize("grid", [16, 64], ids=["16x16", "64x64"])
+def test_run_synthesis_with_reference_kernels_matches_to_rounding(monkeypatch, grid):
     # The self-attention energies and the masked readout sum in another
     # order than their references, so the run agrees to rounding: z_final
     # to 1e-12 absolute, the step metrics to 1e-12 relative, the masks and
-    # ``refined`` exactly.
-    scen = generate_scenario((16, 16), 2, rho=0.8, seed=0, dim=4)
-    tokens = synthesis_tokens(scen, gain=10.0)
-    params = default_params(4, 16, 16, seed=7)
+    # ``refined`` exactly. At 16x16 every map is one row block; at 64x64
+    # (the benchmark's inputs on 8 steps: 4 optimize, all mask, 2 refresh)
+    # the self-attention map is 8 row blocks, run on the row-block workers
+    # on a machine with more than one CPU.
+    if grid == 16:
+        scen = generate_scenario((16, 16), 2, rho=0.8, seed=0, dim=4)
+        tokens = synthesis_tokens(scen, gain=10.0)
+        params = default_params(4, 16, 16, seed=7)
+        config, latent = SynthesisConfig(beta=128.0, seed=3), None
+    else:
+        scen, tokens, params, config, latent = _synthesis_64x64()
     boxes = scen.boxes()
-    config = SynthesisConfig(beta=128.0, seed=3)
 
     def run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateInputWarning)
             return run_synthesis(tokens, params, boxes, config,
                                  sched=ScheduleParams(),
-                                 refinement=refine.RefinementConfig())
+                                 refinement=refine.RefinementConfig(),
+                                 initial_latent=latent)
 
     new = run()
     with monkeypatch.context() as mp:
-        mp.setattr(synthesis, "forward_cache",
-                   lambda z, emb, layers: ref_forward_cache(z, emb, layers)[0])
+        mp.setattr(synthesis, "forward_cache", _ref_synthesis_forward)
         mp.setattr(synthesis, "backprop", ref_backprop)
-        mp.setattr(synthesis, "_sa_box_energies", _ref_sa_box_energies)
-        mp.setattr(synthesis, "_box_loss_grads", ref_box_loss_grads)
+        mp.setattr(synthesis, "_box_loss_grads",
+                   lambda *args, scratch=None: ref_box_loss_grads(*args))
         # ref_mask_maps returns new arrays: the step must use what it returns.
         mp.setattr(synthesis, "_mask_maps", ref_mask_maps)
-        mp.setattr(synthesis, "_masked_readout", _ref_masked_readout)
         mp.setattr(refine, "box_blur", ref_box_blur)
         mp.setattr(refine, "_sq_distances",
                    lambda x, x_sq, centers: ref_sq_distances(x, centers))

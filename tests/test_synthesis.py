@@ -458,6 +458,30 @@ def test_run_synthesis_keeps_about_one_self_attention_map_alive():
     assert peak <= 2.5 * sa_map_bytes, f"peak {peak / sa_map_bytes:.2f} maps"
 
 
+def test_steps_that_do_not_refresh_keep_under_one_and_a_quarter_maps():
+    # Without refinement no step builds the whole 8 MB self-attention map.
+    # A step holds the map's 384 in-box rows, the row-block workers'
+    # scratch (at most two row blocks) and, while it optimizes, one row
+    # block of the box-loss gradient and of the softmax backward.
+    sc, tokens, params, cfg, latent = _synthesis_64x64()
+    sa_map_bytes = (32 * 32) ** 2 * 8
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run_synthesis(tokens, params, sc.boxes(), cfg, sched=ScheduleParams(),
+                               initial_latent=latent)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert not result.refined
+    assert result.steps[0].total_after != result.steps[0].total
+    assert peak <= 1.25 * sa_map_bytes, f"peak {peak / sa_map_bytes:.2f} maps"
+
+
 # ---------------------------------------------------------------------------
 # Row blocks on the row-block workers
 # ---------------------------------------------------------------------------
