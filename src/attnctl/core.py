@@ -81,18 +81,40 @@ def row_scratch(n_rows: int, n_cols: int) -> "list[np.ndarray]":
     scratch, which lives as long as its caller's run, stays within two row
     blocks (a quarter of a 64x64 grid's self-attention map) on any machine.
     The calling thread allocates them, once, and every later call may
-    reuse them."""
+    reuse them. Synthesis runs on them the self-attention passes, whose
+    row block of the map fills a buffer, and the box-loss backward, whose
+    blocks (``lane_blocks``) are half a buffer, so that a block's dA and dZ
+    share one."""
     blocks = row_blocks(n_rows, n_cols)
     lanes = max(1, min(_cpu_count(), len(blocks), SCRATCH_LANES))
     rows = blocks[0].stop if blocks else 1
     return [np.empty((rows, n_cols)) for _ in range(lanes)]
 
 
+@functools.lru_cache(maxsize=256)
+def lane_blocks(n_rows: int, lane_rows: int) -> "tuple[slice, ...]":
+    """Consecutive slices covering range(n_rows), for ``map_row_blocks`` on
+    scratch whose buffers hold ``lane_rows`` rows each: every block is at
+    most half a buffer, so that a block's two temporaries of its rows fit
+    one buffer; there is one block when that suffices, and otherwise a
+    multiple of SCRATCH_LANES, their sizes as even as the rows allow, so
+    that each lane gets equal work. The blocks depend on the map alone, not
+    on the CPUs, so the results do not either."""
+    count = max(1, -(-n_rows // max(1, lane_rows // 2)))
+    if count > 1:
+        count += -count % SCRATCH_LANES
+    cuts = [i * n_rows // count for i in range(count + 1)]
+    return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a)
+
+
 def map_row_blocks(fn, n_rows: int, n_cols: int,
-                   scratch: "list[np.ndarray] | None" = None) -> list:
-    """``[fn(blk) for blk in row_blocks(n_rows, n_cols)]``, the results in
-    block order; with ``scratch`` (from ``row_scratch``), ``fn(blk, buf)``,
-    where ``buf`` is the scratch buffer of the lane that runs the block. A
+                   scratch: "list[np.ndarray] | None" = None,
+                   blocks: "tuple[slice, ...] | None" = None) -> list:
+    """``[fn(blk) for blk in blocks]``, the results in block order, where
+    ``blocks`` defaults to ``row_blocks(n_rows, n_cols)`` (a caller on
+    scratch may pass ``lane_blocks``); with ``scratch`` (from
+    ``row_scratch``), ``fn(blk, buf)``, where ``buf`` is the scratch
+    buffer of the lane that runs the block. A
     map of one block, or a process on one CPU, runs inline; otherwise the
     blocks run on the row-block workers, with scratch in lanes: lane i runs
     blocks i, i + L, ... in turn, on its own buffer. Numpy releases the
@@ -114,7 +136,8 @@ def map_row_blocks(fn, n_rows: int, n_cols: int,
     A sum across blocks goes back as one partial per block, and the caller
     adds the partials in block order, so that it does not depend on which
     lane ran which block."""
-    blocks = row_blocks(n_rows, n_cols)
+    if blocks is None:
+        blocks = row_blocks(n_rows, n_cols)
     if scratch is None:
         if len(blocks) == 1:  # the learning loop's maps: keep the call cheap
             return [fn(blocks[0])]
@@ -345,6 +368,23 @@ def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, as an (rows, 1) column: bit for bit
+    ``x.sum(axis=1, keepdims=True)``. A map narrower than NARROW_COLS with
+    more than 16 rows per column is summed column by column, in column
+    order, onto +0.0 as numpy's sum starts (so -0.0 sums to +0.0): one
+    call per column costs less there than the reduction's per-row
+    overhead, and more on fewer rows."""
+    width = x.shape[1]
+    if width >= NARROW_COLS or x.shape[0] <= 16 * width:
+        return x.sum(axis=1, keepdims=True)
+    cols = x.T  # cols[j] is column j, a view
+    acc = cols[0] + 0.0
+    for j in range(1, width):
+        acc += cols[j]
+    return acc[:, None]
 
 
 def scaled_dot_attention(queries, keys) -> AttentionMap:

@@ -336,19 +336,21 @@ def _pool(grid: np.ndarray, h: int, w: int) -> np.ndarray:
 
 class _WholeMap:
     """The row plan of a plain forward pass: every row, written into one
-    whole map, and nothing read from the rows while they are hot."""
+    whole map as its softmax, and nothing read from the rows while they are
+    hot. The logits are scaled here, after the product, as in a map of one
+    row block."""
 
-    rows = None
-    scratch = None
+    rows = blocks = scratch = None
 
-    def __init__(self, attn: np.ndarray):
-        self.attn = attn
+    def __init__(self, attn: np.ndarray, scale: float):
+        self.attn, self.scale = attn, scale
 
     def target(self, blk, buf) -> np.ndarray:
         return self.attn[blk]
 
     def read(self, blk, block, buf):
-        return None
+        block *= self.scale
+        softmax_rows_inplace(block)
 
     def finish(self, results) -> np.ndarray:
         return self.attn
@@ -362,12 +364,16 @@ def _attention(q: np.ndarray, k: np.ndarray, scale: float, plan=None) -> np.ndar
 
     ``plan`` (one latent only) chooses the rows and where they go, and reads
     each block while it is hot. It has ``rows``, the map rows to compute
-    (None: all) in blocks of ``row_blocks(len(rows), m)``, and ``scratch``
-    for ``map_row_blocks``; in a block's task, ``target(blk, buf)`` is the
-    array its softmax rows are written to and ``read(blk, block, buf)``
-    returns the block's result; the caller's ``finish(results)``, given
-    them in block order, returns what the pass keeps as the map. The plain
-    pass is the plan ``_WholeMap``: every row, into one whole map."""
+    (None: all), ``blocks``, the slices of them that make one task each
+    (None: ``row_blocks(len(rows), m)``), and ``scratch`` for
+    ``map_row_blocks``; in a block's task, ``target(blk, buf)`` is the
+    array its logits are written to and ``read(blk, block, buf)`` takes
+    them to the block's result, the softmax included; the caller's
+    ``finish(results)``, given them in block order, returns what the pass
+    keeps as the map. A given plan gets its queries scaled, once per pass:
+    exactly the scaled logits when sqrt(d) is a power of two, as at d = 4
+    and d = 16. The plain pass is the plan ``_WholeMap``: every row, into
+    one whole map."""
     n, m = q.shape[-2], k.shape[-2]
     kt = k.swapaxes(-1, -2)
     if plan is None and n * m <= ROW_BLOCK:
@@ -376,27 +382,26 @@ def _attention(q: np.ndarray, k: np.ndarray, scale: float, plan=None) -> np.ndar
         softmax_rows_inplace(attn.reshape(-1, m))
         return attn
     if plan is not None:
-        return _row_softmax(q[0], kt[0] if kt.ndim == q.ndim else kt, scale, plan)[None]
+        return _row_softmax(q[0] * scale, kt[0] if kt.ndim == q.ndim else kt, plan)[None]
     attn = np.empty(q.shape[:-1] + (m,))
     for c in np.ndindex(q.shape[:-2]):
-        _row_softmax(q[c], kt[c] if kt.ndim == q.ndim else kt, scale, _WholeMap(attn[c]))
+        _row_softmax(q[c], kt[c] if kt.ndim == q.ndim else kt, _WholeMap(attn[c], scale))
     return attn
 
 
-def _row_softmax(q: np.ndarray, kt: np.ndarray, scale: float, plan) -> np.ndarray:
+def _row_softmax(q: np.ndarray, kt: np.ndarray, plan) -> np.ndarray:
     """One latent's map rows under ``plan`` (see ``_attention``): the logits
-    and softmax of each row block, and the plan's read of it, in one task."""
+    of each row block and the plan's read of them, its softmax included, in
+    one task."""
     rows = plan.rows
 
     def task(blk, buf=None):
         block = plan.target(blk, buf)
         np.matmul(q[blk if rows is None else rows[blk]], kt, out=block)
-        block *= scale
-        softmax_rows_inplace(block)
         return plan.read(blk, block, buf)
 
     n_rows = q.shape[0] if rows is None else rows.size
-    return plan.finish(map_row_blocks(task, n_rows, kt.shape[1], plan.scratch))
+    return plan.finish(map_row_blocks(task, n_rows, kt.shape[1], plan.scratch, plan.blocks))
 
 
 @dataclass

@@ -53,16 +53,21 @@ Synthesis's forward pass keeps a self-attention map on its in-box rows
 alone (``LayerCache.rows``): one compact (rows x n) array, in the layout of
 a ``RowGrad``'s values. Its box-loss gradient is a ``RowGrad`` on those
 same rows (``sapass.SARowGrad``, which computes each block from the compact
-rows as it is read), and the row path reads the compact rows in place.
+rows as it is read), and the row path reads the compact rows in place. That
+gradient carries the run's lane scratch (``core.row_scratch``), so the
+pass runs on the row-block workers in blocks of half a lane buffer
+(``core.lane_blocks``), each block's dA and dZ in one buffer; every other
+pass, and all of learning's, runs inline, through the same block task.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CROSS, NARROW_COLS, row_blocks
+from .core import CROSS, lane_blocks, map_row_blocks, row_blocks, row_sums
 from .denoiser import ForwardCache, _blocks, _cell_sums
 
 GRADIENTS = ("emb", "wv", "z")
@@ -101,7 +106,10 @@ class RowGrad:
     gradient is ``values[j]``, and every other row is zero. ``rows`` is
     sorted, without repeats. ``backprop`` reads the values one row block at
     a time (``block``), so a subclass may compute each block when it is
-    read instead of storing them all."""
+    read instead of storing them all; one that sets ``scratch`` (lanes of
+    ``core.row_scratch``) has its blocks run on the row-block workers."""
+
+    scratch = None
 
     def __init__(self, rows: np.ndarray, values: "np.ndarray | None"):
         self.rows = rows      # (r,) row indices
@@ -111,8 +119,9 @@ class RowGrad:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def block(self, blk: slice) -> np.ndarray:
-        """The values of rows[blk]."""
+    def block(self, blk: slice, out=None, tmp=None) -> np.ndarray:
+        """The values of rows[blk]. A subclass that computes them may write
+        them into ``out`` and use ``tmp`` (buffers of the block's shape)."""
         return self.values[blk]
 
     def dense(self, n_rows: int) -> np.ndarray:
@@ -122,24 +131,83 @@ class RowGrad:
         return out
 
 
-def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray) -> np.ndarray:
-    """Gradient through a row softmax: maps dL/dA to dL/dlogits. A map
-    narrower than NARROW_COLS sums its rows column by column, in column
-    order, as ``softmax_rows_inplace`` does: bit-identical to the row
-    reduction, without its per-row overhead."""
-    out = d_attn * attn
-    width = out.shape[1]
-    if width < NARROW_COLS:
-        cols = out.T  # cols[j] is column j, a view
-        acc = cols[0] + 0.0  # numpy's sum starts at +0.0: -0.0 sums to +0.0
-        for j in range(1, width):
-            acc += cols[j]
-        inner = acc[:, None]
-    else:
-        inner = out.sum(axis=1, keepdims=True)
-    np.subtract(d_attn, inner, out=out)
+def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray,
+                          out: "np.ndarray | None" = None) -> np.ndarray:
+    """Gradient through a row softmax: maps dL/dA to dL/dlogits, into
+    ``out`` if given (an array of their shape, not ``d_attn``)."""
+    out = d_attn * attn if out is None else np.multiply(d_attn, attn, out=out)
+    np.subtract(d_attn, row_sums(out), out=out)
     out *= attn
     return out
+
+
+def _softmax_block(lc, upstream, rows, held: bool, d_out, scale: float, dq, want_dk: bool,
+                   blk: slice, buf: "np.ndarray | None" = None, dk_out=None):
+    """One row block of a layer's softmax backward (see ``_softmax_rows``): its
+    dA, dZ and dQ rows, written into ``dq`` if given, and its dK partial,
+    dZ^T Q (unscaled), returned if ``want_dk``. The block is ``blk`` of
+    every row (``rows`` None) or of the rows of a ``RowGrad`` ``upstream``,
+    read in place from a map ``held`` on those rows alone. On the
+    row-block workers, ``buf`` is the lane's buffer, whose two halves take
+    the block's dA and dZ, and ``dk_out`` maps the block's start to an array
+    of the calling thread for its partial."""
+    r = blk if rows is None else rows[blk]
+    dz_out = None
+    if d_out is not None:
+        da = d_out[blk] @ lc.v.T
+        if upstream is not None:
+            da = da + upstream[blk]
+    elif rows is None:
+        # No readout gradient: dO = 0, so dA is the upstream alone and dV,
+        # dWv are zero.
+        da = upstream[blk]
+    elif buf is None:
+        da = upstream.block(blk)
+    else:
+        size, half = blk.stop - blk.start, buf.shape[0] // 2
+        dz_out = buf[half:half + size]
+        da = upstream.block(blk, buf[:size], dz_out)
+    dz_logits = softmax_rows_backward(lc.attn[blk if held else r], da, dz_out)
+    if dq is not None:
+        dq[r] = scale * (dz_logits @ lc.k)
+    if not want_dk:
+        return None
+    if dk_out is None:
+        return dz_logits.T @ lc.q[r]
+    return np.matmul(dz_logits.T, lc.q[r], out=dk_out[blk.start])
+
+
+def _softmax_rows(lc, upstream, rows, held: bool, d_out, scale: float, want_dq: bool,
+                  want_dk: bool):
+    """A layer's softmax backward, one ``_softmax_block`` task per row
+    block: dQ (zero on rows outside ``rows``) if ``want_dq`` and the
+    unscaled dK, the block partials added in block order, if ``want_dk``.
+    The blocks run inline; for a map ``held`` on its rows whose gradient
+    has ``scratch``, they run on the row-block workers in blocks of half a
+    lane buffer (``core.lane_blocks``), their dK partials in arrays of the
+    calling thread."""
+    n, d = lc.q.shape
+    width = lc.attn.shape[1]
+    dq = np.zeros((n, d)) if want_dq else None
+    scratch = upstream.scratch if held else None
+    if scratch is None:
+        parts = []
+        for blk in row_blocks(n if rows is None else rows.size, width):
+            parts.append(_softmax_block(lc, upstream, rows, held, d_out, scale, dq, want_dk,
+                                        blk))
+    else:
+        blocks = lane_blocks(rows.size, scratch[0].shape[0])
+        dk_out = dict(zip([blk.start for blk in blocks],
+                          np.empty((len(blocks), *lc.k.shape)))) if want_dk else None
+        task = functools.partial(_softmax_block, lc, upstream, rows, held, d_out, scale, dq,
+                                 want_dk, dk_out=dk_out)
+        parts = map_row_blocks(task, rows.size, width, scratch, blocks)
+    if not want_dk:
+        return dq, None
+    dk = parts[0] if parts else np.zeros_like(lc.k)
+    for i in range(1, len(parts)):
+        dk = dk + parts[i]
+    return dq, dk
 
 
 def backprop(cache: ForwardCache,
@@ -198,35 +266,17 @@ def backprop(cache: ForwardCache,
                 else:  # the readout gradient reaches every row
                     upstream = upstream.dense(n)
             # A cache that keeps some rows of the map (synthesis's in-box
-            # rows) is read in place, on a gradient of exactly those rows.
+            # rows) is read in place, on a gradient of exactly those rows;
+            # one with scratch runs its blocks on the row-block workers.
             held = lc.rows is not None
             if held and not (rows is not None and np.array_equal(rows, lc.rows)):
                 raise ValueError("a map cached on some rows backpropagates only "
                                  "a RowGrad on those rows, with no readout gradient")
-            dq = np.zeros((n, d)) if want_z else None  # rows outside ``rows`` stay zero
-            dk = None
-            for blk in row_blocks(n if rows is None else rows.size, lc.attn.shape[1]):
-                r = blk if rows is None else rows[blk]
-                if d_out is None:
-                    # No readout gradient: dO = 0, so dA is the upstream alone
-                    # and dV, dWv are zero.
-                    da = upstream[blk] if rows is None else upstream.block(blk)
-                else:
-                    da = d_out[blk] @ lc.v.T
-                    if upstream is not None:
-                        da = da + upstream[blk]
-                dz_logits = softmax_rows_backward(lc.attn[blk if held else r], da)
-                if dq is not None:
-                    dq[r] = scale * (dz_logits @ lc.k)
-                if want_src:
-                    part = dz_logits.T @ lc.q[r]
-                    dk = part if dk is None else dk + part
-                del da, dz_logits  # before the next block's are built
+            dq, dk = _softmax_rows(lc, upstream, rows, held, d_out, scale, want_z, want_src)
             if dq is not None:
                 dx = dq @ work.wq.T
             if want_src:
-                dk = np.zeros_like(lc.k) if dk is None else scale * dk
-                d_src = dk @ work.wk.T
+                d_src = (scale * dk) @ work.wk.T
                 if not cross:
                     d_src = dx + d_src
         if with_dv:

@@ -156,7 +156,11 @@ def kmeans_self_attention(features, k: int,
 
     Initialization is either the provided warm-start centers or seeded
     k-means++ seeding. Ties in assignment go to the lowest cluster index; an
-    emptied cluster keeps its previous center.
+    emptied cluster keeps its previous center. An iteration whose
+    assignments repeat the previous one's would recompute the same centers,
+    so the loop stops there, with that iteration's distances giving the
+    final assignments and inertia; otherwise they come from the final
+    centers.
     """
     x = checked_array(features, "features", ndim=2)
     n = x.shape[0]
@@ -174,13 +178,18 @@ def kmeans_self_attention(features, k: int,
         centers = _plusplus_init(x, k, np.random.default_rng(seed))
 
     x_sq = np.einsum("ij,ij->i", x, x)
-    assignments = np.zeros(n, dtype=np.int64)
+    previous = None
     history: "list[float]" = []
     n_iter = 0
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
         d2 = _sq_distances(x, x_sq, centers)
         assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assignments].sum()))
+        if previous is not None and np.array_equal(assignments, previous):
+            return ClusterState(centers=centers, assignments=assignments,
+                                n_iter=n_iter, inertia=history[-1],
+                                inertia_history=history)
+        previous = assignments
         new_centers = centers.copy()
         for c in range(k):
             idx = np.flatnonzero(assignments == c)

@@ -28,10 +28,12 @@ block's task reads from the block all that the step needs of it
 - the first pass of an optimizing step computes the in-box rows alone, the
   only rows the box energies and their gradient read, with the energies,
   and keeps them in one compact (rows x n) array, from which the gradient
-  (``sapass.SARowGrad``) and the backward pass read them in place;
+  (``sapass.SARowGrad``) and the backward pass read them in place, both
+  in blocks split evenly between the two row-block lanes;
 - any other pass computes every row, and from each block the energies,
   the raw ``A V`` of rows in no box and the masked readout of in-box rows.
-  It keeps the in-box rows alone, and never stores a row in no box;
+  It keeps the in-box rows alone, and never stores a row in no box; it
+  divides by the row sums only the rows it keeps and the d-wide outputs;
 - a refresh step's pass also writes the whole map, its in-box rows masked,
   for K-means.
 
@@ -45,8 +47,10 @@ divides every row by its sum.
 A step keeps one pass's rows alive at a time: each pass writes what it
 keeps into the run's one store per layer, which a step's next pass
 overwrites once the step has dropped the previous cache, and the
-self-attention passes' per-block temporaries go in scratch allocated once
-per run.
+self-attention passes' and the backward's per-block temporaries go in
+scratch allocated once per run. What the kernels derive from the control
+masks, each resolution's flat masks and self-attention row layout, is built
+once per mask set (``_MaskSet``), which a refresh replaces.
 """
 from __future__ import annotations
 
@@ -69,6 +73,7 @@ from .core import (
     resample_mask_nearest,
     row_blocks,
     row_scratch,
+    row_sums,
 )
 from .denoiser import (
     DenoiserParams,
@@ -226,12 +231,41 @@ def _ca_energies(attn: np.ndarray, m_flat: np.ndarray, group) -> "tuple[float, f
     return fg, bg
 
 
+class _MaskSet(list):
+    """Control masks, one resolution-indexed mask dict per instance, with
+    what a step's kernels derive from them built once per mask set: each
+    resolution's flat masks (``_flat_masks``) and self-attention row layout
+    (``_row_layout``). A run's set is replaced at a refresh, never changed
+    in place; a plain list of mask dicts serves the kernels as well, with
+    nothing kept between calls."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.flats: "dict[tuple[int, int], np.ndarray]" = {}
+        self.layouts: "dict[tuple[int, int], RowLayout]" = {}
+
+
 def _flat_masks(masks, layer) -> np.ndarray:
     """Each instance's mask at ``layer``'s resolution, flattened: an
-    (instances, pixels) array of 0.0 and 1.0."""
+    (instances, pixels) read-only array of 0.0 and 1.0."""
     res = (layer.height, layer.width)
-    return np.array([m[res].flat() for m in masks]).reshape(
-        len(masks), layer.height * layer.width)
+    known = masks.flats if isinstance(masks, _MaskSet) else {}
+    flats = known.get(res)
+    if flats is None:
+        flats = known[res] = np.array([m[res].flat() for m in masks]).reshape(
+            len(masks), layer.height * layer.width)
+        flats.setflags(write=False)
+    return flats
+
+
+def _row_layout(masks, layer) -> RowLayout:
+    """The ``sapass.RowLayout`` of a self-attention layer's in-box rows."""
+    res = (layer.height, layer.width)
+    known = masks.layouts if isinstance(masks, _MaskSet) else {}
+    layout = known.get(res)
+    if layout is None:
+        layout = known[res] = RowLayout(_flat_masks(masks, layer))
+    return layout
 
 
 def _sa_box_energies(attn: np.ndarray, flats: np.ndarray) -> np.ndarray:
@@ -351,7 +385,7 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
                 continue
             for li in idx:
                 if attn_type == CROSS:
-                    m = masks[i][(layers[li].height, layers[li].width)].flat()
+                    m = _flat_masks(masks, layers[li])[i]
                     fg, bg = _ca_energies(maps[li], m, list(group))
                 else:
                     fg, bg = sa_energies[li][i]
@@ -375,10 +409,11 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
     cross-attention gradient is dense; a self-attention one is a ``RowGrad``
     on the union of the in-box rows, the only rows its energies read
     (``sapass.SARowGrad``). ``scratch``, a run's ``row_scratch`` by map width,
-    gives a self-attention gradient a buffer for the block it computes."""
+    gives a self-attention gradient the lanes that ``backprop`` runs its
+    blocks on."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
     d_attn: "list[np.ndarray | RowGrad | None]" = [None] * len(layers)
-    sa_coefs: "dict[int, list]" = {}  # layer -> (in-box rows, coefficient row) per instance
+    sa_coefs: "dict[int, list]" = {}  # layer -> coefficient row per instance
 
     for i, group in enumerate(groups):
         terms = per_instance[i]
@@ -392,7 +427,7 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
             cf = outer * weight * dr_fg / len(idx)
             cb = outer * weight * db / len(idx)
             for li in idx:
-                m = masks[i][(layers[li].height, layers[li].width)].flat()
+                m = _flat_masks(masks, layers[li])[i]
                 if attn_type == CROSS:
                     if d_attn[li] is None:  # accumulated over instances
                         d_attn[li] = np.zeros_like(maps[li])
@@ -402,10 +437,10 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                         grad[:, token] += cf * 2.0 * m * col + cb * 2.0 * (1.0 - m) * col
                 else:
                     sa_coefs.setdefault(li, []).append(
-                        (m > 0.5, cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :]))
+                        cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :])
     for li, coefs in sa_coefs.items():
-        lanes = (scratch or {}).get(maps[li].shape[1])
-        d_attn[li] = SARowGrad(maps[li], coefs, None if lanes is None else lanes[0])
+        d_attn[li] = SARowGrad(maps[li], coefs, _row_layout(masks, layers[li]),
+                               (scratch or {}).get(maps[li].shape[1]))
     return d_attn
 
 
@@ -460,14 +495,14 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
             for m, group in zip(flats, groups):
                 outside = m < 0.5
                 for token in group:
-                    attn[outside, token] = 0.0
+                    np.copyto(attn[:, token], 0.0, where=outside)
         else:
             permitted = list(_permitted_columns(flats > 0.5))
             for rows, allowed in permitted:
                 block = attn[rows]
                 np.copyto(block, 0.0, where=~allowed)
                 attn[rows] = block
-        sums = attn.sum(axis=1, keepdims=True)
+        sums = row_sums(attn)
         dead = sums[:, 0] <= 0.0
         if np.any(dead):
             warnings.warn(
@@ -479,7 +514,7 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
                 attn[np.ix_(rows[dead[rows]], allowed)] = 1.0 / allowed.sum()
                 anywhere[rows] = False
             attn[anywhere, :] = 1.0 / attn.shape[1]
-            sums = attn.sum(axis=1, keepdims=True)
+            sums = row_sums(attn)
         attn /= sums
     return maps
 
@@ -498,12 +533,11 @@ def _masked_readout(cache, masks, groups, passes=None) -> np.ndarray:
     for li, lc in enumerate(cache.layers):
         if lc.work.attn_type == CROSS:
             continue
-        if passes is None:
+        if passes is None:  # the softmax rows are read as a stream pass reads its exponentials
             n = lc.attn.shape[0]
-            sa = SAPass(RowLayout(_flat_masks(masks, lc.work)), STREAM,
-                         row_scratch(n, n), gated=False)
+            sa = SAPass(_row_layout(masks, lc.work), STREAM, row_scratch(n, n), gated=False)
             sa.start(lc.v)
-            sa.finish(map_row_blocks(lambda blk, buf: sa.read(blk, lc.attn[blk], buf),
+            sa.finish(map_row_blocks(lambda blk, buf: sa.read_rows(blk, lc.attn[blk], buf),
                                      n, n, sa.scratch))
         else:
             sa = passes[li]
@@ -546,7 +580,7 @@ def _leakage_from_maps(layers, maps, masks, groups) -> "list[float]":
     for i, group in enumerate(groups):
         vals = []
         for li in ca_idx:
-            m = masks[i][(layers[li].height, layers[li].width)].flat()
+            m = _flat_masks(masks, layers[li])[i]
             col = maps[li][:, list(group)].sum(axis=1)
             tot = float(col.sum())
             if tot <= 0.0:
@@ -678,29 +712,30 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
 
     if refinement is not None:
         refinement.validate()
-    run = _SamplingRun(emb=emb, layers=layers, groups=groups, masks=masks,
+    run = _SamplingRun(emb=emb, layers=layers, groups=groups, masks=_MaskSet(masks),
                        resolutions=resolutions, config=config, sched=sched,
                        schedule=schedule,
                        refinement=refinement if refinement and refinement.enabled else None,
                        z=z)
     del z  # the run holds the latent; a step drops the old one once it has a new one
     steps = [_sampling_step(run, step) for step in range(1, config.total_steps + 1)]
-    return SynthesisResult(z_final=run.z, steps=steps, masks=run.masks,
+    return SynthesisResult(z_final=run.z, steps=steps, masks=list(run.masks),
                            refined=run.refined)
 
 
 @dataclass
 class _SamplingRun:
     """What a run carries from step to step: its fixed inputs, the control
-    masks (replaced at a refresh), the latent, the last refresh's K-means
-    centers, the self-attention row layouts of the current masks, and the
-    self-attention passes' scratch and stores, allocated once;
-    ``refinement`` is None when the masks are never refreshed."""
+    masks with their flat masks and self-attention row layouts (a
+    ``_MaskSet``, replaced at a refresh), the latent, the last refresh's
+    K-means centers, and the self-attention passes' scratch and stores,
+    allocated once; ``refinement`` is None when the masks are never
+    refreshed."""
 
     emb: np.ndarray
     layers: tuple
     groups: "list[list[int]]"
-    masks: "list[dict]"
+    masks: _MaskSet
     resolutions: "list[tuple[int, int]]"
     config: SynthesisConfig
     sched: ScheduleParams
@@ -709,7 +744,6 @@ class _SamplingRun:
     prev_centers: np.ndarray | None = None
     refined: bool = False         # True once refinement replaced a box mask
     z: np.ndarray | None = None   # the latent between steps
-    layouts: dict = field(default_factory=dict)  # (h, w) -> sapass.RowLayout of the masks
     scratch: dict = field(default_factory=dict)  # pixels -> the SA passes' row_scratch
     stores: dict = field(default_factory=dict)   # SA layer -> what its passes keep
 
@@ -771,17 +805,14 @@ def _forward(run: _SamplingRun, z: np.ndarray, mode: str):
     for li, layer in enumerate(run.layers):
         if layer.attn_type != SELF:
             continue
-        res = (layer.height, layer.width)
-        if res not in run.layouts:
-            run.layouts[res] = RowLayout(_flat_masks(run.masks, layer))
+        layout = _row_layout(run.masks, layer)
         n = layer.height * layer.width
         if n not in run.scratch:
             run.scratch[n] = row_scratch(n, n)
         if li not in run.stores:  # room for the whole map, if a refresh may need it
-            rows = n if run.refinement is not None else run.layouts[res].union.size
+            rows = n if run.refinement is not None else layout.union.size
             run.stores[li] = np.empty((rows, n))
-        passes[li] = SAPass(run.layouts[res], mode, run.scratch[n], li in gated,
-                             run.stores[li])
+        passes[li] = SAPass(layout, mode, run.scratch[n], li in gated, run.stores[li])
     return forward_cache(z, run.emb, run.layers, passes), passes
 
 
@@ -818,6 +849,7 @@ def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
     )
     run.prev_centers = state.centers
     new_masks = refine.assign_clusters(ca_masks, state, refinement.sigma_cluster)
+    masks, changed = list(run.masks), False
     for i, nm in enumerate(new_masks):
         if nm.is_empty():
             # stacklevel 4 names the caller of run_synthesis.
@@ -826,6 +858,8 @@ def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
                 DegenerateInputWarning, stacklevel=4,
             )
             continue
-        run.masks[i] = masks_at_all_resolutions(nm, run.resolutions)
-        run.layouts.clear()
+        masks[i] = masks_at_all_resolutions(nm, run.resolutions)
+        changed = True
+    if changed:
+        run.masks = _MaskSet(masks)
         run.refined = True

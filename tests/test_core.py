@@ -18,10 +18,12 @@ from attnctl.core import (
     BinaryMask,
     LayerAttention,
     downsample_mask,
+    lane_blocks,
     map_row_blocks,
     resample_mask_nearest,
     row_blocks,
     row_scratch,
+    row_sums,
     scaled_dot_attention,
     softmax_rows,
     softmax_rows_inplace,
@@ -106,6 +108,26 @@ def test_narrow_softmax_matches_the_row_reduction_bitwise(problem):
     got = softmax_rows_inplace(logits.copy())
     want = _row_reduced_softmax(logits)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rows,lane_rows", [
+    (384, 128), (130, 128), (64, 128), (65, 128), (40, 64), (9, 4), (1, 128), (0, 128)])
+def test_lane_blocks_fit_half_a_buffer_and_split_evenly_between_lanes(n_rows, lane_rows):
+    blocks = lane_blocks(n_rows, lane_rows)
+    assert [i for blk in blocks for i in range(blk.start, blk.stop)] == list(range(n_rows))
+    sizes = [blk.stop - blk.start for blk in blocks]
+    assert all(0 < size <= max(1, lane_rows // 2) for size in sizes)
+    assert len(blocks) <= 1 or len(blocks) % core.SCRATCH_LANES == 0
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert (n_rows, lane_rows) != (384, 128) or sizes == [64] * 6
+
+
+@pytest.mark.parametrize("shape", [(16, 3), (48, 3), (64, 3), (300, 7), (5, 1), (40, 12)])
+def test_row_sums_match_the_row_reduction_bitwise(shape):
+    x = np.random.default_rng(shape[0]).standard_normal(shape)
+    x[::3] = -0.0  # rows of -0.0 sum to +0.0
+    x[1::5, 0] = -0.0
+    assert row_sums(x).tobytes() == x.sum(axis=1, keepdims=True).tobytes()
 
 
 def test_map_row_blocks_returns_results_in_block_order():

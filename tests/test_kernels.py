@@ -493,9 +493,9 @@ def test_embedding_backprop_runs_no_self_attention_softmax_backward(monkeypatch)
     columns = []
     softmax_backward = gradients.softmax_rows_backward
 
-    def logged(attn, d_attn):
+    def logged(attn, d_attn, out=None):
         columns.append(attn.shape[1])
-        return softmax_backward(attn, d_attn)
+        return softmax_backward(attn, d_attn, out)
 
     monkeypatch.setattr(gradients, "softmax_rows_backward", logged)
     for upstream in _wrt_upstreams(layers, maps, masks, groups, config, per):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from attnctl import refine
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.errors import ConfigurationError, DegenerateInputWarning, ShapeError
 from attnctl.refine import (
@@ -127,6 +128,33 @@ def test_kmeans_warm_start_fixed_point():
     assert warm.n_iter == 1
     assert np.array_equal(warm.assignments, state.assignments)
     assert np.allclose(warm.centers, state.centers, atol=1e-12)
+
+
+def test_kmeans_stops_at_a_repeated_assignment_with_one_distance_pass_per_iteration(
+        monkeypatch):
+    # An iteration whose assignments repeat the previous one's would compute
+    # the same centers again: the loop ends there, and its distances give
+    # the final assignments and inertia. A warm start at a fixed point has
+    # no previous assignments: it stops as its centers stay put and takes
+    # one more distance pass, at the final centers.
+    rng = np.random.default_rng(4)
+    x = np.vstack([rng.normal(c, 0.5, (40, 3)) for c in (0.0, 2.0, 4.0)])
+    calls = []
+    distances = refine._sq_distances
+
+    def counted(*args):
+        calls.append(1)
+        return distances(*args)
+
+    monkeypatch.setattr(refine, "_sq_distances", counted)
+    cold = kmeans_self_attention(x, 3, seed=0)
+    assert cold.n_iter >= 3 and len(calls) == cold.n_iter
+    assert cold.inertia == cold.inertia_history[-1]
+    calls.clear()
+    warm = kmeans_self_attention(x, 3, prev_centers=cold.centers)
+    assert warm.n_iter == 1 and len(calls) == 2
+    assert np.array_equal(warm.assignments, cold.assignments)
+    assert warm.centers.tobytes() == cold.centers.tobytes()
 
 
 def test_kmeans_objective_nonincreasing():

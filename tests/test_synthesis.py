@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attnctl import core, synthesis
+from attnctl import core, gradients, synthesis
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import _token_matrix, default_params, forward_cache, toy_schedule
 from attnctl.refine import RefinementConfig
@@ -531,6 +531,38 @@ def test_threaded_row_blocks_match_the_inline_run_bitwise(monkeypatch):
     for mset, mset_1 in zip(result.masks, result_1.masks):
         assert mset.keys() == mset_1.keys()
         assert all(np.array_equal(mset[r].bits, mset_1[r].bits) for r in mset)
+
+
+def test_lane_backward_matches_the_inline_run_bitwise(monkeypatch):
+    # An optimizing step's backward runs the 384 in-box rows of the 64x64
+    # self-attention map as six blocks of 64 rows, half a lane buffer each,
+    # so three go to each lane: per block the box-loss gradient, the softmax
+    # backward, the dQ rows and a dK partial, which the caller adds in block
+    # order. On a machine with one CPU both runs are inline and the test
+    # compares a run with itself.
+    inputs = _synthesis_64x64()
+    calls, grads = [], []
+    map_blocks, real_backprop = gradients.map_row_blocks, synthesis.backprop
+
+    def recorded_map(fn, n_rows, n_cols, scratch=None, blocks=None):
+        calls.append((len(blocks), len(scratch)))
+        return map_blocks(fn, n_rows, n_cols, scratch, blocks)
+
+    def recorded_backprop(cache, **kwargs):
+        result = real_backprop(cache, **kwargs)
+        grads.append(result.d_z.tobytes())
+        return result
+
+    monkeypatch.setattr(gradients, "map_row_blocks", recorded_map)
+    monkeypatch.setattr(synthesis, "backprop", recorded_backprop)
+    _run_64x64(*inputs)
+    assert len(grads) == inputs[3].bound_steps
+    assert calls == [(6, min(core._cpu_count(), core.SCRATCH_LANES))] * len(grads)
+    threaded = list(grads)
+    grads.clear()
+    monkeypatch.setattr(core, "_row_pool", lambda: _InlinePool)
+    _run_64x64(*inputs)
+    assert grads == threaded
 
 
 def test_threaded_readout_warns_once_from_the_caller_on_a_dead_row():
