@@ -348,6 +348,9 @@ def softmax_rows_inplace(z: np.ndarray) -> np.ndarray:
     reduces rows that short in the same order, so the result is
     bit-identical, without the reduction's per-row overhead."""
     width = z.shape[1]
+    # Unlike row_sums, no row-count switch: the two reductions cost more
+    # than the column passes at every height, 4.1 against 4.0 us on a 16x3
+    # map and 54 against 14 us on a 1024x3 map (one BLAS thread).
     if width < NARROW_COLS:
         cols = z.T  # cols[j] is column j, a view
         acc = np.maximum(cols[0], cols[1]) if width > 1 else cols[0].copy()

@@ -13,10 +13,11 @@ It is two parts composed: ``frozen_pass`` runs, for a batch of latents,
 everything fixed weights settle (pools, queries, self-attention maps and
 values, and cross-attention too when the embeddings are fixed), and
 ``iteration_cache`` completes one latent's cache on the current embeddings
-and value weights; the learning loop runs the first once per chunk of
-iterations. ``readout_eps`` reads the prediction out of given maps;
-``readout_from_outputs`` reads it out of given layer outputs, which
-synthesis computes from the masked maps. A self-attention map larger than
+and value weights, rewriting the pass's one cache in place; the learning
+loop runs the first once per chunk of iterations and the second once per
+iteration, so a chunk builds its cache objects once. ``readout_eps`` reads
+the prediction out of given maps; ``readout_from_outputs`` reads it out of
+given layer outputs, which synthesis computes from the masked maps. A self-attention map larger than
 one row block is computed a row block at a time, and a row plan
 (``_attention``'s ``plan``, synthesis's ``sapass.SAPass``) may read each
 block as it is computed and keep only some rows. Keys and values of
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,6 +283,10 @@ class ForwardCache:
     z: np.ndarray          # (H, W, d)
     emb: np.ndarray        # (n_tokens, d)
     layers: "list[LayerCache]" = field(default_factory=list)
+    # backprop's per-layer decisions by ``wrt``, made on the cache's first
+    # backward pass for that ``wrt`` and read again by every later one: a
+    # cache keeps its layers and its maps' shapes.
+    backward: dict = field(default_factory=dict, repr=False, compare=False)
 
     def maps(self) -> "list[np.ndarray]":
         """The cached attention maps in layer order (the arrays themselves)."""
@@ -404,21 +410,35 @@ def _row_softmax(q: np.ndarray, kt: np.ndarray, plan) -> np.ndarray:
     return plan.finish(map_row_blocks(task, n_rows, kt.shape[1], plan.scratch, plan.blocks))
 
 
+class FrozenLayer(NamedTuple):
+    """One layer of a frozen pass: its batch arrays, None where
+    ``iteration_cache`` computes the layer's own, and what that call needs
+    of the layer, bound once per pass."""
+
+    lc: "LayerCache"   # the layer's entry in the pass's cache
+    x: np.ndarray      # (C, n_l, d) pooled features, shared per resolution
+    q: np.ndarray
+    k: "np.ndarray | None"     # keys shared by the batch are broadcast
+    attn: "np.ndarray | None"  # (C, n_l, targets)
+    v: "np.ndarray | None"
+    cross: bool
+
+
 @dataclass
 class FrozenPass:
     """The part of C forward passes, over the same layers, that their
     latents and fixed weights settle: each resolution's pooled features and
     each layer's queries, and the keys, maps and values of the layers whose
-    sources are fixed. A None entry is left to ``iteration_cache``. Arrays
-    carry the batch axis first; keys shared by the batch are broadcast."""
+    sources are fixed. Arrays carry the batch axis first.
 
-    z: np.ndarray                          # (C, H, W, d) latents
-    layers: list
-    xs: "list[np.ndarray]"                 # (C, n_l, d), one per resolution
-    qs: "list[np.ndarray]"
-    ks: "list[np.ndarray | None]"
-    attns: "list[np.ndarray | None]"       # (C, n_l, targets)
-    vs: "list[np.ndarray | None]"
+    ``cache`` is the one forward cache that ``iteration_cache`` rewrites for
+    whichever latent it is asked for, so a caller reads one latent's cache
+    before it asks for the next."""
+
+    z: np.ndarray                  # (C, H, W, d) latents
+    scale: float                   # 1/sqrt(d), a float: no numpy scalar per call
+    cache: "ForwardCache"
+    layers: "list[FrozenLayer]" = field(default_factory=list)
 
 
 def frozen_pass(z: np.ndarray, layers, emb: "np.ndarray | None" = None,
@@ -432,8 +452,7 @@ def frozen_pass(z: np.ndarray, layers, emb: "np.ndarray | None" = None,
     ``z[c]`` alone. ``plans`` maps a self-attention layer's index to its
     row plan (see ``_attention``), for a batch of one: the plan gets the
     layer's values (``plan.start(v)``) before its rows are computed."""
-    scale = 1.0 / math.sqrt(z.shape[-1])  # a float: no numpy scalar per call
-    out = FrozenPass(z, list(layers), [], [], [], [], [])
+    out = FrozenPass(z, 1.0 / math.sqrt(z.shape[-1]), ForwardCache(z[0], emb))
     pooled: "dict[tuple[int, int], np.ndarray]" = {}  # one pool per resolution
     for li, work in enumerate(layers):
         plan = None if plans is None else plans.get(li)
@@ -442,24 +461,23 @@ def frozen_pass(z: np.ndarray, layers, emb: "np.ndarray | None" = None,
         if x is None:
             x = pooled[res] = _pool(z, *res)
         q = x @ work.wq
-        src = x if work.attn_type == SELF else emb
+        cross = work.attn_type == CROSS
+        src = emb if cross else x
         k = attn = v = None
         if src is not None:
             k = src @ work.wk
             if plan is not None:
                 v = src @ work.wv
                 plan.start(v[0])
-            attn = _attention(q, k, scale, plan)
+            attn = _attention(q, k, out.scale, plan)
             if values and v is None:
                 v = src @ work.wv
             if k.ndim == 2:  # the embeddings' keys and values serve the batch
                 k = np.broadcast_to(k, (z.shape[0], *k.shape))
                 v = None if v is None else np.broadcast_to(v, (z.shape[0], *v.shape))
-        out.xs.append(x)
-        out.qs.append(q)
-        out.ks.append(k)
-        out.attns.append(attn)
-        out.vs.append(v)
+        lc = LayerCache(work, None, None, None, None, None)
+        out.cache.layers.append(lc)
+        out.layers.append(FrozenLayer(lc, x, q, k, attn, v, cross))
     return out
 
 
@@ -468,25 +486,27 @@ def iteration_cache(frozen: FrozenPass, c: int, emb: np.ndarray,
     """Latent c's forward cache: the frozen part, completed with the keys
     and maps of the cross-attention layers it left out (on ``emb``) and with
     the values it left out (on the layers' current ``wv``). With ``values``
-    False no value is added: for a caller that reads no readout."""
-    z = frozen.z[c]
-    cache = ForwardCache(z=z, emb=emb)
-    scale = 1.0 / math.sqrt(z.shape[-1])
-    for li, work in enumerate(frozen.layers):
-        x, q = frozen.xs[li][c], frozen.qs[li][c]
-        src = emb if work.attn_type == CROSS else x
-        attn = frozen.attns[li]
-        if attn is None:
-            k = src @ work.wk
-            attn = _attention(q, k, scale)
+    False no value is added: for a caller that reads no readout. The cache
+    is ``frozen.cache``, its entries pointed at latent c's arrays: the call
+    builds no object but the arrays it computes."""
+    cache = frozen.cache
+    cache.z = frozen.z[c]
+    cache.emb = emb
+    for lc, x, q, k, attn, v, cross in frozen.layers:
+        lc.x = x = x[c]
+        lc.q = q = q[c]
+        if attn is None:  # a cross-attention map on the current embeddings
+            lc.k = k = emb @ lc.work.wk
+            lc.attn = _attention(q, k, frozen.scale)
         else:
-            k, attn = frozen.ks[li][c], attn[c]
-        v = frozen.vs[li]
+            lc.k = k[c]
+            lc.attn = attn[c]
         if v is not None:
-            v = v[c]
+            lc.v = v[c]
         elif values:
-            v = src @ work.wv
-        cache.layers.append(LayerCache(work, x, q, k, v, attn))
+            lc.v = (emb if cross else x) @ lc.work.wv
+        else:
+            lc.v = None
     return cache
 
 
@@ -518,7 +538,7 @@ def readout_eps(cache: ForwardCache, maps: "list[np.ndarray]") -> np.ndarray:
 def readout_from_outputs(cache: ForwardCache, outputs) -> np.ndarray:
     """The noise prediction from each layer's output, an (n_l, d) array in
     layer order: the mean over layers of its replication onto the grid."""
-    acc = np.zeros_like(cache.z, order="C")
+    acc = np.zeros(cache.z.shape)
     for lc, out in zip(cache.layers, outputs):
         h, w = lc.work.height, lc.work.width
         blocks = _blocks(acc, h, w)

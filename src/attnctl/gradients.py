@@ -47,7 +47,16 @@ differentiates self attention on in-box rows only, every other row of dZ
 and dQ is zero, and dK sums over the named rows alone. A dense dA is the
 all-rows case of the same pass; a map whose blocks hold all its rows at
 once (every cross-attention map, and self attention up to 32x32 grids) is
-done in one block, in exactly the arithmetic of the unblocked formulas.
+done in one block, in exactly the arithmetic of the unblocked formulas,
+and with a dense dA ``backprop`` runs that block alone, with no block loop.
+
+``backprop`` makes its per-layer decisions for a ``wrt`` (which products a
+layer needs, its transposed weights, whether its map is one row block)
+once per cache and keeps them in ``ForwardCache.backward``. The learning
+loop backpropagates through one cache per chunk of iterations, which
+``denoiser.iteration_cache`` rewrites for each, so it makes them once per
+chunk; the weights are updated in place, so the transposed views stay
+current.
 
 Synthesis's forward pass keeps a self-attention map on its in-box rows
 alone (``LayerCache.rows``): one compact (rows x n) array, in the layout of
@@ -64,11 +73,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import CROSS, lane_blocks, map_row_blocks, row_blocks, row_sums
-from .denoiser import ForwardCache, _blocks, _cell_sums
+from .denoiser import ForwardCache, LayerCache, _blocks, _cell_sums
 
 GRADIENTS = ("emb", "wv", "z")
 _GRADIENT_SET = frozenset(GRADIENTS)
@@ -210,6 +220,53 @@ def _softmax_rows(lc, upstream, rows, held: bool, d_out, scale: float, want_dq: 
     return dq, dk
 
 
+class _LayerBackward(NamedTuple):
+    """One layer's part of a backward pass for one ``wrt``: what it
+    computes whatever the upstream gradients, decided once per cache."""
+
+    idx: int
+    lc: LayerCache
+    cross: bool
+    want_src: bool         # d_src: on the embeddings (cross) or on X (self)
+    through_softmax: bool  # dZ, and from it dQ and dK
+    wants_dv: bool         # dV, given a readout gradient: for wv or d_src
+    res: "tuple[int, int]"
+    wq_t: np.ndarray       # the weights transposed, as views: written in
+    wk_t: np.ndarray       # place by a loop that updates them, they stay
+    wv_t: np.ndarray       # current
+    one_block: bool        # the whole map is one row block
+
+
+class _BackwardPlan(NamedTuple):
+    want_emb: bool
+    want_wv: bool
+    want_z: bool
+    d: int
+    scale: float
+    layers: "list[_LayerBackward]"
+
+
+def _backward_plan(cache: ForwardCache, wrt) -> _BackwardPlan:
+    """``backprop``'s decisions for ``wrt`` on ``cache``'s layers, after
+    checking ``wrt``."""
+    if not wrt or isinstance(wrt, str) or not _GRADIENT_SET.issuperset(wrt):
+        raise ValueError(f"wrt must be a nonempty subset of {GRADIENTS}, got {wrt!r}")
+    want_emb, want_wv, want_z = "emb" in wrt, "wv" in wrt, "z" in wrt
+    layers = []
+    for idx, lc in enumerate(cache.layers):
+        work = lc.work
+        cross = work.attn_type == CROSS
+        # d_src, the gradient on the rows keys and values are projected from
+        # (the embeddings, or X itself), is wanted for emb (cross) or z (self).
+        want_src = want_emb if cross else want_z
+        layers.append(_LayerBackward(
+            idx, lc, cross, want_src, want_z or (cross and want_emb), want_wv or want_src,
+            (work.height, work.width), work.wq.T, work.wk.T, work.wv.T,
+            len(row_blocks(lc.q.shape[0], lc.attn.shape[1])) == 1))
+    d = cache.z.shape[2]
+    return _BackwardPlan(want_emb, want_wv, want_z, d, 1.0 / math.sqrt(d), layers)
+
+
 def backprop(cache: ForwardCache,
              d_attn: "list[np.ndarray | RowGrad | None] | None" = None,
              d_eps: np.ndarray | None = None,
@@ -222,28 +279,27 @@ def backprop(cache: ForwardCache,
     d_eps None, dV and dWv are not computed), so callers pass None, not
     zeros, for a zero-weighted term. wrt: the gradients to compute, a
     nonempty subset of ``GRADIENTS``; the others are returned as None, and
-    no work is done that reaches only them.
+    no work is done that reaches only them. The per-layer decisions for a
+    tuple ``wrt`` are made on the cache's first call with it and kept in
+    ``cache.backward``, so a loop that backpropagates through one cache
+    many times (learning's) makes them once.
     """
-    if not wrt or isinstance(wrt, str) or not _GRADIENT_SET.issuperset(wrt):
-        raise ValueError(f"wrt must be a nonempty subset of {GRADIENTS}, got {wrt!r}")
-    want_emb, want_wv, want_z = "emb" in wrt, "wv" in wrt, "z" in wrt
-    d = cache.z.shape[2]
-    n_layers = len(cache.layers)
-    scale = 1.0 / math.sqrt(d)
+    plan = cache.backward.get(wrt) if type(wrt) is tuple else None
+    if plan is None:
+        plan = _backward_plan(cache, wrt)
+        if type(wrt) is tuple:
+            cache.backward[wrt] = plan
+    want_emb, want_wv, want_z, d, scale, layers = plan
+    n_layers = len(layers)
     d_emb = np.zeros(cache.emb.shape) if want_emb else None
     d_wv: "list[np.ndarray] | None" = [] if want_wv else None
     dxs: "list[tuple[int, int, np.ndarray]] | None" = [] if want_z else None
     d_outs: "dict[tuple[int, int], np.ndarray]" = {}  # dO, one per resolution
 
-    for idx, lc in enumerate(cache.layers):
-        work = lc.work
-        cross = work.attn_type == CROSS
+    for (idx, lc, cross, want_src, through_softmax, wants_dv, res, wq_t, wk_t, wv_t,
+         one_block) in layers:
         upstream = None if d_attn is None else d_attn[idx]
-        # d_src, the gradient on the rows keys and values are projected from
-        # (the embeddings, or X itself), is wanted for emb (cross) or z (self).
-        want_src = want_emb if cross else want_z
-        through_softmax = want_z or (cross and want_emb)
-        with_dv = d_eps is not None and (want_wv or want_src)
+        with_dv = wants_dv and d_eps is not None
         if (upstream is None and d_eps is None) or not (through_softmax or with_dv):
             if want_wv:
                 d_wv.append(np.zeros((d, d)))
@@ -251,20 +307,18 @@ def backprop(cache: ForwardCache,
 
         d_out = None
         if d_eps is not None:
-            res = (work.height, work.width)
             d_out = d_outs.get(res)
             if d_out is None:
                 d_out = d_outs[res] = _cell_sums(d_eps, *res) / n_layers
 
         d_src = dx = None
         if through_softmax:
-            n = lc.q.shape[0]
             rows = None  # None: every row of dA can be non-zero
             if isinstance(upstream, RowGrad):
                 if d_out is None:
                     rows = upstream.rows
                 else:  # the readout gradient reaches every row
-                    upstream = upstream.dense(n)
+                    upstream = upstream.dense(lc.q.shape[0])
             # A cache that keeps some rows of the map (synthesis's in-box
             # rows) is read in place, on a gradient of exactly those rows;
             # one with scratch runs its blocks on the row-block workers.
@@ -272,27 +326,33 @@ def backprop(cache: ForwardCache,
             if held and not (rows is not None and np.array_equal(rows, lc.rows)):
                 raise ValueError("a map cached on some rows backpropagates only "
                                  "a RowGrad on those rows, with no readout gradient")
-            dq, dk = _softmax_rows(lc, upstream, rows, held, d_out, scale, want_z, want_src)
+            if one_block and rows is None and not held:
+                # A dense map of one row block is that block: no block loop.
+                dq = np.empty(lc.q.shape) if want_z else None
+                dk = _softmax_block(lc, upstream, None, False, d_out, scale, dq, want_src,
+                                    slice(None))
+            else:
+                dq, dk = _softmax_rows(lc, upstream, rows, held, d_out, scale, want_z,
+                                       want_src)
             if dq is not None:
-                dx = dq @ work.wq.T
+                dx = dq @ wq_t
             if want_src:
-                d_src = (scale * dk) @ work.wk.T
+                d_src = (scale * dk) @ wk_t
                 if not cross:
                     d_src = dx + d_src
         if with_dv:
             dv = lc.attn.T @ d_out
             if want_src:
-                d_src = d_src + dv @ work.wv.T
+                d_src = d_src + dv @ wv_t
             if want_wv:
-                src = cache.emb if cross else lc.x
-                d_wv.append(src.T @ dv)
+                d_wv.append((cache.emb if cross else lc.x).T @ dv)
         elif want_wv:
             d_wv.append(np.zeros((d, d)))
 
         if cross and want_emb:
             d_emb += d_src
         if want_z:
-            dxs.append((work.height, work.width, dx if cross else d_src))
+            dxs.append((*res, dx if cross else d_src))
 
     d_z = None if dxs is None else _spread_latent_grad(cache.z.shape, dxs)
     return BackpropResult(d_emb=d_emb, d_wv=d_wv, d_z=d_z, dxs=dxs)

@@ -26,12 +26,23 @@ layer's queries depend only on the draw; in stage 1 the self-attention
 layers (map, values and output) are fixed too, and in stage 2 every map. A
 chunk draws its iterations' subsets, levels and noise in the per-iteration
 order, then computes that frozen half once, with a leading batch axis, for
-the iterations it will evaluate (``denoiser.frozen_pass``); each iteration
-then completes its own cache (``denoiser.iteration_cache``), takes its
-losses and updates. A chunk never straddles ``stage1_iters``, and its
-buffers hold at most ``CHUNK_ENTRIES`` float64 entries, so a grid whose one
-iteration needs more runs one iteration per chunk. Every output is bit for
-bit that of the one-iteration-at-a-time loop.
+the iterations it will evaluate (``denoiser.frozen_pass``). A chunk never
+straddles ``stage1_iters``, and its buffers hold at most ``CHUNK_ENTRIES``
+float64 entries, so a grid whose one iteration needs more runs one
+iteration per chunk. Every output is bit for bit that of the
+one-iteration-at-a-time loop.
+
+An evaluated iteration does its arithmetic and little else. What every
+iteration would otherwise work out again is bound once: per run the
+weights, rates and window, the learnable rows and the loss terms by token
+(``_LossMasks``, with each drawn subset's terms picked once); per chunk the
+frozen pass's one forward cache, whose entries
+``denoiser.iteration_cache`` points at the iteration's latent, and
+``gradients.backprop``'s per-layer decisions for the stage's gradient,
+kept on that cache. An iteration then computes the keys and maps of the
+cross-attention layers on its embeddings, its losses and their gradients
+(a weight of 1 multiplies nothing), the backward pass (a map of one row
+block with no block loop) and the update.
 """
 from __future__ import annotations
 
@@ -215,8 +226,10 @@ def _gated_masks(layers, masks) -> "dict[int, list[np.ndarray]]":
 
 
 class _MaskTerms(NamedTuple):
-    """One flat instance mask m in the forms the attention losses read."""
+    """One flat instance mask m in the forms the attention losses read,
+    with the token whose column they charge."""
 
+    token: int
     target: np.ndarray   # alpha * m, the reward loss's target column
     off: np.ndarray      # 1 - m, the penalty's weight
     off2: np.ndarray     # 2 (1 - m), the penalty gradient's weight
@@ -224,12 +237,23 @@ class _MaskTerms(NamedTuple):
 
 class _LossMasks(dict):
     """``_gated_masks``'s output as ``_MaskTerms``: layer index -> one
-    per instance. The loop builds it once per run."""
+    per instance, each with its instance's token. The loop builds it once
+    per run; ``for_draw`` picks a draw's terms, once per subset."""
 
-    def __init__(self, gated_masks, alpha: float):
-        super().__init__({li: [_MaskTerms(alpha * m, 1.0 - m, 2.0 * (1.0 - m))
-                               for m in flat_masks]
+    def __init__(self, gated_masks, alpha: float, tokens: "tuple[int, ...]"):
+        super().__init__({li: [_MaskTerms(token, alpha * m, 1.0 - m, 2.0 * (1.0 - m))
+                               for token, m in zip(tokens, flat_masks)]
                           for li, flat_masks in gated_masks.items()})
+        self._by_subset: "dict[tuple[int, ...], list]" = {}
+
+    def for_draw(self, draw: "SampleDraw") -> "list[tuple[int, list[_MaskTerms]]]":
+        """(layer index, the drawn instances' terms) for each gated layer."""
+        terms = self._by_subset.get(draw.instance_indices)
+        if terms is None:
+            terms = self._by_subset[draw.instance_indices] = [
+                (li, [layer_terms[i] for i in draw.instance_indices])
+                for li, layer_terms in self.items()]
+        return terms
 
 
 def _attn_branch(iteration: int, config: LearningConfig) -> str:
@@ -275,9 +299,16 @@ def _rec_loss_and_grad(eps: np.ndarray, eps_hat: np.ndarray, m3: np.ndarray,
                        with_grad: bool = True) -> "tuple[float, np.ndarray | None]":
     """||M * eps - M * eps_hat||^2 and, if with_grad, its gradient with
     respect to eps_hat (None otherwise); ``m3`` is M as an (H, W, 1) float
-    array (``SampleDraw.rec_weight``)."""
-    loss = float(((m3 * (eps - eps_hat)) ** 2).sum())
-    return loss, (2.0 * m3 * (eps_hat - eps) if with_grad else None)
+    array (``SampleDraw.rec_weight``). Both come from one masked residual
+    M (eps_hat - eps): its square is that of M (eps - eps_hat), and as M is
+    0 or 1, twice it is 2 M (eps_hat - eps), bit for bit."""
+    residual = eps_hat - eps
+    residual *= m3
+    loss = float((residual ** 2).sum())
+    if not with_grad:
+        return loss, None
+    residual *= 2.0
+    return loss, residual
 
 
 def masked_reconstruction_loss(eps: np.ndarray, eps_hat: np.ndarray,
@@ -303,11 +334,12 @@ def total_learning_loss(rec_loss: float, attn_loss: float,
     return total
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One iteration's losses. A term whose weight is 0 is not evaluated
     and reads nan; a weighted attention term reads 0 on an iteration outside
-    its window or in stage 2. ``total`` sums the weighted terms."""
+    its window or in stage 2. ``total`` sums the weighted terms. A named
+    tuple: the loop builds one per iteration, for less than half the cost
+    of a frozen dataclass."""
 
     iteration: int
     branch: str      # reward | penalty | stage2
@@ -340,28 +372,28 @@ def _attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha):
     maps holds every layer's attention weights in layer order; gated_masks
     maps layer index -> per-instance flat masks at that layer's resolution
     (decoder cross-attention layers only, see _gated_masks), or is their
-    ``_LossMasks`` for this alpha, built once by the caller.
+    ``_LossMasks`` for this alpha and these instances, built once by the
+    caller. A drawn instance's token has one column of dA, written once
+    (the tokens are distinct); every other column is zero.
     """
     terms = gated_masks if isinstance(gated_masks, _LossMasks) \
-        else _LossMasks(gated_masks, alpha)
+        else _LossMasks(gated_masks, alpha, instances.placeholder_ids)
+    reward = branch == BRANCH_REWARD
     loss = 0.0
     d_attn: "list[np.ndarray | None]" = [None] * len(maps)
-    for li, layer_terms in terms.items():
+    for li, layer_terms in terms.for_draw(draw):
         attn = maps[li]
-        grad = np.zeros(attn.shape)
-        for i in draw.instance_indices:
-            token = instances.placeholder_ids[i]
-            term = layer_terms[i]
+        grad = d_attn[li] = np.zeros(attn.shape)
+        for token, target, off, off2 in layer_terms:
             col = attn[:, token]
-            if branch == BRANCH_REWARD:
-                diff = col - term.target
+            if reward:
+                diff = col - target
                 loss += float((diff ** 2).sum())
-                grad[:, token] += 2.0 * diff
+                np.multiply(2.0, diff, out=grad[:, token])
             else:
-                off = term.off * col
-                loss += float((off ** 2).sum())
-                grad[:, token] += term.off2 * off
-        d_attn[li] = grad
+                diff = off * col
+                loss += float((diff ** 2).sum())
+                np.multiply(off2, diff, out=grad[:, token])
     return loss, d_attn
 
 
@@ -416,17 +448,24 @@ def run_semantic_learning(scenario, config: LearningConfig,
 
     n_tokens = max(instances.placeholder_ids) + 1
     emb = np.zeros((n_tokens, dim))
-    learnable = list(instances.placeholder_ids)
-    for pid in learnable:
+    for pid in instances.placeholder_ids:
         emb[pid] = rng.normal(0.0, 0.02, size=dim)
 
-    rec_active = config.lambda_rec > 0.0
-    attn_active = config.lambda_attn > 0.0
+    # What every iteration reads, bound once per run: the weights and
+    # rates, the attention window and the learnable rows (a row mask).
+    rec_weight, attn_weight = config.lambda_rec, config.lambda_attn
+    rec_active = rec_weight > 0.0
+    attn_active = attn_weight > 0.0
+    t_min, t_max, levels_total = config.t_min_attn, config.t_max_attn, schedule.total_steps
+    coarse_iters, learn_rate = config.coarse_iters, config.learn_rate
+    learnable = np.zeros((n_tokens, 1), dtype=bool)
+    learnable[list(instances.placeholder_ids)] = True
     # Only the readout reads the encoder and self-attention layers, so
     # without the reconstruction term the forward pass runs the decoder
     # cross-attention layers alone; masks are keyed by position in that list.
     run_layers = layers if rec_active else [layers[i] for i in gated_layers(layers, CROSS)]
-    loss_masks = _LossMasks(_gated_masks(run_layers, instances.masks), config.alpha)
+    loss_masks = _LossMasks(_gated_masks(run_layers, instances.masks), config.alpha,
+                            instances.placeholder_ids)
     chunk = max(1, CHUNK_ENTRIES // _iteration_entries(z0.shape, run_layers, n_tokens))
     noise = np.empty((chunk, *z0.shape))
     levels = np.empty(chunk, dtype=np.intp)
@@ -438,6 +477,8 @@ def run_semantic_learning(scenario, config: LearningConfig,
     while start < config.total_iters:
         stage2 = start >= config.stage1_iters
         stop = min(start + chunk, config.total_iters if stage2 else config.stage1_iters)
+        wrt = ("wv",) if stage2 else ("emb",)  # what the stage updates
+        attn_stage = attn_active and not stage2
 
         # Each iteration draws its subset, level and noise, evaluated or
         # not, so that the random stream does not depend on the weights. An
@@ -447,10 +488,9 @@ def run_semantic_learning(scenario, config: LearningConfig,
         rows = 0
         for e in range(start, stop):
             draw = joint_sample(instances, rng)
-            t = int(rng.integers(0, schedule.total_steps))
+            t = int(rng.integers(0, levels_total))
             rng.standard_normal(out=noise[rows])
-            attn_now = (attn_active and not stage2
-                        and config.t_min_attn <= t <= config.t_max_attn)
+            attn_now = attn_stage and t_min <= t <= t_max
             row = None
             if rec_active or attn_now:
                 row = rows
@@ -467,17 +507,17 @@ def run_semantic_learning(scenario, config: LearningConfig,
         if rows:
             frozen = frozen_pass(noised_latents(z0, noise[:rows], levels[:rows], schedule),
                                  run_layers, emb if stage2 else None, values=not stage2)
-            outs = [None if v is None else np.matmul(attn, v)
-                    for attn, v in zip(frozen.attns, frozen.vs)] \
-                if rec_active else None
+            outs = [None if fl.v is None else np.matmul(fl.attn, fl.v)
+                    for fl in frozen.layers] if rec_active else None
 
         for e, draw, row, attn_now in plan:
-            if e == config.coarse_iters:
+            if e == coarse_iters:
                 emb_at_coarse_end = emb.copy()
             branch = BRANCH_STAGE2 if stage2 else _attn_branch(e, config)
 
             # A zero-weighted term is not evaluated and reads nan; a weighted
-            # attention term outside its window or in stage 2 reads 0.
+            # attention term outside its window or in stage 2 reads 0. A
+            # weight of 1 multiplies nothing.
             rec = np.nan
             attn = 0.0 if attn_active else np.nan
             d_eps = d_attn = None
@@ -488,13 +528,15 @@ def run_semantic_learning(scenario, config: LearningConfig,
                         lc.attn @ lc.v if out is None else out[row]
                         for lc, out in zip(cache.layers, outs)])
                     rec, d_eps = _rec_loss_and_grad(noise[row], eps_hat, draw.rec_weight)
-                    d_eps *= config.lambda_rec
+                    if rec_weight != 1.0:
+                        d_eps *= rec_weight
                 if attn_now:
                     attn, d_attn = _attn_loss_and_grad(
                         cache.maps(), loss_masks, instances, draw, branch, config.alpha)
-                    for g in d_attn:
-                        if g is not None:
-                            g *= config.lambda_attn
+                    if attn_weight != 1.0:
+                        for g in d_attn:
+                            if g is not None:
+                                g *= attn_weight
 
             total = total_learning_loss(rec, attn, config)
             if not math.isfinite(total):
@@ -504,11 +546,9 @@ def run_semantic_learning(scenario, config: LearningConfig,
 
             # With no active term there is no gradient, so no backprop or update.
             if d_attn is not None or d_eps is not None:
-                res = backprop(cache, d_attn=d_attn, d_eps=d_eps,
-                               wrt=("wv",) if stage2 else ("emb",))
+                res = backprop(cache, d_attn=d_attn, d_eps=d_eps, wrt=wrt)
                 if not stage2:
-                    for pid in learnable:
-                        emb[pid] -= config.learn_rate * res.d_emb[pid]
+                    np.subtract(emb, learn_rate * res.d_emb, out=emb, where=learnable)
                     finite = np.isfinite(emb).all()
                 else:
                     for lw, d_wv in zip(run_layers, res.d_wv):

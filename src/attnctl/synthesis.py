@@ -464,13 +464,16 @@ def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
 
 
 def latent_opt_step(z: np.ndarray, grad: np.ndarray, beta: float) -> np.ndarray:
-    """One explicit gradient step on the latent."""
+    """One explicit gradient step on the latent, ``z - beta * grad``,
+    computed in one latent-sized buffer: ``beta * grad``, then ``z`` minus
+    it, written over it."""
     z, grad = matched_arrays(z, grad, "latent", "gradient")
     if beta < 0.0:
         raise ConfigurationError("beta: must be >= 0")
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("latent gradient contains non-finite values")
-    return z - beta * grad
+    step = beta * grad
+    return np.subtract(z, step, out=step)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,30 @@ def ref_backprop(cache, d_attn=None, d_eps=None, wrt=None):
     return SimpleNamespace(d_emb=d_emb, d_z=d_z, d_wv=d_wv)
 
 
+def ref_attn_loss_and_grad(maps, gated_masks, instances, draw, branch, alpha):
+    """The staged attention loss and dL/dA on each gated layer, one drawn
+    instance at a time, each adding its gradient into its token's column of
+    a zeroed map; gated_masks maps layer index -> per-instance flat masks."""
+    loss = 0.0
+    d_attn = [None] * len(maps)
+    for li, flat_masks in gated_masks.items():
+        attn = maps[li]
+        grad = np.zeros(attn.shape)
+        for i in draw.instance_indices:
+            token, m = instances.placeholder_ids[i], flat_masks[i]
+            col = attn[:, token]
+            if branch == learning.BRANCH_REWARD:
+                diff = col - alpha * m
+                loss += float((diff ** 2).sum())
+                grad[:, token] += 2.0 * diff
+            else:
+                off = (1.0 - m) * col
+                loss += float((off ** 2).sum())
+                grad[:, token] += 2.0 * (1.0 - m) * off
+        d_attn[li] = grad
+    return loss, d_attn
+
+
 def ref_run_semantic_learning(scen, config, schedule, params):
     """The learning loop with every term always evaluated and
     backpropagated: every iteration runs every layer and the readout, a zero
@@ -200,7 +224,7 @@ def ref_run_semantic_learning(scen, config, schedule, params):
         branch = learning.BRANCH_STAGE2 if stage2 else learning._attn_branch(e, config)
         attn, upstream = 0.0, None
         if not stage2 and config.t_min_attn <= t <= config.t_max_attn:
-            attn, d_attn = learning._attn_loss_and_grad(
+            attn, d_attn = ref_attn_loss_and_grad(
                 [lc.attn for lc in cache.layers], gated_masks, instances, draw,
                 branch, config.alpha)
             upstream = [None if g is None else config.lambda_attn * g for g in d_attn]
@@ -936,14 +960,15 @@ def test_backprop_on_row_grad_matches_its_dense_form(problem):
 # End to end
 # ---------------------------------------------------------------------------
 
-# (grid, seed, lambda_rec, lambda_attn, coarse_iters): both grids, both
-# reconstruction weights, each coarse/fine split from penalty-only (0) to
-# reward-only (coarse_iters == total_iters), and a zero attention weight.
-# Each case's ID ends in the True/False value it once passed to a per-pixel
-# attention scaling that no longer exists; the tag keeps the IDs stable and
-# changes nothing in the run.
+# (grid, seed, lambda_rec, lambda_attn, coarse_iters, instances): both
+# grids, both reconstruction weights, each coarse/fine split from
+# penalty-only (0) to reward-only (coarse_iters == total_iters), a zero
+# attention weight, and three instances (four tokens, subsets of one to
+# three) at 8x8. Each two-instance case's ID ends in the True/False value it
+# once passed to a per-pixel attention scaling that no longer exists; the
+# tag keeps the IDs stable and changes nothing in the run.
 LEARNING_CONFIGS = [
-    pytest.param(*case, id="-".join(map(str, (*case, tag))))
+    pytest.param(*case, 2, id="-".join(map(str, (*case, tag))))
     for *case, tag in [
         (grid, seed, lambda_rec, 1.0, coarse, (seed + coarse // 50) % 2 == 1)
         for grid in (8, 16)
@@ -951,12 +976,15 @@ LEARNING_CONFIGS = [
         for seed, coarse in zip((0, 1, 2, 0, 1, 2), (0, 50, 100, 200, 400, 800))
         if grid == 8 or coarse <= 200
     ] + [(8, 1, 1.0, 0.0, 50, False), (16, 2, 0.0, 0.0, 0, True)]
+] + [
+    pytest.param(8, 0, lambda_rec, 1.0, 50, 3, id=f"8-0-{lambda_rec}-1.0-50-3-instances")
+    for lambda_rec in (0.0, 1.0)
 ]
 
 
-def _learning_case(grid, seed, lambda_rec, lambda_attn, coarse):
+def _learning_case(grid, seed, lambda_rec, lambda_attn, coarse, instances=2):
     """The scenario, config, schedule and params of a LEARNING_CONFIGS case."""
-    scen = generate_scenario((grid, grid), 2, rho=0.8, seed=seed, dim=8)
+    scen = generate_scenario((grid, grid), instances, rho=0.8, seed=seed, dim=8)
     params = default_params(8, grid, grid, seed=7)
     schedule = toy_schedule(50, 0.9999, 0.9)
     # A reward-only run ends with the coarse stage; the others add 40 more
@@ -971,11 +999,12 @@ def _learning_case(grid, seed, lambda_rec, lambda_attn, coarse):
     return scen, config, schedule, params
 
 
-@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse", LEARNING_CONFIGS)
+@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse,instances",
+                         LEARNING_CONFIGS)
 def test_run_semantic_learning_matches_reference_loop_bitwise(
-        grid, seed, lambda_rec, lambda_attn, coarse):
+        grid, seed, lambda_rec, lambda_attn, coarse, instances):
     scen, config, schedule, params = _learning_case(grid, seed, lambda_rec, lambda_attn,
-                                                    coarse)
+                                                    coarse, instances)
     new = learning.run_semantic_learning(scen, config, schedule=schedule, params=params)
     emb, emb_at_coarse_end, wv, trace = ref_run_semantic_learning(
         scen, config, schedule, params)
@@ -1004,9 +1033,10 @@ def test_run_semantic_learning_matches_reference_loop_bitwise(
                        for a, b in zip(new.params.layers, params.layers))
 
 
-@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse", LEARNING_CONFIGS)
+@pytest.mark.parametrize("grid,seed,lambda_rec,lambda_attn,coarse,instances",
+                         LEARNING_CONFIGS)
 def test_run_semantic_learning_is_bitwise_equal_at_any_chunk_size(
-        monkeypatch, grid, seed, lambda_rec, lambda_attn, coarse):
+        monkeypatch, grid, seed, lambda_rec, lambda_attn, coarse, instances):
     # The chunk bound is set to hold one iteration, then seven; each run
     # must equal the default-bound run bit for bit. With the reconstruction
     # term every iteration is evaluated, so each frozen pass is one chunk:
@@ -1014,7 +1044,7 @@ def test_run_semantic_learning_is_bitwise_equal_at_any_chunk_size(
     # and at seven some chunk straddles coarse_iters unless 7 divides it or
     # it is stage1_iters itself.
     scen, config, schedule, params = _learning_case(grid, seed, lambda_rec, lambda_attn,
-                                                    coarse)
+                                                    coarse, instances)
 
     def run():
         res = learning.run_semantic_learning(scen, config, schedule=schedule, params=params)
@@ -1026,7 +1056,7 @@ def test_run_semantic_learning_is_bitwise_equal_at_any_chunk_size(
     default = run()
     layers = params.layers if lambda_rec else \
         [params.layers[i] for i in gated_layers(params.layers, CROSS)]
-    per_iteration = learning._iteration_entries(scen.z0.shape, layers, 3)
+    per_iteration = learning._iteration_entries(scen.z0.shape, layers, instances + 1)
     frozen_pass = learning.frozen_pass
     for chunk in (1, 7):
         batches = []
@@ -1054,6 +1084,34 @@ def test_run_semantic_learning_is_bitwise_equal_at_any_chunk_size(
                 straddled = any(end - size < coarse < end
                                 for end, size in zip(ends, batches))
                 assert straddled == (coarse < config.stage1_iters and coarse % 7 != 0)
+
+
+class _GappedIds:
+    """A scenario's latent and masks with token ids 1 and 3: token 2 has a
+    column in every cross-attention map but no instance, so it is never
+    learned, and the learnable embedding rows are not consecutive."""
+
+    def __init__(self, scen):
+        self.z0, self.masks = scen.z0, scen.masks
+
+    def instance_set(self):
+        return learning.InstanceSet(self.masks, (1, 3))
+
+
+@pytest.mark.parametrize("lambda_rec", [0.0, 1.0])
+def test_learning_with_gapped_token_ids_matches_reference_loop_bitwise(lambda_rec):
+    scen, config, schedule, params = _learning_case(8, 1, lambda_rec, 1.0, 50)
+    gapped = _GappedIds(scen)
+    new = learning.run_semantic_learning(gapped, config, schedule=schedule, params=params)
+    emb, emb_at_coarse_end, wv, trace = ref_run_semantic_learning(
+        gapped, config, schedule, params)
+    assert new.embedding_matrix.shape[0] == 4
+    assert not new.embedding_matrix[[0, 2]].any()
+    assert _same_bits(new.embedding_matrix, emb)
+    assert _same_bits(new.emb_at_coarse_end, emb_at_coarse_end)
+    for layer, ref_wv in zip(new.params.layers, wv):
+        assert _same_bits(layer.wv, ref_wv)
+    assert _same_bits([r.total for r in new.trace], [r.total for r in trace])
 
 
 def test_a_64x64_iteration_fills_a_chunk_alone():

@@ -1,4 +1,5 @@
 """Embedding learning: losses with hand-checked values, sampling, the loop."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -146,17 +147,24 @@ def test_losses_reject_encoder_only_record():
 
 
 def test_losses_only_charge_sampled_instances():
-    a = BinaryMask([[1, 0]])
-    b = BinaryMask([[0, 1]])
-    instances = InstanceSet((a, b), (1, 2))
-    weights = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
+    # Three instances, so a subset of every size: each loss of a subset is
+    # the sum of its instances' losses alone.
+    masks = [BinaryMask([[1, 0, 0]]), BinaryMask([[0, 1, 0]]), BinaryMask([[0, 0, 1]])]
+    instances = InstanceSet(tuple(masks), (1, 2, 3))
+    weights = np.array([[0.2, 0.3, 0.4, 0.1], [0.1, 0.6, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25]])
     record = AttentionRecord(
-        (LayerAttention("decoder", "CA", 1, 2, AttentionMap(weights)),))
-    only_a = SampleDraw((0,), a)
-    both = SampleDraw((0, 1), BinaryMask([[1, 1]]))
-    la = penalty_ca_loss(instances, only_a, record)
-    lb = penalty_ca_loss(instances, SampleDraw((1,), b), record)
-    assert penalty_ca_loss(instances, both, record) == pytest.approx(la + lb)
+        (LayerAttention("decoder", "CA", 1, 3, AttentionMap(weights)),))
+
+    def draw(subset):
+        return SampleDraw(subset, BinaryMask.union([masks[i] for i in subset]))
+
+    for loss in (penalty_ca_loss, lambda *args: reward_ca_loss(*args, 0.5)):
+        single = [loss(instances, draw((i,)), record) for i in range(3)]
+        assert all(v > 0.0 for v in single)
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(range(3), size) for size in (2, 3)):
+            assert loss(instances, draw(subset), record) == \
+                pytest.approx(sum(single[i] for i in subset))
 
 
 def test_loss_rejects_missing_token_column():
