@@ -315,9 +315,7 @@ class SARowGrad(RowGrad):
     def block(self, blk: slice, out=None, tmp=None) -> np.ndarray:
         """Each row is its first instance's product, plus the product of
         each later instance whose box holds it (formed in ``tmp``, if
-        given), then 0 + that, which turns -0.0 into +0.0: the bits of
-        summing the products onto +0.0 in instance order. One multiply per
-        run of rows that one set of boxes holds."""
+        given). One multiply per run of rows that one set of boxes holds."""
         raw = self.attn[blk] if self.compact else self.attn[self.rows[blk]]
         out = np.empty_like(raw) if out is None else out
         layout = self.layout
@@ -331,5 +329,4 @@ class SARowGrad(RowGrad):
                 out[run] += np.multiply(raw[run], self.coefs[i],
                                         out=None if tmp is None else tmp[run])
             j += 1
-        np.add(out, 0.0, out=out)
         return out
