@@ -22,8 +22,16 @@ map. The box-loss gradient on the kept rows (``SARowGrad``) is computed
 from the compact rows a block at a time, as ``backprop`` reads it, on the
 row-block workers too.
 
-Masking permits each in-box row the columns of every box that contains it
-(``permitted_columns``); rows in no box are left as the softmax wrote them.
+Each quantity has one kernel here, which every pass mode and the record
+API in ``synthesis`` run, so that they agree bit for bit:
+
+- a kept row is divided by its own sum, as ``core.softmax_rows_inplace``
+  divides it;
+- the box energies are summed in block order from one partial per row
+  block of the whole map, over its in-box rows (``block_energies``);
+- masking (``mask_rows``) permits each in-box row the columns of every box
+  that contains it (``permitted_columns``) and divides it by its sum; rows
+  in no box are left as the softmax wrote them.
 """
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROW_BLOCK, lane_blocks, row_blocks, softmax_rows_inplace
+from .core import ROW_BLOCK, row_blocks, softmax_rows_inplace
 from .gradients import RowGrad
 
 INBOX, STREAM, REFRESH = "in-box", "stream", "refresh"  # SAPass modes
@@ -54,29 +62,39 @@ def permitted_columns(inside: np.ndarray):
             yield np.nonzero(group_of.ravel() == g)[0], inside[boxes_in].any(axis=0)
 
 
-def energy_targets(flats: np.ndarray) -> np.ndarray:
-    """The (pixels, 2 instances) 0/1 matrix of the columns [m_i, 1 - m_i]."""
-    targets = np.empty((flats.shape[1], 2 * flats.shape[0]))
-    targets[:, 0::2] = flats.T
-    targets[:, 1::2] = 1.0 - flats.T
-    return targets
+def block_energies(rows: np.ndarray, owned, targets: np.ndarray,
+                   buf: np.ndarray) -> np.ndarray:
+    """One row block's partial of the box energies' sums, an (instances, 2)
+    array: each instance's in-box rows of ``rows`` (``owned``, their
+    positions) copied into ``buf``, squared and summed down the rows, and
+    that sum times the instance's 0/1 target columns [m_i, 1 - m_i]
+    (``targets[i]``), since (a m)^2 = a^2 m for m in {0, 1}. An instance's
+    partial reads its own rows alone, in products of their shape, so it has
+    the same bits whatever other instances the layout holds."""
+    part = np.zeros((len(owned), 2))
+    for i, at in enumerate(owned):
+        if at.size:
+            sq = buf[:at.size]
+            np.take(rows, at, axis=0, out=sq, mode="clip")
+            np.square(sq, out=sq)
+            part[i] = sq.sum(axis=0) @ targets[i]
+    return part
 
 
-def block_energies(rows: np.ndarray, row_flats: np.ndarray, targets: np.ndarray,
-                   sq: np.ndarray) -> np.ndarray:
-    """One row block's partial of the box energies' sums: the in-box
-    ``rows`` squared into ``sq`` (a buffer of their shape), times the 0/1
-    target columns, weighted by each instance's mask on those rows
-    (``row_flats``, instances x rows)."""
-    np.square(rows, out=sq)
-    return row_flats @ (sq @ targets)
-
-
-def own_energies(sums: np.ndarray) -> np.ndarray:
-    """Each instance's (fg, bg) pair of the summed block partials."""
-    n_inst = sums.shape[0]
-    own = np.arange(n_inst)
-    return sums.reshape(n_inst, n_inst, 2)[own, own]
+def mask_rows(rows: np.ndarray, allowed: np.ndarray) -> bool:
+    """Mask self-attention rows in place to the columns ``allowed`` (0/1,
+    one ``permitted_columns`` group's): each row times ``allowed``, divided
+    by its sum. A row with no permitted mass is dead: it is made uniform
+    over the permitted columns, then divided by its sum as well. Whether a
+    row is dead."""
+    rows *= allowed
+    sums = rows.sum(axis=1, keepdims=True)
+    dead = sums[:, 0] <= 0.0
+    if dead.any():
+        rows[dead] = allowed / allowed.sum()
+        sums[dead] = rows[dead].sum(axis=1, keepdims=True)
+    rows /= sums
+    return bool(dead.any())
 
 
 @dataclass(frozen=True)
@@ -85,7 +103,8 @@ class BlockRows:
 
     span: slice                 # their positions in the compact array
     local: np.ndarray           # their positions in the block
-    flats: np.ndarray           # each instance's mask on them, (instances, rows)
+    owned: "list[np.ndarray]"   # each instance's rows: positions in span
+    owned_local: "list[np.ndarray]"  # and in the block
     groups: "list[tuple[int, np.ndarray, np.ndarray]]"  # (group, positions in span, in block)
 
 
@@ -95,10 +114,9 @@ class RowLayout:
 
     - the union of the in-box rows (the compact array's rows, in order),
       and each ``permitted_columns`` group's columns as a 0/1 vector;
-    - the in-box rows of each row block of the whole map (``BlockRows``);
-    - ``inbox_blocks``, the compact array's blocks (``core.lane_blocks``,
-      half a lane buffer each, split evenly between the lanes), and each
-      instance's mask on each of them;
+    - the in-box rows of each row block of the whole map (``BlockRows``),
+      and ``spans``, the compact array's blocks: the spans of the map
+      blocks that hold in-box rows;
     - the runs of consecutive compact rows that one set of boxes holds:
       their starts and stops, and the boxes, in instance order."""
 
@@ -106,7 +124,7 @@ class RowLayout:
         n = flats.shape[1]
         inside = flats > 0.5
         self.flats = flats
-        self.targets = energy_targets(flats)
+        self.targets = np.stack([flats, 1.0 - flats], axis=2)  # [m_i, 1 - m_i] per instance
         self.union = np.flatnonzero(inside.any(axis=0))
         self.step = max(1, ROW_BLOCK // n)  # rows per whole-map block
         group_of = np.full(n, -1)
@@ -120,11 +138,10 @@ class RowLayout:
             local = self.union[j0:j1] - blk.start
             of = group_of[self.union[j0:j1]]
             at = [(g, np.flatnonzero(of == g)) for g in range(len(self.allowed))]
-            self.blocks.append(BlockRows(slice(j0, j1), local, flats[:, self.union[j0:j1]],
+            owned = [np.flatnonzero(box[self.union[j0:j1]]) for box in inside]
+            self.blocks.append(BlockRows(slice(j0, j1), local, owned, [local[o] for o in owned],
                                          [(g, pos, local[pos]) for g, pos in at if pos.size]))
-        # min(n, step) rows: a lane buffer of core.row_scratch(n, n)
-        self.inbox_blocks = lane_blocks(self.union.size, min(n, self.step))
-        self.inbox_flats = {blk.start: flats[:, self.union[blk]] for blk in self.inbox_blocks}
+        self.spans = tuple(rows.span for rows in self.blocks if rows.local.size)
         held = inside[:, self.union]
         cuts = (np.flatnonzero((held[:, 1:] != held[:, :-1]).any(axis=0)) + 1).tolist()
         self.run_starts = [0, *cuts] if self.union.size else []
@@ -137,36 +154,36 @@ class SAPass:
     plan (see ``denoiser._attention``), on queries that carry the 1/sqrt(d)
     scale. Per mode:
 
-    - ``INBOX``: the in-box rows alone, in ``RowLayout.inbox_blocks``,
-      their softmax computed straight into the compact array, and the
-      energies;
+    - ``INBOX``: the in-box rows alone, one task per map block that holds
+      some (``RowLayout.spans``), their softmax computed straight into the
+      compact array, and the energies;
     - ``STREAM``: every row, into the lane's scratch, as the exponentials
       E = exp(logits - rowmax), which are not divided: one product
-      ``E [V | 1]`` gives the block's raw readout and its row sums, and
-      only what is kept is divided: the output rows (d wide) and the
-      block's in-box rows, copied into the compact array (``read_rows``).
-      The energies are summed from those rows and the in-box rows' outputs
-      overwritten with their masked readout;
+      ``E [V | 1]`` gives the block's raw readout and its row sums, which
+      divide the output rows (d wide). The block's in-box rows are copied
+      into the compact array and divided by their sums there
+      (``read_rows``), the energies summed from them, and their outputs
+      overwritten with their masked readout: one product with
+      ``[V * a | a]``, for a group's permitted columns C (the 0/1 vector
+      a), gives ``A[r, C] V[C]`` and the row's permitted mass, then their
+      quotient. A row with no permitted mass reads the mean of ``V[C]``;
     - ``REFRESH``: the softmax of every row, written into the whole map,
-      then as ``STREAM`` (from rows already divided), with the block's
-      in-box rows masked there.
+      the energies summed from the block's in-box rows, those rows masked
+      in the map (``mask_rows``), then the block read out as ``block @ V``.
 
-    The masked readout of a group's rows, permitted columns C (the 0/1
-    vector a), is one product with ``[V * a | a]``: ``A[r, C] V[C]`` and
-    the row's permitted mass, then their quotient. A row with no permitted
-    mass reads the mean of ``V[C]`` (and, masked, is uniform over C), and
-    ``dead`` is set for the caller to warn. The energies (a ``gated``
-    layer's) are summed from one partial per block, in block order.
-    Temporaries go in the lane's scratch buffer. The compact rows and the
-    map go in ``store``, the caller's (rows x n, or n x n) array, if given;
-    the outputs are allocated in ``start``, by the calling thread."""
+    A masked row with no permitted mass sets ``dead``, for the caller to
+    warn. The energies (a ``gated`` layer's) are summed from one partial
+    per block, in block order. Temporaries go in the lane's scratch buffer.
+    The compact rows and the map go in ``store``, the caller's (rows x n,
+    or n x n) array, if given; the outputs are allocated in ``start``, by
+    the calling thread."""
 
     def __init__(self, layout: RowLayout, mode: str, scratch, gated: bool,
                  store: "np.ndarray | None" = None):
         self.layout, self.mode, self.scratch, self.gated = layout, mode, scratch, gated
         self.store = store
         self.rows = layout.union if mode == INBOX else None  # the rows computed
-        self.blocks = layout.inbox_blocks if mode == INBOX else None
+        self.blocks = layout.spans if mode == INBOX else None
         self.kept = None if mode == REFRESH else layout.union  # the rows the cache keeps
         self.energies: "np.ndarray | None" = None  # (instances, 2), a gated layer's
         self.out: "np.ndarray | None" = None       # the masked output, unless INBOX
@@ -175,25 +192,24 @@ class SAPass:
 
     def start(self, v: np.ndarray) -> None:
         """Take the pass's arrays for values ``v`` and, unless ``INBOX``,
-        the output (in ``STREAM``, the first d columns of ``E [V | 1]``,
-        with ``[V | 1]`` built) and the readout's ``[V * a | a]`` per
+        the output: in ``STREAM``, the first d columns of ``E [V | 1]``,
+        with ``[V | 1]`` built and the readout's ``[V * a | a]`` per
         group."""
         n, store = v.shape[0], self.store
         if self.mode == REFRESH:
             self.map = np.empty((n, n)) if store is None else store
-        else:
-            u = self.layout.union.size
-            self.held = np.empty((u, n)) if store is None else store[:u]
+            self.v, self.out = v, np.empty_like(v)
+            return
+        u = self.layout.union.size
+        self.held = np.empty((u, n)) if store is None else store[:u]
         if self.mode == INBOX:
             return
-        self.v = v
         # E [V | 1], row by row: the output, divided in place, and the row sums
         self.summed = np.empty((n, v.shape[1] + 1))
         self.out = self.summed[:, :-1]
-        if self.mode == STREAM:
-            self.ones = np.empty_like(self.summed)
-            self.ones[:, :-1] = v
-            self.ones[:, -1] = 1.0
+        self.ones = np.empty_like(self.summed)
+        self.ones[:, :-1] = v
+        self.ones[:, -1] = 1.0
         self.readers, self.fallbacks = [], []
         for a in self.layout.allowed:
             reader = np.empty((n, v.shape[1] + 1))
@@ -209,10 +225,15 @@ class SAPass:
             return self.map[blk]
         return buf[:blk.stop - blk.start]
 
-    def _energies(self, rows: np.ndarray, row_flats: np.ndarray, buf: np.ndarray):
+    def _block_rows(self, blk: slice) -> BlockRows:
+        """The in-box rows of the map block that task ``blk`` computes."""
+        first = blk.start if self.rows is None else self.rows[blk.start]
+        return self.layout.blocks[first // self.layout.step]
+
+    def _energies(self, rows: np.ndarray, owned, buf: np.ndarray):
         if not self.gated:
             return None
-        return block_energies(rows, row_flats, self.layout.targets, buf[:rows.shape[0]])
+        return block_energies(rows, owned, self.layout.targets, buf)
 
     def read(self, blk: slice, block: np.ndarray, buf: np.ndarray):
         """From the block's logits: the block's energy partial and whether
@@ -222,71 +243,60 @@ class SAPass:
             np.exp(block, out=block)
             return self.read_rows(blk, block, buf)
         softmax_rows_inplace(block)
+        rows = self._block_rows(blk)
         if self.mode == INBOX:
-            return self._energies(block, self.layout.inbox_flats[blk.start], buf), False
-        # REFRESH: the block is in the map; square a copy of its in-box rows
-        rows = self.layout.blocks[blk.start // self.layout.step]
-        held = buf[:rows.local.size]
-        np.take(block, rows.local, axis=0, out=held, mode="clip")
-        part = self._energies(held, rows.flats, held)
-        out = self.out[blk]
-        np.matmul(block, self.v, out=out)
-        return part, self._group_readout(rows, block, out, buf)
+            return self._energies(block, rows.owned, buf), False
+        # REFRESH: the block is in the map
+        part = self._energies(block, rows.owned_local, buf)
+        dead = False
+        for g, at, local in rows.groups:
+            sub = buf[:at.size]
+            np.take(block, local, axis=0, out=sub, mode="clip")
+            dead |= mask_rows(sub, self.layout.allowed[g])
+            block[local] = sub
+        np.matmul(block, self.v, out=self.out[blk])
+        return part, dead
 
     def read_rows(self, blk: slice, block: np.ndarray, buf: np.ndarray):
         """``STREAM``'s read of row block ``blk`` of nonnegative weights,
         ``block``, left as they are: the exponentials of the logits, or a
         map's softmax rows (whose sums are 1 up to rounding). Each row is
         divided by its sum where it is kept."""
-        rows = self.layout.blocks[blk.start // self.layout.step]
+        rows = self._block_rows(blk)
         summed = self.summed[blk]
         np.matmul(block, self.ones, out=summed)
-        sums = summed[:, -1:]
         out = self.out[blk]
-        np.divide(out, sums, out=out)
+        np.divide(out, summed[:, -1:], out=out)
         held = self.held[rows.span]
         np.take(block, rows.local, axis=0, out=held, mode="clip")
-        held /= sums[rows.local]
-        return self._energies(held, rows.flats, buf), self._group_readout(rows, held, out, buf)
+        held /= held.sum(axis=1, keepdims=True)
+        return self._energies(held, rows.owned, buf), self._group_readout(rows, held, out, buf)
 
-    def _group_readout(self, rows: BlockRows, block: np.ndarray, out: np.ndarray,
+    def _group_readout(self, rows: BlockRows, held: np.ndarray, out: np.ndarray,
                        buf: np.ndarray) -> bool:
         """Overwrite the in-box rows' outputs with their masked readout,
-        from ``block``: the compact rows (``STREAM``) or the map's block,
-        whose in-box rows are masked in place (``REFRESH``). Whether a row
-        is dead."""
-        layout, refresh = self.layout, self.mode == REFRESH
+        from their compact rows ``held``. Whether a row is dead."""
         dead = False
         for g, at, local in rows.groups:
             sub = buf[:at.size]
-            np.take(block, local if refresh else at, axis=0, out=sub, mode="clip")
+            np.take(held, at, axis=0, out=sub, mode="clip")
             num = sub @ self.readers[g]
             den = num[:, -1:]
             gone = den[:, 0] <= 0.0
-            some_gone = gone.any()
-            if some_gone:
+            if gone.any():
                 dead = True
                 num[gone, :-1] = self.fallbacks[g]
                 den[gone] = 1.0
             out[local] = num[:, :-1] / den
-            if refresh:
-                sub *= layout.allowed[g]
-                sub /= den
-                if some_gone:
-                    sub[gone] = layout.allowed[g] / layout.allowed[g].sum()
-                block[local] = sub
         return dead
 
     def finish(self, results) -> np.ndarray:
         """Sum the energy partials in block order; return what the cache
         keeps of the map: the compact rows or, on a refresh, the masked
         map."""
-        if self.gated:
-            n_inst = self.layout.flats.shape[0]
-            sums = np.zeros((n_inst, 2 * n_inst))
-            for part, _ in results:
-                sums += part
-            self.energies = own_energies(sums)
+        if self.gated:  # the partials, in block order
+            self.energies = sum((part for part, _ in results),
+                                np.zeros((self.layout.flats.shape[0], 2)))
         self.dead = any(dead for _, dead in results)
         kept = self.map if self.mode == REFRESH else self.held
         self.held = self.map = self.v = self.readers = self.ones = None

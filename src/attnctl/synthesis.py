@@ -28,21 +28,21 @@ block's task reads from the block all that the step needs of it
 - the first pass of an optimizing step computes the in-box rows alone, the
   only rows the box energies and their gradient read, with the energies,
   and keeps them in one compact (rows x n) array, from which the gradient
-  (``sapass.SARowGrad``) and the backward pass read them in place, both
-  in blocks split evenly between the two row-block lanes;
+  (``sapass.SARowGrad``) and the backward pass read them in place, the
+  backward in blocks split evenly between the two row-block lanes;
 - any other pass computes every row, and from each block the energies,
   the raw ``A V`` of rows in no box and the masked readout of in-box rows.
   It keeps the in-box rows alone, and never stores a row in no box; it
   divides by the row sums only the rows it keeps and the d-wide outputs;
-- a refresh step's pass also writes the whole map, its in-box rows masked,
-  for K-means.
+- a refresh step's pass instead writes the whole map, its in-box rows
+  masked, for K-means, and reads the noise out of it.
 
 The cross-attention maps are small and whole; the readout masks them in
 place. Masking permits each in-box row the columns of the boxes that hold
-it (``_permitted_columns``) and divides it by its permitted mass; a row in
-no box is left as the softmax wrote it, on every step. ``_mask_maps``,
-which ``apply_attention_masking`` runs, masks whole maps in place and
-divides every row by its sum.
+it (``_permitted_columns``) and divides it by its sum; a row in no box is
+left as the softmax wrote it, on every step. The record API runs the
+passes' own kernels (``sapass.block_energies``, ``sapass.mask_rows``) over
+a whole map, so its energies and masked maps are the loop's, bit for bit.
 
 A step keeps one pass's rows alive at a time: each pass writes what it
 keeps into the run's one store per layer, which a step's next pass
@@ -68,7 +68,6 @@ from .core import (
     check_finite_fields,
     check_tokens,
     gated_layers,
-    map_row_blocks,
     matched_arrays,
     resample_mask_nearest,
     row_blocks,
@@ -98,8 +97,7 @@ from .sapass import (
     SAPass,
     SARowGrad,
     block_energies,
-    energy_targets,
-    own_energies,
+    mask_rows,
     permitted_columns as _permitted_columns,
 )
 from . import refine
@@ -268,22 +266,19 @@ def _row_layout(masks, layer) -> RowLayout:
     return layout
 
 
-def _sa_box_energies(attn: np.ndarray, flats: np.ndarray) -> np.ndarray:
+def _sa_box_energies(attn: np.ndarray, layout: RowLayout) -> np.ndarray:
     """In-box and out-of-box squared self-attention energy of every
-    instance, an (instances, 2) array: the squares of an instance's in-box
-    rows summed over its in-box (fg) and out-of-box (bg) targets. One pass
-    over the union of the in-box rows, one row block at a time: each block
-    is squared once, and one product with the 0/1 columns [m_i, 1 - m_i]
-    sums every instance's targets, since (a m)^2 = a^2 m for m in {0, 1}.
-    A synthesis pass sums the same block partials as it computes the rows
+    instance of ``layout``, an (instances, 2) array: the squares of an
+    instance's in-box rows summed over its in-box (fg) and out-of-box (bg)
+    targets, one partial per row block of the map
+    (``sapass.block_energies``), summed in block order. A synthesis pass
+    sums the same block partials as it computes the rows
     (``sapass.SAPass``); this form serves a whole map."""
-    targets = energy_targets(flats)
-    union = np.flatnonzero((flats > 0.5).any(axis=0))
-    sums = np.zeros((flats.shape[0], targets.shape[1]))
-    for blk in row_blocks(union.size, attn.shape[1]):
-        rows = attn[union[blk]]
-        sums += block_energies(rows, flats[:, union[blk]], targets, rows)
-    return own_energies(sums)
+    n = attn.shape[0]
+    buf = np.empty((min(n, layout.step), attn.shape[1]))
+    parts = (block_energies(attn[blk], rows.owned_local, layout.targets, buf)
+             for blk, rows in zip(row_blocks(n, n), layout.blocks) if rows.local.size)
+    return sum(parts, np.zeros((layout.flats.shape[0], 2)))
 
 
 def fg_bg_energies(record: AttentionRecord, layer_index: int, mask: BinaryMask,
@@ -305,7 +300,7 @@ def fg_bg_energies(record: AttentionRecord, layer_index: int, mask: BinaryMask,
             raise ConfigurationError("token group must be nonempty")
         check_tokens(group, layer.amap.cols)
         return _ca_energies(layer.amap.weights, m, list(group))
-    fg, bg = _sa_box_energies(layer.amap.weights, m[None, :])[0]
+    fg, bg = _sa_box_energies(layer.amap.weights, RowLayout(m[None, :]))[0]
     return float(fg), float(bg)
 
 
@@ -372,7 +367,7 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
     check the token ids."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
     if sa_energies is None:
-        sa_energies = {li: _sa_box_energies(maps[li], _flat_masks(masks, layers[li]))
+        sa_energies = {li: _sa_box_energies(maps[li], _row_layout(masks, layers[li]))
                        for li in gated[1]}
     sa_energies = {li: sa_energies[li].tolist() for li in gated[1]}
     per_instance: "list[_InstanceTerms]" = []
@@ -484,77 +479,61 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
     """Suppress out-of-box attention in every layer's map, in place.
 
     Cross attention: zero each instance token's weight at pixels outside its
-    mask. Self attention: zero attention from in-box pixels to the targets
-    ``_permitted_columns`` does not permit. Rows are renormalized; a fully
-    suppressed row falls back to uniform over its permitted targets
-    (diagnostic warning). The given arrays are overwritten and returned as a
-    list; a caller that still needs the raw maps passes copies. Callers check
-    the token ids.
+    mask and renormalize every row; a fully suppressed row falls back to
+    uniform. Self attention: each ``_permitted_columns`` group of in-box
+    rows is masked to the targets it permits by the synthesis passes'
+    kernel (``sapass.mask_rows``), a fully suppressed row falling back to
+    uniform over its permitted targets; a row in no box is left as given.
+    A fallback warns. The given arrays are overwritten and returned as a
+    list; a caller that still needs the raw maps passes copies. Callers
+    check the token ids.
     """
     for layer, attn in zip(layers, maps):
         flats = _flat_masks(masks, layer)
-        permitted = []
         if layer.attn_type == CROSS:
             for m, group in zip(flats, groups):
                 outside = m < 0.5
                 for token in group:
                     np.copyto(attn[:, token], 0.0, where=outside)
+            sums = row_sums(attn)
+            dead = sums[:, 0] <= 0.0
+            if np.any(dead):
+                attn[dead, :] = 1.0 / attn.shape[1]
+                sums = row_sums(attn)
+            attn /= sums
         else:
-            permitted = list(_permitted_columns(flats > 0.5))
-            for rows, allowed in permitted:
+            dead = False
+            for rows, allowed in _permitted_columns(flats > 0.5):
                 block = attn[rows]
-                np.copyto(block, 0.0, where=~allowed)
+                dead |= mask_rows(block, allowed)
                 attn[rows] = block
-        sums = row_sums(attn)
-        dead = sums[:, 0] <= 0.0
         if np.any(dead):
             warnings.warn(
                 "attention masking zeroed entire rows; using uniform fallback",
                 DegenerateInputWarning, stacklevel=2,
             )
-            anywhere = dead.copy()  # dead rows that may attend to every target
-            for rows, allowed in permitted:
-                attn[np.ix_(rows[dead[rows]], allowed)] = 1.0 / allowed.sum()
-                anywhere[rows] = False
-            attn[anywhere, :] = 1.0 / attn.shape[1]
-            sums = row_sums(attn)
-        attn /= sums
     return maps
 
 
-def _masked_readout(cache, masks, groups, passes=None) -> np.ndarray:
+def _masked_readout(cache, masks, groups, passes) -> np.ndarray:
     """The noise prediction from the masked maps: ``readout_eps(cache,
-    _mask_maps(...))`` up to rounding, but for rows in no box, which keep
-    their softmax rows undivided. A self-attention layer's output is its
-    pass's (``passes``, by layer index, from ``_forward``); without passes,
-    the cache's whole map is read out one row block at a time by the same
-    kernel, and left as it was. A warning goes out per layer with a row
-    that masking empties. The small cross-attention maps are masked in
-    place (and the masked map put back in the cache) as the readout reads
-    them. Callers check the token ids."""
-    sa_outputs = {}
-    for li, lc in enumerate(cache.layers):
-        if lc.work.attn_type == CROSS:
-            continue
-        if passes is None:  # the softmax rows are read as a stream pass reads its exponentials
-            n = lc.attn.shape[0]
-            sa = SAPass(_row_layout(masks, lc.work), STREAM, row_scratch(n, n), gated=False)
-            sa.start(lc.v)
-            sa.finish(map_row_blocks(lambda blk, buf: sa.read_rows(blk, lc.attn[blk], buf),
-                                     n, n, sa.scratch))
-        else:
-            sa = passes[li]
+    _mask_maps(...))`` up to rounding. A self-attention layer's output is
+    its pass's (``passes``, by layer index, from ``_forward``). A warning
+    goes out per layer with a row that masking empties. The small
+    cross-attention maps are masked in place (and the masked map put back
+    in the cache) as the readout reads them. Callers check the token
+    ids."""
+    for sa in passes.values():
         if sa.dead:
             warnings.warn(
                 "attention masking zeroed entire rows; using uniform fallback",
                 DegenerateInputWarning, stacklevel=2,
             )
-        sa_outputs[li] = sa.out
 
     def outputs():
         for li, lc in enumerate(cache.layers):
-            if li in sa_outputs:
-                yield sa_outputs[li]
+            if li in passes:
+                yield passes[li].out
             else:
                 lc.attn, = _mask_maps([lc.work], [lc.attn], masks, groups)
                 yield lc.attn @ lc.v
@@ -563,7 +542,8 @@ def _masked_readout(cache, masks, groups, passes=None) -> np.ndarray:
 
 
 def apply_attention_masking(record: AttentionRecord, masks, groups) -> AttentionRecord:
-    """Masked copy of a record; idempotent for fixed masks and groups."""
+    """Masked copy of a record (``_mask_maps``): a self-attention row in no
+    box is left as given. Idempotent for fixed masks and groups."""
     if len(masks) != len(groups):
         raise ConfigurationError("need one mask set and one token group per instance")
     tokens = [token for group in groups for token in group]

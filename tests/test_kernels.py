@@ -39,15 +39,18 @@ from attnctl.core import (
 from attnctl.denoiser import (
     ForwardCache,
     LayerCache,
+    _token_matrix,
     ddim_add_noise,
     default_params,
     forward_cache,
     readout_eps,
+    record_from_maps,
     toy_schedule,
     workspace,
 )
 from attnctl.errors import DegenerateInputWarning
 from attnctl.gradients import backprop
+from attnctl.sapass import INBOX, REFRESH, STREAM, RowLayout
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     ScheduleParams,
@@ -59,11 +62,12 @@ from attnctl.synthesis import (
     _masked_readout,
     _sa_box_energies,
     apply_attention_masking,
+    fg_bg_energies,
     instance_masks_from_boxes,
     masks_at_all_resolutions,
     run_synthesis,
 )
-from test_synthesis import _synthesis_64x64
+from test_synthesis import _stream_passes, _synthesis_64x64
 
 
 def _same_bits(a, b) -> bool:
@@ -329,7 +333,10 @@ def ref_mask_maps(layers, maps, masks, groups):
                     ok = allowed[r]
                     attn[r, ok] = 1.0 / ok.sum()
             sums = attn.sum(axis=1, keepdims=True)
-        out.append(attn / sums)
+        masked = attn / sums
+        if layer.attn_type == SELF:
+            masked[~covered] = maps[li][~covered]  # rows in no box are left as given
+        out.append(masked)
     return out
 
 
@@ -550,10 +557,10 @@ def test_sa_energies_match_reference_bitwise(seed):
     attn = rng.integers(0, 17, (36, 36)) / 16.0
     flats = (rng.random((3, 36)) < 0.4).astype(np.float64)
     flats[2] = 0.0
-    got = _sa_box_energies(attn, flats)
+    got = _sa_box_energies(attn, RowLayout(flats))
     for i, m in enumerate(flats):
         assert tuple(got[i]) == ref_sa_energies(attn, m)
-        assert tuple(_sa_box_energies(attn, m[None, :])[0]) == ref_sa_energies(attn, m)
+        assert tuple(_sa_box_energies(attn, RowLayout(m[None, :]))[0]) == ref_sa_energies(attn, m)
     assert tuple(got[2]) == ref_sa_energies(attn, flats[2]) == (0.0, 0.0)
 
 
@@ -684,6 +691,49 @@ def test_apply_attention_masking_leaves_its_record_alone(problem):
         assert _same_bits(a, b)
 
 
+# The benchmark's boxes, and two overlapping boxes, one of them a small
+# corner box whose rows all lie in the first row block of a 64x64 grid's
+# self-attention map (4 of its 32 rows at 32x32).
+_PASS_BOXES = {"benchmark": None,
+               "corner": [synthesis.BoxSpec(0.0, 0.0, 0.125, 0.125),
+                          synthesis.BoxSpec(0.05, 0.05, 0.6, 0.7)]}
+
+
+@pytest.mark.parametrize("boxes", sorted(_PASS_BOXES))
+@pytest.mark.parametrize("grid", [16, 64], ids=["16x16", "64x64"])
+def test_record_api_equals_the_synthesis_passes_bitwise(grid, boxes):
+    # Every self-attention pass mode and the record API run one softmax
+    # division, one energy partition and one masking kernel. At 16x16 the
+    # map is one row block; at 64x64 it is 8, run on the row-block workers
+    # on a machine with more than one CPU.
+    dim = 4 if grid == 16 else 16
+    scen = generate_scenario((grid, grid), 2, rho=0.8, seed=0, dim=dim)
+    emb = _token_matrix(synthesis_tokens(scen, gain=10.0), dim)
+    params = default_params(dim, grid, grid, seed=7)
+    resolutions = sorted({(l.height, l.width) for l in params.layers})
+    masks = synthesis._MaskSet(instance_masks_from_boxes(
+        _PASS_BOXES[boxes] or scen.boxes(), resolutions))
+    z = np.random.default_rng(0).standard_normal((grid, grid, dim))
+    record = record_from_maps(params.layers, forward_cache(z, emb, params.layers).maps())
+    masked = apply_attention_masking(record, masks, [[1], [2]])
+    li = gated_layers(params.layers, SELF)[0]
+    layer = params.layers[li]
+    raw, layout = record.maps()[li], synthesis._row_layout(masks, layer)
+    energies = _sa_box_energies(raw, layout)
+    for i, mset in enumerate(masks):
+        assert fg_bg_energies(record, li, mset[(layer.height, layer.width)], []) \
+            == tuple(energies[i])
+    run = SimpleNamespace(emb=emb, layers=params.layers, masks=masks, scratch={},
+                          stores={}, refinement=refine.RefinementConfig())
+    for mode in (INBOX, STREAM, REFRESH):
+        cache, passes = synthesis._forward(run, z, mode)
+        assert _same_bits(passes[li].energies, energies)
+        if mode == REFRESH:
+            assert _same_bits(cache.layers[li].attn, masked.maps()[li])
+        else:
+            assert _same_bits(cache.layers[li].attn, raw[layout.union])
+
+
 # ---------------------------------------------------------------------------
 # Kernels that sum in another order
 # ---------------------------------------------------------------------------
@@ -720,7 +770,7 @@ def _sa_energy_problems(draw):
 @given(_sa_energy_problems())
 def test_sa_box_energies_match_reference(problem):
     attn, flats = problem
-    got = _sa_box_energies(attn, flats)
+    got = _sa_box_energies(attn, RowLayout(flats))
     assert got.shape == (len(flats), 2)
     for (fg, bg), m in zip(got, flats):
         if not m.any():
@@ -770,7 +820,8 @@ def test_masked_readout_matches_readout_of_masked_maps(problem):
     ref, ref_warned = _warnings_of(
         lambda: readout_eps(cache, _mask_maps(layers, [m.copy() for m in raw],
                                               masks, groups)))
-    new, warned = _warnings_of(_masked_readout, cache, masks, groups)
+    new, warned = _warnings_of(_masked_readout, cache, masks, groups,
+                               _stream_passes(cache, masks))
     assert _close(new, ref)
     assert warned == ref_warned
     # Only the cross-attention maps were masked where they lie.
@@ -791,7 +842,8 @@ def test_masked_readout_dead_row_falls_back_to_the_mean_of_permitted_values():
                          layers=[LayerCache(work, None, None, None, v, attn.copy())])
     masks = [{(2, 2): BinaryMask([[1, 1], [0, 0]])},
              {(2, 2): BinaryMask([[0, 1], [0, 1]])}]
-    new, warned = _warnings_of(_masked_readout, cache, masks, [[1], [2]])
+    new, warned = _warnings_of(_masked_readout, cache, masks, [[1], [2]],
+                               _stream_passes(cache, masks))
     assert [category for category, _ in warned] == [DegenerateInputWarning]
     ref, ref_warned = _warnings_of(
         lambda: readout_eps(cache, _mask_maps([work], [attn.copy()], masks, [[1], [2]])))

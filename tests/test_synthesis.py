@@ -17,6 +17,7 @@ from attnctl.errors import (
     ShapeError,
 )
 from attnctl.gradients import GRADIENTS
+from attnctl.sapass import STREAM, SAPass
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     BoxSpec,
@@ -497,12 +498,30 @@ def _masks_64x64(sc, params):
     return instance_masks_from_boxes(sc.boxes(), resolutions)
 
 
+def _stream_passes(cache, masks):
+    """Each self-attention layer's ``STREAM`` pass, built as a synthesis
+    step's ``_forward`` builds one, run over the cache's whole map: its
+    softmax rows are read as the pass reads its exponentials, and the map
+    is left as it was."""
+    passes = {}
+    for li, lc in enumerate(cache.layers):
+        if lc.work.attn_type == "SA":
+            n = lc.attn.shape[0]
+            sa = passes[li] = SAPass(synthesis._row_layout(masks, lc.work), STREAM,
+                                     core.row_scratch(n, n), gated=False)
+            sa.start(lc.v)
+            sa.finish(core.map_row_blocks(
+                lambda blk, buf: sa.read_rows(blk, lc.attn[blk], buf), n, n, sa.scratch))
+    return passes
+
+
 def _threaded_outputs(sc, tokens, params, cfg, latent):
     """Everything a 64x64 run computes in row blocks: the forward maps, the
     masked readout and a whole synthesis run."""
     cache = forward_cache(latent, _token_matrix(tokens, params.dim), params.layers)
     maps = [m.copy() for m in cache.maps()]
-    eps = synthesis._masked_readout(cache, _masks_64x64(sc, params), [[1], [2]])
+    masks = _masks_64x64(sc, params)
+    eps = synthesis._masked_readout(cache, masks, [[1], [2]], _stream_passes(cache, masks))
     return maps, eps, _run_64x64(sc, tokens, params, cfg, latent)
 
 
@@ -576,7 +595,8 @@ def test_threaded_readout_warns_once_from_the_caller_on_a_dead_row():
     sa.attn[rows[0], allowed] = 0.0  # an in-box row with no permitted mass
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        eps = synthesis._masked_readout(cache, masks, [[1], [2]])
+        eps = synthesis._masked_readout(cache, masks, [[1], [2]],
+                                        _stream_passes(cache, masks))
     assert [w.category for w in caught] == [DegenerateInputWarning]
     assert caught[0].filename == __file__
     assert np.all(np.isfinite(eps))
