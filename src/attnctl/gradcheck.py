@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryMask
-from .denoiser import default_params, forward_cache, readout_eps, workspace
+from .denoiser import default_params, forward_cache, readout_eps, toy_schedule, workspace
 from .gradients import backprop
 from .learning import (
     InstanceSet,
@@ -24,12 +24,17 @@ from .learning import (
     _rec_loss_and_grad,
     total_learning_loss,
 )
+from .sapass import INBOX
 from .synthesis import (
     BoxSpec,
     ScheduleParams,
     SynthesisConfig,
     _box_loss_grads,
     _box_loss_terms,
+    _forward,
+    _MaskSet,
+    _pass_energies,
+    _SamplingRun,
     alpha_decay,
     instance_masks_from_boxes,
 )
@@ -84,6 +89,7 @@ class _Fixture:
     instances: InstanceSet
     draw: SampleDraw
     masks: list          # per-instance resolution-indexed box masks
+    resolutions: list
     groups: list
     config: LearningConfig
     syn: SynthesisConfig
@@ -117,7 +123,7 @@ def build_fixture(seed: int = 0) -> _Fixture:
 
     return _Fixture(
         z=z, emb=emb, eps=eps, layers=layers, instances=instances, draw=draw,
-        masks=masks, groups=groups,
+        masks=masks, resolutions=resolutions, groups=groups,
         config=LearningConfig(),
         syn=SynthesisConfig(),
         sched=ScheduleParams(),
@@ -144,6 +150,23 @@ def _rec_value(fx: _Fixture) -> float:
 
 def _attn_value(fx: _Fixture, branch: str) -> float:
     return _learning_losses(fx, branch)[3]
+
+
+def _step_box_grads(fx: _Fixture, alpha_t: float):
+    """The box-loss gradient as an optimizing synthesis step takes it
+    (``synthesis._sampling_step``): the cache of the step's first pass,
+    which keeps the in-box self-attention rows alone, and the gradient on
+    it, whose self-attention part runs on the run's lanes."""
+    run = _SamplingRun(emb=fx.emb, layers=fx.layers, groups=fx.groups,
+                       masks=_MaskSet(fx.masks), resolutions=fx.resolutions, config=fx.syn,
+                       sched=fx.sched, schedule=toy_schedule(fx.syn.total_steps),
+                       refinement=None)
+    cache, passes = _forward(run, fx.z, INBOX)
+    maps = cache.maps()
+    per_terms, _ = _box_loss_terms(fx.layers, maps, run.masks, fx.groups, alpha_t, fx.syn,
+                                   _pass_energies(passes))
+    return cache, _box_loss_grads(fx.layers, maps, run.masks, fx.groups, alpha_t, fx.syn,
+                                  per_terms, scratch=run.scratch)
 
 
 def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
@@ -186,14 +209,10 @@ def run_gradcheck(seed: int = 0) -> "list[GradCheck]":
 
     # --- combined box-control loss wrt latent ------------------------------
     alpha_t = alpha_decay(fx.decay_step, fx.sched, fx.syn.bound_steps)
-    cache = forward_cache(fx.z, fx.emb, fx.layers)
-    maps = cache.maps()
-    per_terms, _ = _box_loss_terms(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn)
-    d_attn = _box_loss_grads(fx.layers, maps, fx.masks, fx.groups, alpha_t, fx.syn,
-                             per_terms)
+    cache, d_attn = _step_box_grads(fx, alpha_t)
     analytic = backprop(cache, d_attn=d_attn, d_eps=None).d_z
 
-    def combined_value():
+    def combined_value():  # whole maps: apart from the path under test
         m = forward_cache(fx.z, fx.emb, fx.layers).maps()
         return _box_loss_terms(fx.layers, m, fx.masks, fx.groups, alpha_t, fx.syn)[1]
 

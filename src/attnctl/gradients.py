@@ -40,15 +40,11 @@ Self attention projects its keys and values from the latent, so no
 self-attention layer reaches the embeddings, and ``wrt=("emb",)`` skips
 every one. dWv needs no softmax backward: ``wrt=("wv",)`` runs dV alone.
 
-The softmax backward, dQ and dK run over the rows of dA that can be
-non-zero, a block of rows at a time, so no n x n buffer is built. With no
-readout gradient those are the rows a ``RowGrad`` names: box control
-differentiates self attention on in-box rows only, every other row of dZ
-and dQ is zero, and dK sums over the named rows alone. A dense dA is the
-all-rows case of the same pass; a map whose blocks hold all its rows at
-once (every cross-attention map, and self attention up to 32x32 grids) is
-done in one block, in exactly the arithmetic of the unblocked formulas,
-and with a dense dA ``backprop`` runs that block alone, with no block loop.
+The softmax backward, dQ and dK run a block of rows at a time, so no n x n
+buffer is built. A map whose blocks hold all its rows at once (every
+cross-attention map, and self attention up to 32x32 grids) is done in one
+block, in exactly the arithmetic of the unblocked formulas, and with a
+dense dA ``backprop`` runs that block alone, with no block loop.
 
 ``backprop`` makes its per-layer decisions for a ``wrt`` (which products a
 layer needs, its transposed weights, whether its map is one row block)
@@ -58,15 +54,17 @@ loop backpropagates through one cache per chunk of iterations, which
 chunk; the weights are updated in place, so the transposed views stay
 current.
 
-Synthesis's forward pass keeps a self-attention map on its in-box rows
-alone (``LayerCache.rows``): one compact (rows x n) array, in the layout of
-a ``RowGrad``'s values. Its box-loss gradient is a ``RowGrad`` on those
-same rows (``sapass.SARowGrad``, which computes each block from the compact
-rows as it is read), and the row path reads the compact rows in place. That
-gradient carries the run's lane scratch (``core.row_scratch``), so the
-pass runs on the row-block workers in blocks of half a lane buffer
-(``core.lane_blocks``), each block's dA and dZ in one buffer; every other
-pass, and all of learning's, runs inline, through the same block task.
+Box control differentiates self attention on in-box rows only, and
+synthesis's forward pass keeps a self-attention map on those rows alone
+(``LayerCache.rows``): one compact (rows x n) array. Its box-loss gradient
+is a ``RowGrad`` on exactly those rows (``sapass.SARowGrad``), with no
+readout gradient, so every other row of dZ and dQ is zero and dK sums over
+the kept rows alone. The pass reads the compact rows in place, and each
+block computes its gradient rows as it reads them, on the row-block
+workers' lanes (``core.row_scratch``), in blocks of half a lane buffer
+(``core.lane_blocks``), its dA and dZ in one buffer. ``backprop`` refuses
+a ``RowGrad`` on any other map or with a readout gradient, and any other
+gradient on a map kept on some rows.
 """
 from __future__ import annotations
 
@@ -112,33 +110,18 @@ def _spread_latent_grad(shape: "tuple[int, int, int]",
 
 
 class RowGrad:
-    """dL/dA on some rows of an attention map: row ``rows[j]`` of the
-    gradient is ``values[j]``, and every other row is zero. ``rows`` is
-    sorted, without repeats. ``backprop`` reads the values one row block at
-    a time (``block``), so a subclass may compute each block when it is
-    read instead of storing them all; one that sets ``scratch`` (lanes of
-    ``core.row_scratch``) has its blocks run on the row-block workers."""
+    """dL/dA on the rows ``rows`` (sorted, without repeats) of a map that the
+    forward cache keeps on those rows alone; every other row is zero.
+    ``backprop`` reads it one block at a time on the lanes ``scratch`` (of
+    ``core.row_scratch``): ``block(blk, out, tmp)`` writes the values of
+    rows[blk] into ``out``, a buffer of their shape, as is ``tmp``, and
+    returns it."""
 
-    scratch = None
+    rows: np.ndarray
+    scratch: "list[np.ndarray]"
 
-    def __init__(self, rows: np.ndarray, values: "np.ndarray | None"):
-        self.rows = rows      # (r,) row indices
-        self.values = values  # (r, columns)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def block(self, blk: slice, out=None, tmp=None) -> np.ndarray:
-        """The values of rows[blk]. A subclass that computes them may write
-        them into ``out`` and use ``tmp`` (buffers of the block's shape)."""
-        return self.values[blk]
-
-    def dense(self, n_rows: int) -> np.ndarray:
-        out = np.zeros((n_rows, self.width))
-        for blk in row_blocks(self.rows.size, self.width):
-            out[self.rows[blk]] = self.block(blk)
-        return out
+    def block(self, blk: slice, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
 
 def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray,
@@ -151,33 +134,31 @@ def softmax_rows_backward(attn: np.ndarray, d_attn: np.ndarray,
     return out
 
 
-def _softmax_block(lc, upstream, rows, held: bool, d_out, scale: float, dq, want_dk: bool,
-                   blk: slice, buf: "np.ndarray | None" = None, dk_out=None):
+def _softmax_block(lc, upstream, d_out, scale: float, dq, want_dk: bool, blk: slice,
+                   buf: "np.ndarray | None" = None, dk_out=None):
     """One row block of a layer's softmax backward (see ``_softmax_rows``): its
     dA, dZ and dQ rows, written into ``dq`` if given, and its dK partial,
-    dZ^T Q (unscaled), returned if ``want_dk``. The block is ``blk`` of
-    every row (``rows`` None) or of the rows of a ``RowGrad`` ``upstream``,
-    read in place from a map ``held`` on those rows alone. On the
-    row-block workers, ``buf`` is the lane's buffer, whose two halves take
-    the block's dA and dZ, and ``dk_out`` maps the block's start to an array
-    of the calling thread for its partial."""
-    r = blk if rows is None else rows[blk]
+    dZ^T Q (unscaled), returned if ``want_dk``. ``blk`` indexes the rows
+    the cache holds of the map (``lc.rows``, or every row). On a map kept
+    on some rows, the ``RowGrad`` ``upstream`` runs on the lane buffer
+    ``buf``, whose two halves take the block's dA and dZ, and ``dk_out``
+    maps the block's start to an array of the calling thread for its
+    partial."""
+    r = blk if lc.rows is None else lc.rows[blk]
     dz_out = None
     if d_out is not None:
         da = d_out[blk] @ lc.v.T
         if upstream is not None:
             da = da + upstream[blk]
-    elif rows is None:
+    elif lc.rows is None:
         # No readout gradient: dO = 0, so dA is the upstream alone and dV,
         # dWv are zero.
         da = upstream[blk]
-    elif buf is None:
-        da = upstream.block(blk)
     else:
         size, half = blk.stop - blk.start, buf.shape[0] // 2
         dz_out = buf[half:half + size]
         da = upstream.block(blk, buf[:size], dz_out)
-    dz_logits = softmax_rows_backward(lc.attn[blk if held else r], da, dz_out)
+    dz_logits = softmax_rows_backward(lc.attn[blk], da, dz_out)
     if dq is not None:
         dq[r] = scale * (dz_logits @ lc.k)
     if not want_dk:
@@ -187,31 +168,27 @@ def _softmax_block(lc, upstream, rows, held: bool, d_out, scale: float, dq, want
     return np.matmul(dz_logits.T, lc.q[r], out=dk_out[blk.start])
 
 
-def _softmax_rows(lc, upstream, rows, held: bool, d_out, scale: float, want_dq: bool,
-                  want_dk: bool):
+def _softmax_rows(lc, upstream, d_out, scale: float, want_dq: bool, want_dk: bool):
     """A layer's softmax backward, one ``_softmax_block`` task per row
-    block: dQ (zero on rows outside ``rows``) if ``want_dq`` and the
+    block: dQ (zero on rows the map does not keep) if ``want_dq`` and the
     unscaled dK, the block partials added in block order, if ``want_dk``.
-    The blocks run inline; for a map ``held`` on its rows whose gradient
-    has ``scratch``, they run on the row-block workers in blocks of half a
-    lane buffer (``core.lane_blocks``), their dK partials in arrays of the
-    calling thread."""
+    A dense dA runs its blocks inline; a ``RowGrad`` runs on its lanes, in
+    blocks of half a lane buffer (``core.lane_blocks``), their dK partials
+    in arrays of the calling thread."""
     n, d = lc.q.shape
     width = lc.attn.shape[1]
     dq = np.zeros((n, d)) if want_dq else None
-    scratch = upstream.scratch if held else None
-    if scratch is None:
-        parts = []
-        for blk in row_blocks(n if rows is None else rows.size, width):
-            parts.append(_softmax_block(lc, upstream, rows, held, d_out, scale, dq, want_dk,
-                                        blk))
+    if lc.rows is None:
+        parts = [_softmax_block(lc, upstream, d_out, scale, dq, want_dk, blk)
+                 for blk in row_blocks(n, width)]
     else:
-        blocks = lane_blocks(rows.size, scratch[0].shape[0])
+        scratch = upstream.scratch
+        blocks = lane_blocks(lc.rows.size, scratch[0].shape[0])
         dk_out = dict(zip([blk.start for blk in blocks],
                           np.empty((len(blocks), *lc.k.shape)))) if want_dk else None
-        task = functools.partial(_softmax_block, lc, upstream, rows, held, d_out, scale, dq,
-                                 want_dk, dk_out=dk_out)
-        parts = map_row_blocks(task, rows.size, width, scratch, blocks)
+        task = functools.partial(_softmax_block, lc, upstream, d_out, scale, dq, want_dk,
+                                 dk_out=dk_out)
+        parts = map_row_blocks(task, lc.rows.size, width, scratch, blocks)
     if not want_dk:
         return dq, None
     dk = parts[0] if parts else np.zeros_like(lc.k)
@@ -305,6 +282,15 @@ def backprop(cache: ForwardCache,
                 d_wv.append(np.zeros((d, d)))
             continue
 
+        # A map kept on some rows (synthesis's in-box rows) backpropagates a
+        # RowGrad on exactly those rows, with no readout gradient; a RowGrad
+        # needs such a map.
+        rowwise = isinstance(upstream, RowGrad)
+        if (rowwise or lc.rows is not None) and not (
+                rowwise and d_eps is None and np.array_equal(upstream.rows, lc.rows)):
+            raise ValueError("a RowGrad backpropagates only on a map cached on its rows, "
+                             "with no readout gradient, and such a map only a RowGrad")
+
         d_out = None
         if d_eps is not None:
             d_out = d_outs.get(res)
@@ -313,27 +299,12 @@ def backprop(cache: ForwardCache,
 
         d_src = dx = None
         if through_softmax:
-            rows = None  # None: every row of dA can be non-zero
-            if isinstance(upstream, RowGrad):
-                if d_out is None:
-                    rows = upstream.rows
-                else:  # the readout gradient reaches every row
-                    upstream = upstream.dense(lc.q.shape[0])
-            # A cache that keeps some rows of the map (synthesis's in-box
-            # rows) is read in place, on a gradient of exactly those rows;
-            # one with scratch runs its blocks on the row-block workers.
-            held = lc.rows is not None
-            if held and not (rows is not None and np.array_equal(rows, lc.rows)):
-                raise ValueError("a map cached on some rows backpropagates only "
-                                 "a RowGrad on those rows, with no readout gradient")
-            if one_block and rows is None and not held:
+            if one_block and lc.rows is None:
                 # A dense map of one row block is that block: no block loop.
                 dq = np.empty(lc.q.shape) if want_z else None
-                dk = _softmax_block(lc, upstream, None, False, d_out, scale, dq, want_src,
-                                    slice(None))
+                dk = _softmax_block(lc, upstream, d_out, scale, dq, want_src, slice(None))
             else:
-                dq, dk = _softmax_rows(lc, upstream, rows, held, d_out, scale, want_z,
-                                       want_src)
+                dq, dk = _softmax_rows(lc, upstream, d_out, scale, want_z, want_src)
             if dq is not None:
                 dx = dq @ wq_t
             if want_src:

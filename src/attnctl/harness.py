@@ -370,11 +370,11 @@ def run_experiment(config_path: str, out_dir: str) -> ExperimentResult:
     """Learning followed by synthesis on the configured scenario; writes all
     artifacts plus a manifest with the config hash and library versions."""
     cfg, config_bytes, run, scenario = _open_run(config_path, out_dir)
-    learn, metrics_rows = _learn(run, cfg, scenario)
     if cfg.boxes is not None and len(cfg.boxes) != scenario.n_instances:
         raise ConfigurationError(
             f"{len(cfg.boxes)} boxes configured for {scenario.n_instances} instances"
         )
+    learn, metrics_rows = _learn(run, cfg, scenario)
     synth, groups, finals = _synthesize(run, cfg, scenario, learn.tokens, learn.params)
 
     _, synth_record = forward_denoise(synth.z_final, 0, learn.tokens,

@@ -11,16 +11,16 @@ each block, while it is hot, all that the step needs of it
 - on a mask refresh, the masked rows, written back into the whole map.
 
 What it keeps of the map is one compact (rows x n) array of the in-box rows,
-in the layout of a ``gradients.RowGrad``'s values, or, on a refresh, the
-whole masked map; rows in no box are never stored otherwise. A pass that
-keeps only those rows divides only them: its blocks hold the undivided
-exponentials of the logits, and one product with ``[V | 1]`` gives both
-the raw readout and the row sums, so a row's division costs its d outputs
-unless the row is kept, as FlashAttention (Dao et al. 2022) and the online
-softmax (Milakov & Gimelshein 2018) rescale the output rather than the
-map. The box-loss gradient on the kept rows (``SARowGrad``) is computed
-from the compact rows a block at a time, as ``backprop`` reads it, on the
-row-block workers too.
+or, on a refresh, the whole masked map; rows in no box are never stored
+otherwise. A pass that keeps only those rows divides only them: its blocks
+hold the undivided exponentials of the logits, and one product with
+``[V | 1]`` gives both the raw readout and the row sums, so a row's
+division costs its d outputs unless the row is kept, as FlashAttention
+(Dao et al. 2022) and the online softmax (Milakov & Gimelshein 2018)
+rescale the output rather than the map. The box-loss gradient
+(``SARowGrad``) is a ``gradients.RowGrad`` on an ``INBOX`` pass's compact
+rows, computed from them a block at a time as ``backprop`` reads it, on
+the row-block workers' lanes too.
 
 Each quantity has one kernel here, which every pass mode and the record
 API in ``synthesis`` run, so that they agree bit for bit:
@@ -305,29 +305,22 @@ class SAPass:
 
 class SARowGrad(RowGrad):
     """The self-attention box-loss gradient: the sum over instances of each
-    in-box row of ``attn`` times the instance's coefficient row
-    (``coefs``, in instance order), on the union of the in-box rows of
-    ``layout``. ``attn`` is the map, or its compact rows on that union,
-    read in place. Each row block is computed when ``backprop`` reads it,
-    into the buffer it gives, so no array of the rows' size is built;
-    ``scratch`` (the lanes of ``core.row_scratch``) lets ``backprop`` run
-    the blocks on the row-block workers."""
+    in-box row of the map times the instance's coefficient row (``coefs``,
+    in instance order), on the union of the in-box rows of ``layout``.
+    ``held`` is the map's compact rows on that union, as an ``INBOX`` pass
+    keeps them, read in place. Each row block is computed when ``backprop``
+    reads it, into the lane buffer it gives, so no array of the rows' size
+    is built."""
 
-    def __init__(self, attn: np.ndarray, coefs, layout: RowLayout, scratch=None):
-        super().__init__(layout.union, None)
-        self.attn, self.coefs, self.layout, self.scratch = attn, coefs, layout, scratch
-        self.compact = attn.shape[0] == self.rows.size
+    def __init__(self, held: np.ndarray, coefs, layout: RowLayout, scratch):
+        self.rows, self.scratch = layout.union, scratch
+        self.held, self.coefs, self.layout = held, coefs, layout
 
-    @property
-    def width(self) -> int:
-        return self.attn.shape[1]
-
-    def block(self, blk: slice, out=None, tmp=None) -> np.ndarray:
+    def block(self, blk: slice, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """Each row is its first instance's product, plus the product of
-        each later instance whose box holds it (formed in ``tmp``, if
-        given). One multiply per run of rows that one set of boxes holds."""
-        raw = self.attn[blk] if self.compact else self.attn[self.rows[blk]]
-        out = np.empty_like(raw) if out is None else out
+        each later instance whose box holds it (formed in ``tmp``). One
+        multiply per run of rows that one set of boxes holds."""
+        raw = self.held[blk]
         layout = self.layout
         j = bisect.bisect_right(layout.run_starts, blk.start) - 1
         while j < len(layout.run_starts) and layout.run_starts[j] < blk.stop:
@@ -336,7 +329,6 @@ class SARowGrad(RowGrad):
             first, *later = layout.run_boxes[j]
             np.multiply(raw[run], self.coefs[first], out=out[run])
             for i in later:
-                out[run] += np.multiply(raw[run], self.coefs[i],
-                                        out=None if tmp is None else tmp[run])
+                out[run] += np.multiply(raw[run], self.coefs[i], out=tmp[run])
             j += 1
         return out

@@ -29,7 +29,10 @@ block's task reads from the block all that the step needs of it
   only rows the box energies and their gradient read, with the energies,
   and keeps them in one compact (rows x n) array, from which the gradient
   (``sapass.SARowGrad``) and the backward pass read them in place, the
-  backward in blocks split evenly between the two row-block lanes;
+  backward in blocks split evenly between the two row-block lanes. It is
+  the only row-restricted backward, and ``attnctl gradcheck`` checks it:
+  its box-loss checks build their gradient as a step does, from this pass
+  (``_forward``), its energies and ``_box_loss_grads``;
 - any other pass computes every row, and from each block the energies,
   the raw ``A V`` of rows in no box and the masked readout of in-box rows.
   It keeps the in-box rows alone, and never stores a row in no box; it
@@ -399,13 +402,13 @@ def _box_loss_terms(layers, maps, masks, groups, alpha_t: float,
 
 def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                     config: SynthesisConfig, per_instance: "list[_InstanceTerms]",
-                    scratch=None) -> "list[np.ndarray | RowGrad | None]":
-    """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms. A
-    cross-attention gradient is dense; a self-attention one is a ``RowGrad``
-    on the union of the in-box rows, the only rows its energies read
-    (``sapass.SARowGrad``). ``scratch``, a run's ``row_scratch`` by map width,
-    gives a self-attention gradient the lanes that ``backprop`` runs its
-    blocks on."""
+                    scratch) -> "list[np.ndarray | RowGrad | None]":
+    """dL/dA per layer for L = sum_i loss_i^2, given precomputed terms, on
+    the maps of an ``INBOX`` pass (``_forward``). A cross-attention
+    gradient is dense; a self-attention one is a ``sapass.SARowGrad`` on the
+    layer's compact in-box rows, the only rows its energies read, which
+    ``backprop`` runs on the lanes of ``scratch``, the run's
+    ``row_scratch`` by map width."""
     gated = (gated_layers(layers, CROSS), gated_layers(layers, SELF))
     d_attn: "list[np.ndarray | RowGrad | None]" = [None] * len(layers)
     sa_coefs: "dict[int, list]" = {}  # layer -> coefficient row per instance
@@ -435,7 +438,7 @@ def _box_loss_grads(layers, maps, masks, groups, alpha_t: float,
                         cf * 2.0 * m[None, :] + cb * 2.0 * (1.0 - m)[None, :])
     for li, coefs in sa_coefs.items():
         d_attn[li] = SARowGrad(maps[li], coefs, _row_layout(masks, layers[li]),
-                               (scratch or {}).get(maps[li].shape[1]))
+                               scratch[maps[li].shape[1]])
     return d_attn
 
 
@@ -459,16 +462,13 @@ def combined_attn_loss(record: AttentionRecord, masks, groups, t: int,
 
 
 def latent_opt_step(z: np.ndarray, grad: np.ndarray, beta: float) -> np.ndarray:
-    """One explicit gradient step on the latent, ``z - beta * grad``,
-    computed in one latent-sized buffer: ``beta * grad``, then ``z`` minus
-    it, written over it."""
+    """One explicit gradient step on the latent."""
     z, grad = matched_arrays(z, grad, "latent", "gradient")
     if beta < 0.0:
         raise ConfigurationError("beta: must be >= 0")
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("latent gradient contains non-finite values")
-    step = beta * grad
-    return np.subtract(z, step, out=step)
+    return z - beta * grad
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnctl import gradients
 from attnctl.core import NARROW_COLS, softmax_rows_inplace
+from attnctl.denoiser import forward_cache
 from attnctl.gradcheck import (
     REL_TOL,
+    _step_box_grads,
+    build_fixture,
     central_diff,
     compare,
     format_results,
     run_gradcheck,
 )
-from attnctl.gradients import softmax_rows_backward
+from attnctl.gradients import RowGrad, backprop, softmax_rows_backward
+from attnctl.sapass import SARowGrad
 
 
 def test_central_diff_on_quadratic():
@@ -43,6 +48,43 @@ def test_all_hand_gradients_match_finite_differences(seed):
     assert any(n.startswith("masked_rec_wrt_value_proj") for n in names)
     for r in results:
         assert r.max_rel <= REL_TOL, f"{r.name}: max rel {r.max_rel:.3e}"
+
+
+def test_gradcheck_box_backward_runs_on_the_in_box_rows(monkeypatch):
+    # The box-loss checks verify the backward an optimizing synthesis step
+    # runs: on a cache that keeps the self-attention map's in-box rows alone,
+    # a gradient on exactly those rows, on the run's lanes.
+    calls = []
+    softmax_rows = gradients._softmax_rows
+
+    def spy(lc, upstream, *args):
+        calls.append((lc.rows, upstream))
+        return softmax_rows(lc, upstream, *args)
+
+    monkeypatch.setattr(gradients, "_softmax_rows", spy)
+    assert all(r.passed for r in run_gradcheck(0))
+    assert len(calls) == 2  # combined_box_wrt_latent and _wrt_embeddings
+    for rows, upstream in calls:
+        assert rows is not None and isinstance(upstream, SARowGrad)
+        assert np.array_equal(upstream.rows, rows) and upstream.scratch
+
+
+def test_backprop_refuses_a_row_gradient_off_its_compact_rows():
+    fx = build_fixture(0)
+    compact, d_attn = _step_box_grads(fx, 0.3)
+    sa = [li for li, g in enumerate(d_attn) if isinstance(g, RowGrad)]
+    assert sa
+    whole = forward_cache(fx.z, fx.emb, fx.layers)
+    dense = [np.zeros(lc.attn.shape) if li in sa else d_attn[li]
+             for li, lc in enumerate(whole.layers)]
+    backprop(compact, d_attn=d_attn)
+    backprop(whole, d_attn=dense)
+    with pytest.raises(ValueError, match="RowGrad"):  # with a readout gradient
+        backprop(compact, d_attn=d_attn, d_eps=np.zeros(fx.z.shape))
+    with pytest.raises(ValueError, match="RowGrad"):  # on a whole-map cache
+        backprop(whole, d_attn=d_attn)
+    with pytest.raises(ValueError, match="RowGrad"):  # a dense one on the compact rows
+        backprop(compact, d_attn=dense)
 
 
 def test_format_results_mentions_verdict():

@@ -210,6 +210,7 @@ def test_run_rejects_box_count_mismatch(tmp_path):
     config.write_text(TINY_CONFIG + "\n[boxes]\nbox_0 = 0 0 0.5 0.5\ngroup_0 = 1\n")
     with pytest.raises(ConfigurationError, match="boxes configured"):
         run_experiment(str(config), str(tmp_path / "run"))
+    assert os.listdir(tmp_path / "run") == []  # refused before learning wrote anything
 
 
 def test_report_contents(experiment):

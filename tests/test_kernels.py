@@ -22,10 +22,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnctl import gradients, learning, refine, synthesis
+from attnctl import core, gradients, learning, refine, synthesis
 from attnctl.core import (
     CROSS,
     DECODER,
@@ -50,7 +50,7 @@ from attnctl.denoiser import (
 )
 from attnctl.errors import DegenerateInputWarning
 from attnctl.gradients import backprop
-from attnctl.sapass import INBOX, REFRESH, STREAM, RowLayout
+from attnctl.sapass import INBOX, REFRESH, STREAM, RowLayout, SAPass, SARowGrad
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     ScheduleParams,
@@ -424,6 +424,42 @@ def _loss_inputs(seed, out_of_box):
     return cache, layers, maps, masks, groups, config, per
 
 
+def _inbox_cache(z, emb, layers, layouts):
+    """The cache of an optimizing step's first pass: ``forward_cache`` with
+    each self-attention layer in ``layouts`` (by index) in an ``INBOX``
+    pass, which keeps its in-box rows alone, and the lanes, by map width,
+    that a gradient on those rows runs on."""
+    scratch, passes = {}, {}
+    for li, layout in layouts.items():
+        n = layout.flats.shape[1]
+        scratch.setdefault(n, core.row_scratch(n, n))
+        passes[li] = SAPass(layout, INBOX, scratch[n], gated=True)
+    return forward_cache(z, emb, layers, passes), scratch
+
+
+def _compact_box_grads(seed, out_of_box):
+    """``_loss_inputs``' latent through an optimizing step's first pass: the
+    compact cache, and ``_box_loss_grads`` on its maps, given the whole-map
+    terms of ``_loss_inputs``."""
+    layers, z, emb, masks, groups = _setup(seed=seed)
+    layouts = {li: synthesis._row_layout(masks, layer)
+               for li, layer in enumerate(layers) if layer.attn_type == SELF}
+    cache, scratch = _inbox_cache(z, emb, layers, layouts)
+    *_, config, per = _loss_inputs(seed, out_of_box)
+    return cache, _box_loss_grads(layers, cache.maps(), masks, groups, 0.3, config, per,
+                                  scratch=scratch)
+
+
+def _dense(grad, n_rows):
+    """A ``RowGrad``'s dense form: its rows, zero elsewhere."""
+    size, width = grad.rows.size, grad.held.shape[1]
+    out = np.zeros((n_rows, width))
+    if size:
+        out[grad.rows] = grad.block(slice(0, size), np.empty((size, width)),
+                                    np.empty((size, width)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bitwise kernels
 # ---------------------------------------------------------------------------
@@ -470,39 +506,40 @@ _WRT_SUBSETS = [wrt for size in (1, 2, 3)
                 for wrt in itertools.combinations(gradients.GRADIENTS, size)]
 
 
-def _wrt_upstreams(layers, maps, masks, groups, config, per):
-    """Attention gradients in every form backprop takes: the box loss's
-    dense maps, its own RowGrads on the in-box self-attention rows, a random
-    dense gradient on every layer, encoder included, and none at all."""
+def _wrt_upstreams():
+    """(cache, attention gradients, readout gradients) in every form
+    backprop takes: on a whole-map cache, the box loss's dense maps, a
+    random dense gradient on every layer, encoder included, and none at
+    all, each with and without a readout gradient (not both absent); on the
+    compact cache of an optimizing step's first pass, the box loss's own
+    gradients, row gradients on the in-box self-attention rows, with no
+    readout gradient."""
+    cache, layers, maps, masks, groups, config, per = _loss_inputs(3, True)
+    d_eps = np.random.default_rng(3).standard_normal(cache.z.shape)
     rng = np.random.default_rng(5)
-    return [ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per),
-            _box_loss_grads(layers, maps, masks, groups, 0.3, config, per),
-            [rng.standard_normal(m.shape) for m in maps],
-            None]
+    dense = [ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per),
+             [rng.standard_normal(m.shape) for m in maps]]
+    cases = [(cache, upstream, readout) for upstream in dense for readout in (d_eps, None)]
+    return cases + [(cache, None, d_eps), (*_compact_box_grads(3, True), None)]
 
 
 @pytest.mark.parametrize("wrt", _WRT_SUBSETS)
 def test_backprop_computes_only_the_requested_gradients(wrt):
-    cache, layers, maps, masks, groups, config, per = _loss_inputs(3, True)
-    d_eps = np.random.default_rng(3).standard_normal(cache.z.shape)
-    for upstream in _wrt_upstreams(layers, maps, masks, groups, config, per):
-        for readout in (d_eps, None):
-            if upstream is None and readout is None:
-                continue
-            full = backprop(cache, d_attn=upstream, d_eps=readout)
-            part = backprop(cache, d_attn=upstream, d_eps=readout, wrt=wrt)
-            assert (part.d_emb is None) == ("emb" not in wrt)
-            assert (part.d_wv is None) == ("wv" not in wrt)
-            assert (part.d_z is None) == (part.dxs is None) == ("z" not in wrt)
-            if "emb" in wrt:
-                assert _same_bits(part.d_emb, full.d_emb)
-            if "wv" in wrt:
-                assert len(part.d_wv) == len(full.d_wv)
-                assert all(_same_bits(a, b) for a, b in zip(part.d_wv, full.d_wv))
-            if "z" in wrt:
-                assert _same_bits(part.d_z, full.d_z)
-                assert [(h, w) for h, w, _ in part.dxs] == [(h, w) for h, w, _ in full.dxs]
-                assert all(_same_bits(a, b) for (*_, a), (*_, b) in zip(part.dxs, full.dxs))
+    for cache, upstream, readout in _wrt_upstreams():
+        full = backprop(cache, d_attn=upstream, d_eps=readout)
+        part = backprop(cache, d_attn=upstream, d_eps=readout, wrt=wrt)
+        assert (part.d_emb is None) == ("emb" not in wrt)
+        assert (part.d_wv is None) == ("wv" not in wrt)
+        assert (part.d_z is None) == (part.dxs is None) == ("z" not in wrt)
+        if "emb" in wrt:
+            assert _same_bits(part.d_emb, full.d_emb)
+        if "wv" in wrt:
+            assert len(part.d_wv) == len(full.d_wv)
+            assert all(_same_bits(a, b) for a, b in zip(part.d_wv, full.d_wv))
+        if "z" in wrt:
+            assert _same_bits(part.d_z, full.d_z)
+            assert [(h, w) for h, w, _ in part.dxs] == [(h, w) for h, w, _ in full.dxs]
+            assert all(_same_bits(a, b) for (*_, a), (*_, b) in zip(part.dxs, full.dxs))
 
 
 @pytest.mark.parametrize("wrt", [(), ("emb", "d_z"), ("latent",), "z"])
@@ -516,9 +553,10 @@ def test_embedding_backprop_runs_no_self_attention_softmax_backward(monkeypatch)
     # Self attention projects its keys and values from the latent, so no
     # self-attention layer reaches the embeddings: asked for d_emb alone,
     # backprop must not run the softmax backward of a self-attention map,
-    # even with a readout gradient and an upstream on every layer.
-    cache, layers, maps, masks, groups, config, per = _loss_inputs(3, True)
-    d_eps = np.random.default_rng(3).standard_normal(cache.z.shape)
+    # even with a readout gradient and an upstream on every layer, or with
+    # a row gradient on a compact cache.
+    cases = _wrt_upstreams()
+    cache, _, d_eps = cases[0]
     n_tokens = cache.emb.shape[0]
     assert any(lc.attn.shape[1] != n_tokens for lc in cache.layers)  # an SA map
     columns = []
@@ -529,8 +567,8 @@ def test_embedding_backprop_runs_no_self_attention_softmax_backward(monkeypatch)
         return softmax_backward(attn, d_attn, out)
 
     monkeypatch.setattr(gradients, "softmax_rows_backward", logged)
-    for upstream in _wrt_upstreams(layers, maps, masks, groups, config, per):
-        backprop(cache, d_attn=upstream, d_eps=d_eps, wrt=("emb",))
+    for case_cache, upstream, readout in cases:
+        backprop(case_cache, d_attn=upstream, d_eps=readout, wrt=("emb",))
     assert columns and set(columns) == {n_tokens}
     # The value gradient alone needs no softmax backward at all.
     columns.clear()
@@ -566,8 +604,10 @@ def test_sa_energies_match_reference_bitwise(seed):
 
 @pytest.mark.parametrize("seed,out_of_box", [(0, True), (1, False), (2, True)])
 def test_box_loss_grads_match_reference_bitwise(seed, out_of_box):
-    cache, layers, maps, masks, groups, config, per = _loss_inputs(seed, out_of_box)
-    new = _box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
+    # The kernel runs on the compact maps of an optimizing step's first
+    # pass, the reference on the whole maps, whose in-box rows are the same.
+    _, layers, maps, masks, groups, config, per = _loss_inputs(seed, out_of_box)
+    _, new = _compact_box_grads(seed, out_of_box)
     ref = ref_box_loss_grads(layers, maps, masks, groups, 0.3, config, per)
     assert [g is None for g in new] == [g is None for g in ref]
     for layer, attn, a, b in zip(layers, maps, new, ref):
@@ -576,9 +616,9 @@ def test_box_loss_grads_match_reference_bitwise(seed, out_of_box):
         if layer.attn_type == SELF:
             # Self attention comes back on its in-box rows only; every other
             # row of the reference is zero.
-            assert isinstance(a, gradients.RowGrad)
+            assert isinstance(a, SARowGrad)
             assert not np.any(np.delete(b, a.rows, axis=0))
-            a = a.dense(attn.shape[0])
+            a = _dense(a, attn.shape[0])
         assert _same_bits(a, b)
 
 
@@ -943,11 +983,12 @@ def test_kmeans_matches_reference_means_bitwise(n, seed, structured):
 _CACHES = {}
 
 
-def _row_grad_cache(grid):
-    """Forward caches of the default three-layer stack on a grid x grid
-    latent (the decoder SA map has (grid/2)^2 rows): one as computed, and one
-    whose SA key projection is zeroed after the forward pass, so that dK
-    does not reach that layer's dX and dX is dQ Wq^T alone."""
+def _row_grad_inputs(grid):
+    """The default three-layer stack on a grid x grid latent (layer 2, the
+    decoder SA map, has (grid/2)^2 rows), with its whole-map forward caches:
+    one as computed, and one whose SA key projection is zeroed after the
+    forward pass, so that dK does not reach that layer's dX and dX is
+    dQ Wq^T alone."""
     if grid not in _CACHES:
         rng = np.random.default_rng(grid)
         z = rng.standard_normal((grid, grid, 4))
@@ -956,24 +997,25 @@ def _row_grad_cache(grid):
         plain = forward_cache(z, emb, params.layers)
         query_only = forward_cache(z, emb, workspace(params))
         query_only.layers[2].work.wk[...] = 0.0
-        _CACHES[grid] = plain, query_only
+        _CACHES[grid] = z, emb, params, (plain, query_only)
     return _CACHES[grid]
 
 
 @st.composite
 def _row_grads(draw):
-    """A grid and, for each of its three layers, a RowGrad on a random
-    subset of the map's rows (empty and full included) with random values."""
+    """A grid, one to three random 0/1 instance masks on its self-attention
+    map whose union has 0, 1, n/3, n - 1 or n rows, some rows in several
+    instances, and a random coefficient row per instance."""
     grid = draw(st.sampled_from([4, 8, 16, 64]))
-    cache, _ = _row_grad_cache(grid)
+    n = (grid // 2) ** 2
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    grads = []
-    for lc in cache.layers:
-        n, cols = lc.attn.shape
-        size = draw(st.sampled_from([0, 1, n // 3, n - 1, n]))
-        rows = np.sort(rng.choice(n, size=size, replace=False))
-        grads.append(gradients.RowGrad(rows, rng.standard_normal((size, cols))))
-    return grid, grads
+    size = draw(st.sampled_from([0, 1, n // 3, n - 1, n]))
+    k = draw(st.integers(1, 3))
+    union = rng.choice(n, size=size, replace=False)
+    flats = np.zeros((k, n))
+    flats[:, union] = rng.random((k, size)) < 0.3
+    flats[rng.integers(0, k, size), union] = 1.0  # every union row in some instance
+    return grid, flats, list(rng.standard_normal((k, n)))
 
 
 def _close(a, b):
@@ -983,25 +1025,36 @@ def _close(a, b):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(_row_grads())
+@example((64, np.zeros((2, 1024)), list(np.random.default_rng(0).standard_normal((2, 1024)))))
+@example((64, np.ones((2, 1024)), list(np.random.default_rng(1).standard_normal((2, 1024)))))
 def test_backprop_on_row_grad_matches_its_dense_form(problem):
-    grid, grads = problem
-    for cache in _row_grad_cache(grid):
-        dense = [g.dense(lc.attn.shape[0]) for g, lc in zip(grads, cache.layers)]
-        new = backprop(cache, d_attn=grads, d_eps=None)
-        ref = backprop(cache, d_attn=dense, d_eps=None)
+    # The self-attention box-loss gradient on the compact in-box rows of an
+    # INBOX pass, run on its lanes, against its dense form on the whole
+    # map. A row gradient is self-attention's alone: none reaches a
+    # cross-attention layer, which synthesis differentiates densely.
+    grid, flats, coefs = problem
+    z, emb, params, wholes = _row_grad_inputs(grid)
+    n = flats.shape[1]
+    layout = RowLayout(flats)
+    for whole in wholes:
+        layers = workspace(params)
+        compact, scratch = _inbox_cache(z, emb, layers, {2: layout})
+        query_only = not whole.layers[2].work.wk.any()
+        if query_only:
+            layers[2].wk[...] = 0.0
+        grad = SARowGrad(compact.layers[2].attn, coefs, layout, scratch[n])
+        new = backprop(compact, d_attn=[None, None, grad], d_eps=None)
+        ref = backprop(whole, d_attn=[None, None, _dense(grad, n)], d_eps=None)
         # dX of a layer that dK does not reach is dQ Wq^T: zero off the
-        # named rows, and on them equal to the bit when the row blocks are
-        # those of the dense form. A product over other rows may take
-        # another BLAS kernel (one row is a matrix-vector product), so
-        # elsewhere dQ, and dK, which sums over fewer rows, are held to
-        # rounding.
-        for lc, g, (*_, a), (*_, b) in zip(cache.layers, grads, new.dxs, ref.dxs):
-            if lc.work.attn_type == CROSS or not lc.work.wk.any():
-                assert not np.any(np.delete(a, g.rows, axis=0))
-                assert not np.any(np.delete(b, g.rows, axis=0))
-                if g.rows.size == lc.attn.shape[0]:
-                    assert _same_bits(a, b)
-                assert _close(a, b)
+        # in-box rows. A product over other rows may take another BLAS
+        # kernel (one row is a matrix-vector product), so dQ, and dK,
+        # which sums over fewer rows, are held to rounding.
+        (*_, a), = new.dxs
+        (*_, b), = ref.dxs
+        if query_only:
+            assert not np.any(np.delete(a, layout.union, axis=0))
+            assert not np.any(np.delete(b, layout.union, axis=0))
+        assert _close(a, b)
         assert _close(new.d_z, ref.d_z)
         assert _close(new.d_emb, ref.d_emb)
         for a, b in zip(new.d_wv, ref.d_wv):
