@@ -275,8 +275,8 @@ class ForwardCache:
 
     ``readout_eps(cache, cache.maps())`` is the noise prediction of a plain
     pass. A synthesis pass keeps a self-attention layer's in-box rows alone
-    (``LayerCache.rows``), or, on a mask refresh, the masked map, and its
-    readout masks the cross-attention maps in place: masked maps are no
+    (``LayerCache.rows``), or, on a mask refresh, its whole map, and its
+    readout masks in place the maps it keeps whole: masked maps are no
     longer the softmax output, so ``backprop`` on the cache is stale.
     """
 
@@ -341,21 +341,27 @@ def _pool(grid: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 class _WholeMap:
-    """The row plan of a plain forward pass: every row, written into one
-    whole map as its softmax, and nothing read from the rows while they are
-    hot. The logits are scaled here, after the product, as in a map of one
-    row block."""
+    """The row plan that keeps the whole map: every row, written into
+    ``attn`` as its softmax, and nothing read from the rows while they are
+    hot. A plain forward pass gives ``scale``, and the logits are scaled
+    here, after the product, as in a map of one row block. Without it, it
+    is a given plan, whose queries carry the scale: synthesis's pass on a
+    mask refresh step, into the run's store."""
 
-    rows = blocks = scratch = None
+    rows = blocks = scratch = kept = None
 
-    def __init__(self, attn: np.ndarray, scale: float):
+    def __init__(self, attn: np.ndarray, scale: "float | None" = None):
         self.attn, self.scale = attn, scale
+
+    def start(self, v: np.ndarray) -> None:
+        pass
 
     def target(self, blk, buf) -> np.ndarray:
         return self.attn[blk]
 
     def read(self, blk, block, buf):
-        block *= self.scale
+        if self.scale is not None:
+            block *= self.scale
         softmax_rows_inplace(block)
 
     def finish(self, results) -> np.ndarray:
@@ -378,8 +384,8 @@ def _attention(q: np.ndarray, k: np.ndarray, scale: float, plan=None) -> np.ndar
     ``finish(results)``, given them in block order, returns what the pass
     keeps as the map. A given plan gets its queries scaled, once per pass:
     exactly the scaled logits when sqrt(d) is a power of two, as at d = 4
-    and d = 16. The plain pass is the plan ``_WholeMap``: every row, into
-    one whole map."""
+    and d = 16. The plain pass is the plan ``_WholeMap`` given the scale:
+    every row, into one whole map."""
     n, m = q.shape[-2], k.shape[-2]
     kt = k.swapaxes(-1, -2)
     if plan is None and n * m <= ROW_BLOCK:

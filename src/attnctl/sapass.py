@@ -7,31 +7,31 @@ each block, while it is hot, all that the step needs of it
 
 - the box energies' partial sums, over the block's in-box rows;
 - the readout: the raw ``A V`` of rows in no box, and the masked readout
-  of in-box rows, from their permitted columns alone;
-- on a mask refresh, the masked rows, written back into the whole map.
+  of in-box rows, from their permitted columns alone.
 
-What it keeps of the map is one compact (rows x n) array of the in-box rows,
-or, on a refresh, the whole masked map; rows in no box are never stored
-otherwise. A pass that keeps only those rows divides only them: its blocks
-hold the undivided exponentials of the logits, and one product with
-``[V | 1]`` gives both the raw readout and the row sums, so a row's
-division costs its d outputs unless the row is kept, as FlashAttention
-(Dao et al. 2022) and the online softmax (Milakov & Gimelshein 2018)
-rescale the output rather than the map. The box-loss gradient
-(``SARowGrad``) is a ``gradients.RowGrad`` on an ``INBOX`` pass's compact
-rows, computed from them a block at a time as ``backprop`` reads it, on
-the row-block workers' lanes too.
+What it keeps of the map is one compact (rows x n) array of the in-box
+rows; rows in no box are never stored, and no pass writes a whole map (a
+mask refresh step computes the whole map and reads it with the record API's
+kernels, see ``synthesis``). A pass that keeps only those rows divides only
+them: its blocks hold the undivided exponentials of the logits, and one
+product with ``[V | 1]`` gives both the raw readout and the row sums, so a
+row's division costs its d outputs unless the row is kept, as
+FlashAttention (Dao et al. 2022) and the online softmax (Milakov &
+Gimelshein 2018) rescale the output rather than the map. The box-loss
+gradient (``SARowGrad``) is a ``gradients.RowGrad`` on an ``INBOX`` pass's
+compact rows, computed from them a block at a time as ``backprop`` reads
+it, on the row-block workers' lanes too.
 
-Each quantity has one kernel here, which every pass mode and the record
-API in ``synthesis`` run, so that they agree bit for bit:
+Each quantity has one kernel here, which the passes and the record API in
+``synthesis`` run, so that they agree bit for bit:
 
 - a kept row is divided by its own sum, as ``core.softmax_rows_inplace``
   divides it;
 - the box energies are summed in block order from one partial per row
   block of the whole map, over its in-box rows (``block_energies``);
-- masking (``mask_rows``) permits each in-box row the columns of every box
-  that contains it (``permitted_columns``) and divides it by its sum; rows
-  in no box are left as the softmax wrote them.
+- masking permits each in-box row the columns of every box that contains
+  it; the rows permitted the same columns form one group
+  (``permitted_columns``).
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ import numpy as np
 from .core import ROW_BLOCK, row_blocks, softmax_rows_inplace
 from .gradients import RowGrad
 
-INBOX, STREAM, REFRESH = "in-box", "stream", "refresh"  # SAPass modes
+INBOX, STREAM = "in-box", "stream"  # SAPass modes
 
 
 def permitted_columns(inside: np.ndarray):
@@ -79,22 +79,6 @@ def block_energies(rows: np.ndarray, owned, targets: np.ndarray,
             np.square(sq, out=sq)
             part[i] = sq.sum(axis=0) @ targets[i]
     return part
-
-
-def mask_rows(rows: np.ndarray, allowed: np.ndarray) -> bool:
-    """Mask self-attention rows in place to the columns ``allowed`` (0/1,
-    one ``permitted_columns`` group's): each row times ``allowed``, divided
-    by its sum. A row with no permitted mass is dead: it is made uniform
-    over the permitted columns, then divided by its sum as well. Whether a
-    row is dead."""
-    rows *= allowed
-    sums = rows.sum(axis=1, keepdims=True)
-    dead = sums[:, 0] <= 0.0
-    if dead.any():
-        rows[dead] = allowed / allowed.sum()
-        sums[dead] = rows[dead].sum(axis=1, keepdims=True)
-    rows /= sums
-    return bool(dead.any())
 
 
 @dataclass(frozen=True)
@@ -166,17 +150,14 @@ class SAPass:
       overwritten with their masked readout: one product with
       ``[V * a | a]``, for a group's permitted columns C (the 0/1 vector
       a), gives ``A[r, C] V[C]`` and the row's permitted mass, then their
-      quotient. A row with no permitted mass reads the mean of ``V[C]``;
-    - ``REFRESH``: the softmax of every row, written into the whole map,
-      the energies summed from the block's in-box rows, those rows masked
-      in the map (``mask_rows``), then the block read out as ``block @ V``.
+      quotient. A row with no permitted mass reads the mean of ``V[C]``.
 
     A masked row with no permitted mass sets ``dead``, for the caller to
     warn. The energies (a ``gated`` layer's) are summed from one partial
     per block, in block order. Temporaries go in the lane's scratch buffer.
-    The compact rows and the map go in ``store``, the caller's (rows x n,
-    or n x n) array, if given; the outputs are allocated in ``start``, by
-    the calling thread."""
+    The compact rows go in the first rows of ``store``, the caller's array
+    of n columns, if given; the outputs are allocated in ``start``, by the
+    calling thread."""
 
     def __init__(self, layout: RowLayout, mode: str, scratch, gated: bool,
                  store: "np.ndarray | None" = None):
@@ -184,11 +165,11 @@ class SAPass:
         self.store = store
         self.rows = layout.union if mode == INBOX else None  # the rows computed
         self.blocks = layout.spans if mode == INBOX else None
-        self.kept = None if mode == REFRESH else layout.union  # the rows the cache keeps
+        self.kept = layout.union                   # the rows the cache keeps
         self.energies: "np.ndarray | None" = None  # (instances, 2), a gated layer's
         self.out: "np.ndarray | None" = None       # the masked output, unless INBOX
         self.dead = False
-        self.held = self.map = None                # the compact rows; the whole map
+        self.held: "np.ndarray | None" = None      # the compact rows
 
     def start(self, v: np.ndarray) -> None:
         """Take the pass's arrays for values ``v`` and, unless ``INBOX``,
@@ -196,10 +177,6 @@ class SAPass:
         with ``[V | 1]`` built and the readout's ``[V * a | a]`` per
         group."""
         n, store = v.shape[0], self.store
-        if self.mode == REFRESH:
-            self.map = np.empty((n, n)) if store is None else store
-            self.v, self.out = v, np.empty_like(v)
-            return
         u = self.layout.union.size
         self.held = np.empty((u, n)) if store is None else store[:u]
         if self.mode == INBOX:
@@ -221,8 +198,6 @@ class SAPass:
     def target(self, blk: slice, buf: np.ndarray) -> np.ndarray:
         if self.mode == INBOX:
             return self.held[blk]
-        if self.mode == REFRESH:
-            return self.map[blk]
         return buf[:blk.stop - blk.start]
 
     def _block_rows(self, blk: slice) -> BlockRows:
@@ -242,20 +217,8 @@ class SAPass:
             block -= block.max(axis=1, keepdims=True)
             np.exp(block, out=block)
             return self.read_rows(blk, block, buf)
-        softmax_rows_inplace(block)
-        rows = self._block_rows(blk)
-        if self.mode == INBOX:
-            return self._energies(block, rows.owned, buf), False
-        # REFRESH: the block is in the map
-        part = self._energies(block, rows.owned_local, buf)
-        dead = False
-        for g, at, local in rows.groups:
-            sub = buf[:at.size]
-            np.take(block, local, axis=0, out=sub, mode="clip")
-            dead |= mask_rows(sub, self.layout.allowed[g])
-            block[local] = sub
-        np.matmul(block, self.v, out=self.out[blk])
-        return part, dead
+        softmax_rows_inplace(block)  # INBOX: the block is in the compact rows
+        return self._energies(block, self._block_rows(blk).owned, buf), False
 
     def read_rows(self, blk: slice, block: np.ndarray, buf: np.ndarray):
         """``STREAM``'s read of row block ``blk`` of nonnegative weights,
@@ -292,14 +255,13 @@ class SAPass:
 
     def finish(self, results) -> np.ndarray:
         """Sum the energy partials in block order; return what the cache
-        keeps of the map: the compact rows or, on a refresh, the masked
-        map."""
+        keeps of the map: the compact rows."""
         if self.gated:  # the partials, in block order
             self.energies = sum((part for part, _ in results),
                                 np.zeros((self.layout.flats.shape[0], 2)))
         self.dead = any(dead for _, dead in results)
-        kept = self.map if self.mode == REFRESH else self.held
-        self.held = self.map = self.v = self.readers = self.ones = None
+        kept = self.held
+        self.held = self.readers = self.ones = None
         return kept
 
 

@@ -37,15 +37,18 @@ block's task reads from the block all that the step needs of it
   the raw ``A V`` of rows in no box and the masked readout of in-box rows.
   It keeps the in-box rows alone, and never stores a row in no box; it
   divides by the row sums only the rows it keeps and the d-wide outputs;
-- a refresh step's pass instead writes the whole map, its in-box rows
-  masked, for K-means, and reads the noise out of it.
+- a refresh step builds no pass: it writes the whole map into the run's
+  store, and the record API's kernels read it as they read any whole map:
+  the energies (``_sa_box_energies``), then the masking (``_mask_maps``)
+  and the readout of the masked map (``_masked_readout``); K-means
+  clusters that masked map.
 
 The cross-attention maps are small and whole; the readout masks them in
 place. Masking permits each in-box row the columns of the boxes that hold
-it (``_permitted_columns``) and divides it by its sum; a row in no box is
-left as the softmax wrote it, on every step. The record API runs the
-passes' own kernels (``sapass.block_energies``, ``sapass.mask_rows``) over
-a whole map, so its energies and masked maps are the loop's, bit for bit.
+it (``sapass.permitted_columns``) and divides it by its sum; a row in no
+box is left as the softmax wrote it, on every step. The record API sums
+the passes' own energy partials (``sapass.block_energies``) over a whole
+map, so its energies are the loop's, bit for bit.
 
 A step keeps one pass's rows alive at a time: each pass writes what it
 keeps into the run's one store per layer, which a step's next pass
@@ -82,6 +85,7 @@ from .denoiser import (
     NoiseSchedule,
     TokenEmbedding,
     _token_matrix,
+    _WholeMap,
     ddim_step,
     forward_cache,
     predict_clean,
@@ -94,14 +98,11 @@ from .fileio import write_csv
 from .gradients import RowGrad, backprop
 from .sapass import (
     INBOX,
-    REFRESH,
     STREAM,
     RowLayout,
     SAPass,
     SARowGrad,
     block_energies,
-    mask_rows,
-    permitted_columns as _permitted_columns,
 )
 from . import refine
 
@@ -480,18 +481,17 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
 
     Cross attention: zero each instance token's weight at pixels outside its
     mask and renormalize every row; a fully suppressed row falls back to
-    uniform. Self attention: each ``_permitted_columns`` group of in-box
-    rows is masked to the targets it permits by the synthesis passes'
-    kernel (``sapass.mask_rows``), a fully suppressed row falling back to
-    uniform over its permitted targets; a row in no box is left as given.
-    A fallback warns. The given arrays are overwritten and returned as a
-    list; a caller that still needs the raw maps passes copies. Callers
-    check the token ids.
+    uniform. Self attention: the in-box rows of each row block of the map,
+    by ``sapass.permitted_columns`` group (``sapass.RowLayout``), are
+    multiplied by the 0/1 targets the group permits and divided by their
+    sums, a fully suppressed row falling back to uniform over its permitted
+    targets first; a row in no box is left as given. A fallback warns. The
+    given arrays are overwritten and returned as a list; a caller that
+    still needs the raw maps passes copies. Callers check the token ids.
     """
     for layer, attn in zip(layers, maps):
-        flats = _flat_masks(masks, layer)
         if layer.attn_type == CROSS:
-            for m, group in zip(flats, groups):
+            for m, group in zip(_flat_masks(masks, layer), groups):
                 outside = m < 0.5
                 for token in group:
                     np.copyto(attn[:, token], 0.0, where=outside)
@@ -502,11 +502,19 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
                 sums = row_sums(attn)
             attn /= sums
         else:
-            dead = False
-            for rows, allowed in _permitted_columns(flats > 0.5):
-                block = attn[rows]
-                dead |= mask_rows(block, allowed)
-                attn[rows] = block
+            layout, dead = _row_layout(masks, layer), False
+            for blk, rows in zip(row_blocks(*attn.shape), layout.blocks):
+                for g, _, local in rows.groups:  # a copy of one row block at most
+                    allowed, block = layout.allowed[g], attn[blk][local]
+                    block *= allowed
+                    sums = block.sum(axis=1, keepdims=True)
+                    gone = sums[:, 0] <= 0.0
+                    if gone.any():
+                        dead = True
+                        block[gone] = allowed / allowed.sum()
+                        sums[gone] = block[gone].sum(axis=1, keepdims=True)
+                    block /= sums
+                    attn[blk][local] = block
         if np.any(dead):
             warnings.warn(
                 "attention masking zeroed entire rows; using uniform fallback",
@@ -517,12 +525,12 @@ def _mask_maps(layers, maps, masks, groups) -> "list[np.ndarray]":
 
 def _masked_readout(cache, masks, groups, passes) -> np.ndarray:
     """The noise prediction from the masked maps: ``readout_eps(cache,
-    _mask_maps(...))`` up to rounding. A self-attention layer's output is
-    its pass's (``passes``, by layer index, from ``_forward``). A warning
-    goes out per layer with a row that masking empties. The small
-    cross-attention maps are masked in place (and the masked map put back
-    in the cache) as the readout reads them. Callers check the token
-    ids."""
+    _mask_maps(...))`` up to rounding. A layer with a pass (``passes``, by
+    layer index, from ``_forward``) reads out its pass's output. Any other
+    layer's map is whole: every cross-attention map, and a refresh step's
+    self-attention maps. It is masked in place (and the masked map put back
+    in the cache) and read out as ``masked @ V``. A warning goes out per
+    layer with a row that masking empties. Callers check the token ids."""
     for sa in passes.values():
         if sa.dead:
             warnings.warn(
@@ -701,7 +709,9 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
                        refinement=refinement if refinement and refinement.enabled else None,
                        z=z)
     del z  # the run holds the latent; a step drops the old one once it has a new one
-    steps = [_sampling_step(run, step) for step in range(1, config.total_steps + 1)]
+    steps = []
+    for step in range(1, config.total_steps + 1):
+        steps.append(_sampling_step(run, step))
     return SynthesisResult(z_final=run.z, steps=steps, masks=list(run.masks),
                            refined=run.refined)
 
@@ -744,7 +754,7 @@ def _sampling_step(run: _SamplingRun, step: int) -> StepMetrics:
            and (step - config.bound_steps) % config.update_interval == 0)
     descend = optimizing and config.beta > 0.0
 
-    cache, passes = _forward(run, z, INBOX if descend else REFRESH if due else STREAM)
+    cache, passes = _forward(run, z, INBOX if descend else None if due else STREAM)
     per_terms, total = _box_loss_terms(layers, cache.maps(), masks, groups,
                                        alpha_t, config, _pass_energies(passes))
     total_after = total
@@ -777,14 +787,16 @@ def _sampling_step(run: _SamplingRun, step: int) -> StepMetrics:
     return metrics
 
 
-def _forward(run: _SamplingRun, z: np.ndarray, mode: str):
+def _forward(run: _SamplingRun, z: np.ndarray, mode: "str | None"):
     """A step's forward pass, every self-attention layer in ``mode`` (see
-    ``sapass.SAPass``): the cache, and the passes by layer index. What a pass
-    keeps of a layer's map goes in the run's one store for that layer,
-    which each pass overwrites: a step drops its cache before its next
-    pass, and the cache does not outlive the step."""
+    ``sapass.SAPass``) or, with ``mode`` None (a refresh step's), whole: the
+    cache, and the passes by layer index, none for a whole pass. What a
+    pass keeps of a layer's map, its compact rows or the whole map, goes in
+    the run's one store for that layer, which each pass overwrites: a step
+    drops its cache before its next pass, and the cache does not outlive
+    the step."""
     gated = gated_layers(run.layers, SELF)
-    passes = {}
+    plans, passes = {}, {}
     for li, layer in enumerate(run.layers):
         if layer.attn_type != SELF:
             continue
@@ -795,13 +807,18 @@ def _forward(run: _SamplingRun, z: np.ndarray, mode: str):
         if li not in run.stores:  # room for the whole map, if a refresh may need it
             rows = n if run.refinement is not None else layout.union.size
             run.stores[li] = np.empty((rows, n))
-        passes[li] = SAPass(layout, mode, run.scratch[n], li in gated, run.stores[li])
-    return forward_cache(z, run.emb, run.layers, passes), passes
+        if mode is None:
+            plans[li] = _WholeMap(run.stores[li])
+        else:
+            plans[li] = passes[li] = SAPass(layout, mode, run.scratch[n], li in gated,
+                                            run.stores[li])
+    return forward_cache(z, run.emb, run.layers, plans), passes
 
 
-def _pass_energies(passes) -> dict:
-    """The gated self-attention layers' energies, by layer index."""
-    return {li: sa.energies for li, sa in passes.items() if sa.gated}
+def _pass_energies(passes) -> "dict | None":
+    """The gated self-attention layers' energies, by layer index; None
+    without passes, for ``_box_loss_terms`` to compute them from the maps."""
+    return {li: sa.energies for li, sa in passes.items() if sa.gated} if passes else None
 
 
 def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
@@ -835,7 +852,9 @@ def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
     masks, changed = list(run.masks), False
     for i, nm in enumerate(new_masks):
         if nm.is_empty():
-            # stacklevel 4 names the caller of run_synthesis.
+            # stacklevel 4 names the caller of run_synthesis, whose step
+            # loop is a plain loop: before Python 3.12 a comprehension is a
+            # frame of its own.
             warnings.warn(
                 f"refined mask for instance {i} is empty; keeping previous",
                 DegenerateInputWarning, stacklevel=4,

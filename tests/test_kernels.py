@@ -50,7 +50,7 @@ from attnctl.denoiser import (
 )
 from attnctl.errors import DegenerateInputWarning
 from attnctl.gradients import backprop
-from attnctl.sapass import INBOX, REFRESH, STREAM, RowLayout, SAPass, SARowGrad
+from attnctl.sapass import INBOX, STREAM, RowLayout, SAPass, SARowGrad
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     ScheduleParams,
@@ -742,10 +742,11 @@ _PASS_BOXES = {"benchmark": None,
 @pytest.mark.parametrize("boxes", sorted(_PASS_BOXES))
 @pytest.mark.parametrize("grid", [16, 64], ids=["16x16", "64x64"])
 def test_record_api_equals_the_synthesis_passes_bitwise(grid, boxes):
-    # Every self-attention pass mode and the record API run one softmax
-    # division, one energy partition and one masking kernel. At 16x16 the
-    # map is one row block; at 64x64 it is 8, run on the row-block workers
-    # on a machine with more than one CPU.
+    # Both self-attention pass modes and the record API run one softmax
+    # division and one energy partition; a refresh step's whole-map pass
+    # builds no SAPass, and the record API's own kernels energize, mask and
+    # read its map. At 16x16 the map is one row block; at 64x64 it is 8,
+    # run on the row-block workers on a machine with more than one CPU.
     dim = 4 if grid == 16 else 16
     scen = generate_scenario((grid, grid), 2, rho=0.8, seed=0, dim=dim)
     emb = _token_matrix(synthesis_tokens(scen, gain=10.0), dim)
@@ -765,13 +766,69 @@ def test_record_api_equals_the_synthesis_passes_bitwise(grid, boxes):
             == tuple(energies[i])
     run = SimpleNamespace(emb=emb, layers=params.layers, masks=masks, scratch={},
                           stores={}, refinement=refine.RefinementConfig())
-    for mode in (INBOX, STREAM, REFRESH):
+    for mode in (INBOX, STREAM):
         cache, passes = synthesis._forward(run, z, mode)
         assert _same_bits(passes[li].energies, energies)
-        if mode == REFRESH:
-            assert _same_bits(cache.layers[li].attn, masked.maps()[li])
-        else:
-            assert _same_bits(cache.layers[li].attn, raw[layout.union])
+        assert _same_bits(cache.layers[li].attn, raw[layout.union])
+    cache, passes = synthesis._forward(run, z, None)
+    assert passes == {} and synthesis._pass_energies(passes) is None
+    assert _same_bits(cache.layers[li].attn, raw)
+    assert np.shares_memory(cache.layers[li].attn, run.stores[li])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        _masked_readout(cache, masks, [[1], [2]], passes)
+    assert _same_bits(cache.layers[li].attn, masked.maps()[li])
+
+
+def test_a_refresh_step_clusters_the_record_apis_masked_map_bitwise(monkeypatch):
+    # A mask refresh step builds no SAPass: it computes the whole
+    # self-attention map into the run's store, its energies come from
+    # _sa_box_energies, and the readout masks it in place with _mask_maps.
+    # So the maps that _refresh_masks clusters are apply_attention_masking's
+    # on the step's latent, bit for bit (the record's plain pass scales the
+    # logits after the product, which gives the step's bits at d = 16). The
+    # 64x64 map is 8 row blocks, run on the row-block workers on a machine
+    # with more than one CPU.
+    sc, tokens, params, config, latent = _synthesis_64x64()
+    li = gated_layers(params.layers, SELF)[0]
+    built, forwards, energized, refreshes = [], [], [], []
+    real_pass, real_forward = synthesis.SAPass, synthesis._forward
+    real_energies, real_refresh = synthesis._sa_box_energies, synthesis._refresh_masks
+
+    def spy_pass(layout, mode, *args):
+        built.append(mode)
+        return real_pass(layout, mode, *args)
+
+    def spy_forward(run, z, mode):
+        before = len(built)
+        out = real_forward(run, z, mode)
+        forwards.append((z.copy(), len(built) - before))
+        return out
+
+    def spy_energies(attn, layout):
+        energized.append(forwards[-1][1])
+        return real_energies(attn, layout)
+
+    def spy_refresh(run, maps):
+        z, n_built = forwards[-1]
+        record = record_from_maps(run.layers, forward_cache(z, run.emb, run.layers).maps())
+        masked = apply_attention_masking(record, run.masks, run.groups).maps()
+        refreshes.append((n_built, np.shares_memory(maps[li], run.stores[li]),
+                          all(_same_bits(a, b) for a, b in zip(maps, masked))))
+        return real_refresh(run, maps)
+
+    monkeypatch.setattr(synthesis, "SAPass", spy_pass)
+    monkeypatch.setattr(synthesis, "_forward", spy_forward)
+    monkeypatch.setattr(synthesis, "_sa_box_energies", spy_energies)
+    monkeypatch.setattr(synthesis, "_refresh_masks", spy_refresh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        result = run_synthesis(tokens, params, sc.boxes(), config, sched=ScheduleParams(),
+                               refinement=refine.RefinementConfig(), initial_latent=latent)
+    assert result.refined
+    assert refreshes == [(0, True, True)] * 2  # steps 6 and 8
+    assert energized == [0] * 2
+    assert len(built) == len(forwards) - 2 and STREAM in built and INBOX in built
 
 
 # ---------------------------------------------------------------------------
@@ -1231,14 +1288,16 @@ def _ref_sa_box_energies(attn, flats):
     return np.array([ref_sa_energies(attn, m) for m in flats]).reshape(len(flats), 2)
 
 
-def _ref_synthesis_forward(z, emb, layers, passes=None):
+def _ref_synthesis_forward(z, emb, layers, plans=None):
     """A synthesis step's forward pass on the reference kernels: the whole
     cache, and for each self-attention pass (``sapass.SAPass``) what it
     computes from its rows, from the whole map: the energies of a gated
-    layer, the output of the masked map and, on a refresh, the masked map
-    in the cache."""
+    layer and the output of the masked map. A refresh step's whole-map plan
+    asks for nothing more: the step reads the whole map."""
     cache, _ = ref_forward_cache(z, emb, layers)
-    for li, sa in (passes or {}).items():
+    for li, sa in (plans or {}).items():
+        if not isinstance(sa, SAPass):
+            continue
         lc = cache.layers[li]
         flats = sa.layout.flats
         masks = [{(lc.work.height, lc.work.width):
@@ -1247,8 +1306,6 @@ def _ref_synthesis_forward(z, emb, layers, passes=None):
             sa.energies = _ref_sa_box_energies(lc.attn, flats)
         masked, = ref_mask_maps([lc.work], [lc.attn], masks, [[0]] * len(masks))
         sa.out = masked @ lc.v
-        if sa.mode == synthesis.REFRESH:
-            lc.attn = masked
     return cache
 
 

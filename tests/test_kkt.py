@@ -212,7 +212,9 @@ def test_descent_reaches_reward_optimum():
 
 
 def test_descent_reaches_penalty_optimum():
-    for k in (1, 2, 4):
+    # At k = 32 the penalty descent needs hundreds of iterations, so a cut
+    # to DESCENT_MAX_ITER stops it unconverged.
+    for k in (1, 2, 4, 32):
         problem = standard_problem(k, 0.5)
         opt = penalty_optimum(problem)
         rng = np.random.default_rng(k)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attnctl import core, gradients, synthesis
+from attnctl import core, gradients, refine, synthesis
 from attnctl.core import AttentionMap, AttentionRecord, BinaryMask, LayerAttention
 from attnctl.denoiser import _token_matrix, default_params, forward_cache, toy_schedule
 from attnctl.refine import RefinementConfig
@@ -17,7 +17,7 @@ from attnctl.errors import (
     ShapeError,
 )
 from attnctl.gradients import GRADIENTS
-from attnctl.sapass import STREAM, SAPass
+from attnctl.sapass import STREAM, SAPass, permitted_columns
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     BoxSpec,
@@ -363,6 +363,29 @@ def test_run_synthesis_initial_latent_override():
                       initial_latent=np.zeros((2, 2, 4)), **kw)
 
 
+def test_an_empty_refined_mask_warns_from_the_caller(monkeypatch):
+    # The warning names the caller of run_synthesis on every supported
+    # Python: before 3.12 a comprehension is a frame of its own, so the
+    # step loop is a plain loop.
+    sc = generate_scenario((16, 16), 2, rho=0.8, seed=0, dim=4)
+    params = default_params(4, 16, 16, seed=7)
+    cfg = SynthesisConfig(beta=128.0, total_steps=8, bound_steps=4, update_interval=2, seed=3)
+    assign = refine.assign_clusters
+
+    def second_emptied(*args):
+        first, second = assign(*args)
+        return [first, BinaryMask(np.zeros_like(second.bits))]
+
+    monkeypatch.setattr(refine, "assign_clusters", second_emptied)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_synthesis(synthesis_tokens(sc, gain=10.0), params, sc.boxes(), cfg,
+                      sched=ScheduleParams(), refinement=RefinementConfig())
+    empty = [w for w in caught if "refined mask for instance 1 is empty" in str(w.message)]
+    assert len(empty) == 2  # steps 6 and 8 refresh
+    assert all(w.filename == __file__ for w in empty)
+
+
 def test_run_synthesis_config_cross_checks():
     sc, tokens, params = _loop_fixture()
     with pytest.raises(ConfigurationError):
@@ -590,7 +613,7 @@ def test_threaded_readout_warns_once_from_the_caller_on_a_dead_row():
     cache = forward_cache(latent, _token_matrix(tokens, params.dim), params.layers)
     sa = cache.layers[2]
     assert sa.work.attn_type == "SA" and len(core.row_blocks(*sa.attn.shape)) > 1
-    rows, allowed = next(synthesis._permitted_columns(
+    rows, allowed = next(permitted_columns(
         synthesis._flat_masks(masks, sa.work) > 0.5))
     sa.attn[rows[0], allowed] = 0.0  # an in-box row with no permitted mass
     with warnings.catch_warnings(record=True) as caught:
