@@ -275,9 +275,9 @@ class ForwardCache:
 
     ``readout_eps(cache, cache.maps())`` is the noise prediction of a plain
     pass. A synthesis pass keeps a self-attention layer's in-box rows alone
-    (``LayerCache.rows``), or, on a mask refresh, its whole map, and its
-    readout masks in place the maps it keeps whole: masked maps are no
-    longer the softmax output, so ``backprop`` on the cache is stale.
+    (``LayerCache.rows``), and its readout masks in place the maps it keeps
+    whole, the cross-attention maps: masked maps are no longer the softmax
+    output, so ``backprop`` on the cache is stale.
     """
 
     z: np.ndarray          # (H, W, d)
@@ -341,16 +341,14 @@ def _pool(grid: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 class _WholeMap:
-    """The row plan that keeps the whole map: every row, written into
-    ``attn`` as its softmax, and nothing read from the rows while they are
-    hot. A plain forward pass gives ``scale``, and the logits are scaled
-    here, after the product, as in a map of one row block. Without it, it
-    is a given plan, whose queries carry the scale: synthesis's pass on a
-    mask refresh step, into the run's store."""
+    """The plain forward pass's row plan: every row, its logits scaled
+    after the product, as in a map of one row block, and written into
+    ``attn`` as its softmax; nothing is read from the rows while they are
+    hot."""
 
     rows = blocks = scratch = kept = None
 
-    def __init__(self, attn: np.ndarray, scale: "float | None" = None):
+    def __init__(self, attn: np.ndarray, scale: float):
         self.attn, self.scale = attn, scale
 
     def start(self, v: np.ndarray) -> None:
@@ -360,8 +358,7 @@ class _WholeMap:
         return self.attn[blk]
 
     def read(self, blk, block, buf):
-        if self.scale is not None:
-            block *= self.scale
+        block *= self.scale
         softmax_rows_inplace(block)
 
     def finish(self, results) -> np.ndarray:
@@ -384,8 +381,8 @@ def _attention(q: np.ndarray, k: np.ndarray, scale: float, plan=None) -> np.ndar
     ``finish(results)``, given them in block order, returns what the pass
     keeps as the map. A given plan gets its queries scaled, once per pass:
     exactly the scaled logits when sqrt(d) is a power of two, as at d = 4
-    and d = 16. The plain pass is the plan ``_WholeMap`` given the scale:
-    every row, into one whole map."""
+    and d = 16. The plain pass runs the plan ``_WholeMap``, which scales
+    the logits itself: every row, into one whole map."""
     n, m = q.shape[-2], k.shape[-2]
     kt = k.swapaxes(-1, -2)
     if plan is None and n * m <= ROW_BLOCK:

@@ -1,10 +1,12 @@
 """Cluster-based mask refinement.
 
 Coarse per-instance masks are read off the cross-attention maps (group-column
-average, box blur, min-max normalize, threshold); the self-attention rows are
-clustered with plain Lloyd's K-means; each cluster is assigned to the instance
-whose coarse mask covers enough of it. The union of a given instance's
-clusters becomes its refined mask.
+average, box blur, min-max normalize, threshold); sketches of the masked
+self-attention rows are clustered with plain Lloyd's K-means; each cluster
+is assigned to the instance whose coarse mask covers enough of it. The
+union of a given instance's clusters becomes its refined mask. A sketch is
+a masked row times one fixed n x r Gaussian matrix (``sapass.sketch_basis``):
+random projections keep pairwise distances (Johnson-Lindenstrauss).
 """
 from __future__ import annotations
 
@@ -152,7 +154,8 @@ def _sq_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.nd
 def kmeans_self_attention(features, k: int,
                           prev_centers: np.ndarray | None = None,
                           seed: int = 0) -> ClusterState:
-    """Lloyd's algorithm on self-attention rows.
+    """Lloyd's algorithm on self-attention features: a synthesis run's row
+    sketches, or any rows.
 
     Initialization is either the provided warm-start centers or seeded
     k-means++ seeding. Ties in assignment go to the lowest cluster index; an

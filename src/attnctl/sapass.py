@@ -10,17 +10,18 @@ each block, while it is hot, all that the step needs of it
   of in-box rows, from their permitted columns alone.
 
 What it keeps of the map is one compact (rows x n) array of the in-box
-rows; rows in no box are never stored, and no pass writes a whole map (a
-mask refresh step computes the whole map and reads it with the record API's
-kernels, see ``synthesis``). A pass that keeps only those rows divides only
-them: its blocks hold the undivided exponentials of the logits, and one
-product with ``[V | 1]`` gives both the raw readout and the row sums, so a
-row's division costs its d outputs unless the row is kept, as
-FlashAttention (Dao et al. 2022) and the online softmax (Milakov &
-Gimelshein 2018) rescale the output rather than the map. The box-loss
-gradient (``SARowGrad``) is a ``gradients.RowGrad`` on an ``INBOX`` pass's
-compact rows, computed from them a block at a time as ``backprop`` reads
-it, on the row-block workers' lanes too.
+rows; rows in no box are never stored, and no pass writes a whole map. A
+pass that keeps only those rows divides only them: its blocks hold the
+undivided exponentials of the logits, and one product with ``[V | 1]``
+gives both the raw readout and the row sums, so a row's division costs its
+d outputs unless the row is kept, as FlashAttention (Dao et al. 2022) and
+the online softmax (Milakov & Gimelshein 2018) rescale the output rather
+than the map. A mask refresh step's pass widens it to ``[V | R | 1]``
+(``sketch_basis``): each row's r extra outputs are its masked row times R,
+the sketch that K-means clusters (``refine``). The box-loss gradient
+(``SARowGrad``) is a ``gradients.RowGrad`` on an ``INBOX`` pass's compact
+rows, computed from them a block at a time as ``backprop`` reads it, on
+the row-block workers' lanes too.
 
 Each quantity has one kernel here, which the passes and the record API in
 ``synthesis`` run, so that they agree bit for bit:
@@ -36,6 +37,8 @@ Each quantity has one kernel here, which the passes and the record API in
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,19 @@ from .core import ROW_BLOCK, row_blocks, softmax_rows_inplace
 from .gradients import RowGrad
 
 INBOX, STREAM = "in-box", "stream"  # SAPass modes
+SKETCH_COLUMNS = 32     # r: the width of a mask refresh's row sketches
+SKETCH_SEED = 0         # R's own seed, not the synthesis seed
+
+
+@functools.lru_cache(maxsize=8)
+def sketch_basis(n: int) -> np.ndarray:
+    """R, the n x r matrix that sketches a map's rows, read-only: standard
+    normal entries over sqrt(r), so a sketch keeps a row's squared norm in
+    expectation."""
+    basis = np.random.default_rng(SKETCH_SEED).standard_normal((n, SKETCH_COLUMNS))
+    basis /= math.sqrt(SKETCH_COLUMNS)
+    basis.setflags(write=False)
+    return basis
 
 
 def permitted_columns(inside: np.ndarray):
@@ -147,10 +163,13 @@ class SAPass:
       divide the output rows (d wide). The block's in-box rows are copied
       into the compact array and divided by their sums there
       (``read_rows``), the energies summed from them, and their outputs
-      overwritten with their masked readout: one product with
-      ``[V * a | a]``, for a group's permitted columns C (the 0/1 vector
-      a), gives ``A[r, C] V[C]`` and the row's permitted mass, then their
+      overwritten with their masked readout: for a group's permitted
+      columns C (the 0/1 vector a), the rows times a, times ``[V | 1]``,
+      give ``A[r, C] V[C]`` and the row's permitted mass, then their
       quotient. A row with no permitted mass reads the mean of ``V[C]``.
+
+    Given ``basis`` R, a ``STREAM`` pass reads ``[V | R]`` wherever it
+    reads V, and ``sketch`` holds each row's masked row times R.
 
     A masked row with no permitted mass sets ``dead``, for the caller to
     warn. The energies (a ``gated`` layer's) are summed from one partial
@@ -160,40 +179,37 @@ class SAPass:
     calling thread."""
 
     def __init__(self, layout: RowLayout, mode: str, scratch, gated: bool,
-                 store: "np.ndarray | None" = None):
+                 store: "np.ndarray | None" = None, basis: "np.ndarray | None" = None):
         self.layout, self.mode, self.scratch, self.gated = layout, mode, scratch, gated
-        self.store = store
+        self.store, self.basis = store, basis
         self.rows = layout.union if mode == INBOX else None  # the rows computed
         self.blocks = layout.spans if mode == INBOX else None
         self.kept = layout.union                   # the rows the cache keeps
         self.energies: "np.ndarray | None" = None  # (instances, 2), a gated layer's
         self.out: "np.ndarray | None" = None       # the masked output, unless INBOX
+        self.sketch: "np.ndarray | None" = None    # (n, r), the masked rows times R
         self.dead = False
         self.held: "np.ndarray | None" = None      # the compact rows
 
     def start(self, v: np.ndarray) -> None:
         """Take the pass's arrays for values ``v`` and, unless ``INBOX``,
-        the output: in ``STREAM``, the first d columns of ``E [V | 1]``,
-        with ``[V | 1]`` built and the readout's ``[V * a | a]`` per
-        group."""
-        n, store = v.shape[0], self.store
+        the output: in ``STREAM``, the first d columns of ``E [V | 1]``
+        (``E [V | R | 1]`` given a basis), with ``[V | 1]`` built."""
+        n, d, store = v.shape[0], v.shape[1], self.store
         u = self.layout.union.size
         self.held = np.empty((u, n)) if store is None else store[:u]
         if self.mode == INBOX:
             return
-        # E [V | 1], row by row: the output, divided in place, and the row sums
-        self.summed = np.empty((n, v.shape[1] + 1))
-        self.out = self.summed[:, :-1]
+        # E [V | R | 1], row by row: the outputs, divided in place, and the row sums
+        width = d if self.basis is None else d + self.basis.shape[1]
+        self.summed = np.empty((n, width + 1))
+        self.out = self.summed[:, :d]
         self.ones = np.empty_like(self.summed)
-        self.ones[:, :-1] = v
+        self.ones[:, :d] = v
+        if self.basis is not None:
+            self.sketch = self.summed[:, d:-1]
+            self.ones[:, d:-1] = self.basis
         self.ones[:, -1] = 1.0
-        self.readers, self.fallbacks = [], []
-        for a in self.layout.allowed:
-            reader = np.empty((n, v.shape[1] + 1))
-            np.multiply(v, a[:, None], out=reader[:, :-1])
-            reader[:, -1] = a
-            self.readers.append(reader)
-            self.fallbacks.append(v[a > 0.5].mean(axis=0))
 
     def target(self, blk: slice, buf: np.ndarray) -> np.ndarray:
         if self.mode == INBOX:
@@ -218,7 +234,7 @@ class SAPass:
             np.exp(block, out=block)
             return self.read_rows(blk, block, buf)
         softmax_rows_inplace(block)  # INBOX: the block is in the compact rows
-        return self._energies(block, self._block_rows(blk).owned, buf), False
+        return self._energies(block, self._block_rows(blk).owned, buf), ()
 
     def read_rows(self, blk: slice, block: np.ndarray, buf: np.ndarray):
         """``STREAM``'s read of row block ``blk`` of nonnegative weights,
@@ -228,40 +244,47 @@ class SAPass:
         rows = self._block_rows(blk)
         summed = self.summed[blk]
         np.matmul(block, self.ones, out=summed)
-        out = self.out[blk]
+        out = summed[:, :-1]
         np.divide(out, summed[:, -1:], out=out)
         held = self.held[rows.span]
         np.take(block, rows.local, axis=0, out=held, mode="clip")
         held /= held.sum(axis=1, keepdims=True)
-        return self._energies(held, rows.owned, buf), self._group_readout(rows, held, out, buf)
+        return (self._energies(held, rows.owned, buf),
+                self._group_readout(blk.start, rows, held, out, buf))
 
-    def _group_readout(self, rows: BlockRows, held: np.ndarray, out: np.ndarray,
-                       buf: np.ndarray) -> bool:
+    def _group_readout(self, start: int, rows: BlockRows, held: np.ndarray,
+                       out: np.ndarray, buf: np.ndarray) -> list:
         """Overwrite the in-box rows' outputs with their masked readout,
-        from their compact rows ``held``. Whether a row is dead."""
-        dead = False
+        from their compact rows ``held`` (block ``start``'s), a group's rows
+        masked in ``buf``. The dead rows, as (group, map rows) pairs, for
+        ``finish`` to write."""
+        dead = []
         for g, at, local in rows.groups:
             sub = buf[:at.size]
             np.take(held, at, axis=0, out=sub, mode="clip")
-            num = sub @ self.readers[g]
-            den = num[:, -1:]
-            gone = den[:, 0] <= 0.0
+            sub *= self.layout.allowed[g]
+            num = sub @ self.ones
+            gone = num[:, -1] <= 0.0
             if gone.any():
-                dead = True
-                num[gone, :-1] = self.fallbacks[g]
-                den[gone] = 1.0
-            out[local] = num[:, :-1] / den
+                dead.append((g, start + local[gone]))
+                num[gone, -1] = 1.0
+            out[local] = num[:, :-1] / num[:, -1:]
         return dead
 
     def finish(self, results) -> np.ndarray:
-        """Sum the energy partials in block order; return what the cache
-        keeps of the map: the compact rows."""
+        """Sum the energy partials in block order, write each dead row's
+        output, the mean of ``V[C]``; return what the cache keeps of the
+        map: the compact rows."""
         if self.gated:  # the partials, in block order
             self.energies = sum((part for part, _ in results),
                                 np.zeros((self.layout.flats.shape[0], 2)))
-        self.dead = any(dead for _, dead in results)
+        for _, dead in results:
+            for g, at in dead:
+                self.dead = True
+                permitted = self.ones[self.layout.allowed[g] > 0.5, :-1]
+                self.summed[at, :-1] = permitted.mean(axis=0)
         kept = self.held
-        self.held = self.readers = self.ones = None
+        self.held = self.ones = None
         return kept
 
 

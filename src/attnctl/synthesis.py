@@ -37,11 +37,10 @@ block's task reads from the block all that the step needs of it
   the raw ``A V`` of rows in no box and the masked readout of in-box rows.
   It keeps the in-box rows alone, and never stores a row in no box; it
   divides by the row sums only the rows it keeps and the d-wide outputs;
-- a refresh step builds no pass: it writes the whole map into the run's
-  store, and the record API's kernels read it as they read any whole map:
-  the energies (``_sa_box_energies``), then the masking (``_mask_maps``)
-  and the readout of the masked map (``_masked_readout``); K-means
-  clusters that masked map.
+- a refresh step's pass is the second kind, its readout product r columns
+  wider: each row's masked row times one fixed n x r Gaussian matrix
+  (``sapass.sketch_basis``), the sketches that K-means clusters. No step
+  holds an n x n array.
 
 The cross-attention maps are small and whole; the readout masks them in
 place. Masking permits each in-box row the columns of the boxes that hold
@@ -85,7 +84,6 @@ from .denoiser import (
     NoiseSchedule,
     TokenEmbedding,
     _token_matrix,
-    _WholeMap,
     ddim_step,
     forward_cache,
     predict_clean,
@@ -103,6 +101,7 @@ from .sapass import (
     SAPass,
     SARowGrad,
     block_energies,
+    sketch_basis,
 )
 from . import refine
 
@@ -527,10 +526,10 @@ def _masked_readout(cache, masks, groups, passes) -> np.ndarray:
     """The noise prediction from the masked maps: ``readout_eps(cache,
     _mask_maps(...))`` up to rounding. A layer with a pass (``passes``, by
     layer index, from ``_forward``) reads out its pass's output. Any other
-    layer's map is whole: every cross-attention map, and a refresh step's
-    self-attention maps. It is masked in place (and the masked map put back
-    in the cache) and read out as ``masked @ V``. A warning goes out per
-    layer with a row that masking empties. Callers check the token ids."""
+    layer's map is whole, as every cross-attention map is. It is masked in
+    place (and the masked map put back in the cache) and read out as
+    ``masked @ V``. A warning goes out per layer with a row
+    that masking empties. Callers check the token ids."""
     for sa in passes.values():
         if sa.dead:
             warnings.warn(
@@ -653,9 +652,8 @@ def run_synthesis(tokens: "list[TokenEmbedding]", params: DenoiserParams,
     masking only and, with ``refinement`` enabled, refresh the masks every
     ``update_interval`` steps. Within a step the raw maps are read first
     (box loss, its gradient, leakage), then the noise is read out of the
-    masked maps, which are masked in place only for a refresh; see the
-    module docstring. Raises DivergenceError naming the step once the
-    control loss or the latent goes non-finite.
+    masked maps; see the module docstring. Raises DivergenceError naming
+    the step once the control loss or the latent goes non-finite.
     """
     config.validate()
     if sched is None:
@@ -721,9 +719,10 @@ class _SamplingRun:
     """What a run carries from step to step: its fixed inputs, the control
     masks with their flat masks and self-attention row layouts (a
     ``_MaskSet``, replaced at a refresh), the latent, the last refresh's
-    K-means centers, and the self-attention passes' scratch and stores,
-    allocated once; ``refinement`` is None when the masks are never
-    refreshed."""
+    K-means centers (r wide, as the sketches are), the self-attention
+    passes' scratch, allocated once, and stores of their in-box rows,
+    reallocated only when a refresh grows the rows; ``refinement`` is None
+    when the masks are never refreshed."""
 
     emb: np.ndarray
     layers: tuple
@@ -754,7 +753,7 @@ def _sampling_step(run: _SamplingRun, step: int) -> StepMetrics:
            and (step - config.bound_steps) % config.update_interval == 0)
     descend = optimizing and config.beta > 0.0
 
-    cache, passes = _forward(run, z, INBOX if descend else None if due else STREAM)
+    cache, passes = _forward(run, z, INBOX if descend else STREAM, sketch=due)
     per_terms, total = _box_loss_terms(layers, cache.maps(), masks, groups,
                                        alpha_t, config, _pass_energies(passes))
     total_after = total
@@ -774,8 +773,8 @@ def _sampling_step(run: _SamplingRun, step: int) -> StepMetrics:
         total_after=float(total_after), leakage=tuple(leakage),
     )
     eps_hat = _masked_readout(cache, masks, groups, passes)
-    if due:  # the refresh clusters the masked maps
-        _refresh_masks(run, cache.maps())
+    if due:  # the refresh clusters the pass's sketches of the masked rows
+        _refresh_masks(run, cache.maps(), passes)
 
     if t > 0:
         z = ddim_step(z, eps_hat, t, t - 1, run.schedule)
@@ -787,16 +786,16 @@ def _sampling_step(run: _SamplingRun, step: int) -> StepMetrics:
     return metrics
 
 
-def _forward(run: _SamplingRun, z: np.ndarray, mode: "str | None"):
+def _forward(run: _SamplingRun, z: np.ndarray, mode: str, sketch: bool = False):
     """A step's forward pass, every self-attention layer in ``mode`` (see
-    ``sapass.SAPass``) or, with ``mode`` None (a refresh step's), whole: the
-    cache, and the passes by layer index, none for a whole pass. What a
-    pass keeps of a layer's map, its compact rows or the whole map, goes in
-    the run's one store for that layer, which each pass overwrites: a step
-    drops its cache before its next pass, and the cache does not outlive
-    the step."""
+    ``sapass.SAPass``): the cache, and the passes by layer index. With
+    ``sketch`` (a refresh step's ``STREAM`` pass) the first gated layer's
+    pass also sketches its masked rows. What a pass keeps of
+    a layer's map, its compact in-box rows, goes in the run's one store for
+    that layer, which each pass overwrites: a step drops its cache before
+    its next pass, and the cache does not outlive the step."""
     gated = gated_layers(run.layers, SELF)
-    plans, passes = {}, {}
+    passes = {}
     for li, layer in enumerate(run.layers):
         if layer.attn_type != SELF:
             continue
@@ -804,21 +803,17 @@ def _forward(run: _SamplingRun, z: np.ndarray, mode: "str | None"):
         n = layer.height * layer.width
         if n not in run.scratch:
             run.scratch[n] = row_scratch(n, n)
-        if li not in run.stores:  # room for the whole map, if a refresh may need it
-            rows = n if run.refinement is not None else layout.union.size
-            run.stores[li] = np.empty((rows, n))
-        if mode is None:
-            plans[li] = _WholeMap(run.stores[li])
-        else:
-            plans[li] = passes[li] = SAPass(layout, mode, run.scratch[n], li in gated,
-                                            run.stores[li])
-    return forward_cache(z, run.emb, run.layers, plans), passes
+        store = run.stores.get(li)
+        if store is None or len(store) < layout.union.size:  # a refresh grew the union
+            store = run.stores[li] = np.empty((layout.union.size, n))
+        basis = sketch_basis(n) if sketch and li in gated[:1] else None
+        passes[li] = SAPass(layout, mode, run.scratch[n], li in gated, store, basis)
+    return forward_cache(z, run.emb, run.layers, passes), passes
 
 
-def _pass_energies(passes) -> "dict | None":
-    """The gated self-attention layers' energies, by layer index; None
-    without passes, for ``_box_loss_terms`` to compute them from the maps."""
-    return {li: sa.energies for li, sa in passes.items() if sa.gated} if passes else None
+def _pass_energies(passes) -> dict:
+    """The gated self-attention layers' energies, by layer index."""
+    return {li: sa.energies for li, sa in passes.items() if sa.gated}
 
 
 def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
@@ -831,11 +826,12 @@ def _latent_step(z: np.ndarray, cache, run: _SamplingRun, alpha_t: float,
     return latent_opt_step(z, res.d_z, run.config.beta)
 
 
-def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
-    """Refine the control masks from a step's masked maps: coarse masks from
-    the cross-attention maps, K-means over the first gated self-attention
-    map, clusters assigned to instances. An instance whose refined mask is
-    empty keeps its previous one."""
+def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]", passes) -> None:
+    """Refine the control masks from a refresh step: coarse masks from its
+    masked cross-attention maps, K-means over the sketches of the first
+    gated self-attention layer's masked rows (its pass's ``sketch``),
+    clusters assigned to instances. An instance whose refined mask is empty
+    keeps its previous one."""
     refinement = run.refinement
     ca_masks = refine.compute_ca_masks(
         run.layers, maps, run.groups, refinement.smoothing, refinement.sigma_noun
@@ -844,7 +840,7 @@ def _refresh_masks(run: _SamplingRun, maps: "list[np.ndarray]") -> None:
     if not sa_layers:
         return
     state = refine.kmeans_self_attention(
-        maps[sa_layers[0]], len(run.groups) + 1,  # one cluster more than boxes
+        passes[sa_layers[0]].sketch, len(run.groups) + 1,  # one cluster more than boxes
         prev_centers=run.prev_centers, seed=run.config.seed,
     )
     run.prev_centers = state.centers

@@ -50,7 +50,15 @@ from attnctl.denoiser import (
 )
 from attnctl.errors import DegenerateInputWarning
 from attnctl.gradients import backprop
-from attnctl.sapass import INBOX, STREAM, RowLayout, SAPass, SARowGrad
+from attnctl.sapass import (
+    INBOX,
+    SKETCH_COLUMNS,
+    STREAM,
+    RowLayout,
+    SAPass,
+    SARowGrad,
+    sketch_basis,
+)
 from attnctl.scenario import generate_scenario, synthesis_tokens
 from attnctl.synthesis import (
     ScheduleParams,
@@ -743,9 +751,10 @@ _PASS_BOXES = {"benchmark": None,
 @pytest.mark.parametrize("grid", [16, 64], ids=["16x16", "64x64"])
 def test_record_api_equals_the_synthesis_passes_bitwise(grid, boxes):
     # Both self-attention pass modes and the record API run one softmax
-    # division and one energy partition; a refresh step's whole-map pass
-    # builds no SAPass, and the record API's own kernels energize, mask and
-    # read its map. At 16x16 the map is one row block; at 64x64 it is 8,
+    # division and one energy partition. A refresh step's STREAM pass also
+    # sketches each masked row: its r extra readout columns equal the record
+    # API's masked map times R to rounding, since the product runs in
+    # another order. At 16x16 the map is one row block; at 64x64 it is 8,
     # run on the row-block workers on a machine with more than one CPU.
     dim = 4 if grid == 16 else 16
     scen = generate_scenario((grid, grid), 2, rho=0.8, seed=0, dim=dim)
@@ -764,71 +773,61 @@ def test_record_api_equals_the_synthesis_passes_bitwise(grid, boxes):
     for i, mset in enumerate(masks):
         assert fg_bg_energies(record, li, mset[(layer.height, layer.width)], []) \
             == tuple(energies[i])
-    run = SimpleNamespace(emb=emb, layers=params.layers, masks=masks, scratch={},
-                          stores={}, refinement=refine.RefinementConfig())
+    run = SimpleNamespace(emb=emb, layers=params.layers, masks=masks, scratch={}, stores={})
     for mode in (INBOX, STREAM):
         cache, passes = synthesis._forward(run, z, mode)
         assert _same_bits(passes[li].energies, energies)
         assert _same_bits(cache.layers[li].attn, raw[layout.union])
-    cache, passes = synthesis._forward(run, z, None)
-    assert passes == {} and synthesis._pass_energies(passes) is None
-    assert _same_bits(cache.layers[li].attn, raw)
-    assert np.shares_memory(cache.layers[li].attn, run.stores[li])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateInputWarning)
-        _masked_readout(cache, masks, [[1], [2]], passes)
-    assert _same_bits(cache.layers[li].attn, masked.maps()[li])
+        assert passes[li].sketch is None
+    cache, passes = synthesis._forward(run, z, STREAM, sketch=True)
+    assert _same_bits(passes[li].energies, energies)
+    assert _same_bits(cache.layers[li].attn, raw[layout.union])
+    expected = masked.maps()[li] @ sketch_basis(raw.shape[0])
+    assert passes[li].sketch.shape == expected.shape
+    assert np.max(np.abs(passes[li].sketch - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_a_refresh_step_clusters_the_record_apis_masked_map_bitwise(monkeypatch):
-    # A mask refresh step builds no SAPass: it computes the whole
-    # self-attention map into the run's store, its energies come from
-    # _sa_box_energies, and the readout masks it in place with _mask_maps.
-    # So the maps that _refresh_masks clusters are apply_attention_masking's
-    # on the step's latent, bit for bit (the record's plain pass scales the
-    # logits after the product, which gives the step's bits at d = 16). The
-    # 64x64 map is 8 row blocks, run on the row-block workers on a machine
-    # with more than one CPU.
+def test_a_refresh_step_clusters_a_sketch_and_holds_no_n_row_store(monkeypatch):
+    # A mask refresh step runs a STREAM pass that sketches the first gated
+    # self-attention layer's masked rows, and K-means clusters those
+    # (n, r) sketches: apply_attention_masking's map on the step's latent
+    # times R, to rounding. No store of the run holds n rows: each holds
+    # the in-box rows of the masks it has served. The 64x64 map is 8 row
+    # blocks, run on the row-block workers on a machine with more than one
+    # CPU.
     sc, tokens, params, config, latent = _synthesis_64x64()
     li = gated_layers(params.layers, SELF)[0]
-    built, forwards, energized, refreshes = [], [], [], []
-    real_pass, real_forward = synthesis.SAPass, synthesis._forward
-    real_energies, real_refresh = synthesis._sa_box_energies, synthesis._refresh_masks
+    n = params.layers[li].height * params.layers[li].width
+    forwards, clustered, stores = [], [], []
+    real_forward, real_kmeans = synthesis._forward, refine.kmeans_self_attention
 
-    def spy_pass(layout, mode, *args):
-        built.append(mode)
-        return real_pass(layout, mode, *args)
-
-    def spy_forward(run, z, mode):
-        before = len(built)
-        out = real_forward(run, z, mode)
-        forwards.append((z.copy(), len(built) - before))
+    def spy_forward(run, z, mode, sketch=False):
+        out = real_forward(run, z, mode, sketch)
+        forwards.append((run, z.copy(), mode, sketch))
+        stores.append([(len(store), synthesis._row_layout(run.masks, run.layers[i]).union.size)
+                       for i, store in run.stores.items()])
         return out
 
-    def spy_energies(attn, layout):
-        energized.append(forwards[-1][1])
-        return real_energies(attn, layout)
-
-    def spy_refresh(run, maps):
-        z, n_built = forwards[-1]
+    def spy_kmeans(features, k, **kwargs):
+        run, z, mode, sketch = forwards[-1]
         record = record_from_maps(run.layers, forward_cache(z, run.emb, run.layers).maps())
-        masked = apply_attention_masking(record, run.masks, run.groups).maps()
-        refreshes.append((n_built, np.shares_memory(maps[li], run.stores[li]),
-                          all(_same_bits(a, b) for a, b in zip(maps, masked))))
-        return real_refresh(run, maps)
+        masked = apply_attention_masking(record, run.masks, run.groups).maps()[li]
+        expected = masked @ sketch_basis(n)
+        error = np.max(np.abs(features - expected)) / np.max(np.abs(expected))
+        clustered.append((mode, sketch, features.shape, error))
+        return real_kmeans(features, k, **kwargs)
 
-    monkeypatch.setattr(synthesis, "SAPass", spy_pass)
     monkeypatch.setattr(synthesis, "_forward", spy_forward)
-    monkeypatch.setattr(synthesis, "_sa_box_energies", spy_energies)
-    monkeypatch.setattr(synthesis, "_refresh_masks", spy_refresh)
+    monkeypatch.setattr(refine, "kmeans_self_attention", spy_kmeans)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateInputWarning)
         result = run_synthesis(tokens, params, sc.boxes(), config, sched=ScheduleParams(),
                                refinement=refine.RefinementConfig(), initial_latent=latent)
     assert result.refined
-    assert refreshes == [(0, True, True)] * 2  # steps 6 and 8
-    assert energized == [0] * 2
-    assert len(built) == len(forwards) - 2 and STREAM in built and INBOX in built
+    assert [c[:3] for c in clustered] == [(STREAM, True, (n, SKETCH_COLUMNS))] * 2  # steps 6, 8
+    assert all(error <= 1e-12 for *_, error in clustered)
+    assert [sketch for *_, sketch in forwards].count(True) == 2
+    assert all(held and all(union <= rows < n for rows, union in held) for held in stores)
 
 
 # ---------------------------------------------------------------------------
@@ -1292,12 +1291,10 @@ def _ref_synthesis_forward(z, emb, layers, plans=None):
     """A synthesis step's forward pass on the reference kernels: the whole
     cache, and for each self-attention pass (``sapass.SAPass``) what it
     computes from its rows, from the whole map: the energies of a gated
-    layer and the output of the masked map. A refresh step's whole-map plan
-    asks for nothing more: the step reads the whole map."""
+    layer, the output of the masked map and, given a basis (a refresh
+    step's sketch), the masked map times it."""
     cache, _ = ref_forward_cache(z, emb, layers)
     for li, sa in (plans or {}).items():
-        if not isinstance(sa, SAPass):
-            continue
         lc = cache.layers[li]
         flats = sa.layout.flats
         masks = [{(lc.work.height, lc.work.width):
@@ -1306,6 +1303,8 @@ def _ref_synthesis_forward(z, emb, layers, plans=None):
             sa.energies = _ref_sa_box_energies(lc.attn, flats)
         masked, = ref_mask_maps([lc.work], [lc.attn], masks, [[0]] * len(masks))
         sa.out = masked @ lc.v
+        if sa.basis is not None:
+            sa.sketch = masked @ sa.basis
     return cache
 
 
